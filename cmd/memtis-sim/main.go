@@ -335,14 +335,6 @@ func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew st
 			Weight:   1,
 			Workload: workload.MustNew(wname),
 		}
-		if shards > 1 {
-			// The sharded driver replays workloads lane-side and needs
-			// resumable steppers; the benchmark models issue their init
-			// phases against the machine and cannot be replayed. As in
-			// the plain -shards mode, a synthetic stream over the same
-			// footprint stands in: the sweep's 80/20 tenant mix.
-			specs[i].Workload = bench.NewTenantLoad(name, per)
-		}
 		if skew == "8to1" && i == 0 {
 			specs[i].Weight = 8
 		}
@@ -364,7 +356,7 @@ func runTenantsMode(cfg bench.Config, wname, pname, ratio string, n int, skew st
 			fmt.Fprintln(os.Stderr, "memtis-sim: -tenants -shards:", err)
 			os.Exit(2)
 		}
-		fmt.Printf("workload        %s x %d tenants (synthetic 80/20 streams over its footprint; skew %s, churn %.0f%%, %d shards)\n",
+		fmt.Printf("workload        %s x %d tenants (skew %s, churn %.0f%%, %d shards)\n",
 			wname, n, skew, churn*100, shards)
 		printResult(sr.Aggregate, r.Name, cfg, cfg.Faults.Enabled())
 		printShards(sr.Shards)

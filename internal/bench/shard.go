@@ -1,6 +1,7 @@
-// Sharded-run harness: the workload drivers in internal/workload issue
-// state-dependent streams against one *sim.Machine and cannot be split
-// mid-flight, so sharded throughput runs use a synthetic Zipf stream
+// Sharded-run harness: VPN sharding deals one address space across the
+// shards in whole 2MB blocks, which the workload streams in
+// internal/workload (sub-block regions, frees, per-space budgets) do
+// not fit, so sharded throughput runs use a synthetic Zipf stream
 // over a workload-sized footprint instead — popularity skew like the
 // real benchmarks, spread across 2MB blocks so every shard carries its
 // share of the hot set.

@@ -18,6 +18,7 @@ import (
 	"memtis/internal/sim"
 	"memtis/internal/tenant"
 	"memtis/internal/tier"
+	"memtis/internal/workload"
 )
 
 // tenantMachine sizes a machine for a tenant mix like MachineFor: fast
@@ -235,17 +236,20 @@ func TestTenantAdversarialNeighbor(t *testing.T) {
 	}
 }
 
-// zipfHammer is the adversarial neighbour: a tight Zipf-like loop that
-// concentrates heat so the policy wants all of the fast tier for it.
+// zipfHammer is the adversarial neighbour: a tight Zipf-like stream
+// that concentrates heat so the policy wants all of the fast tier for
+// it.
 type zipfHammer struct{}
 
 func (zipfHammer) Name() string { return "hammer" }
 
-func (zipfHammer) Run(m *sim.Machine, accesses uint64) {
-	r := m.Reserve(48 << 20)
-	base := splitmix64(uint64(m.Cfg.Seed) ^ fnv1a("hammer"))
+func (h zipfHammer) Run(m *sim.Machine, accesses uint64) { workload.Run(m, h, accesses) }
+
+func (zipfHammer) Stream(env workload.Env, budget uint64) workload.Stream {
+	r := env.Reserve(48 << 20)
+	base := splitmix64(uint64(env.Seed) ^ fnv1a("hammer"))
 	var ctr uint64
-	for m.Accesses() < accesses {
+	return workload.Sweep(func() (uint64, bool) {
 		ctr++
 		x := splitmix64(base + ctr)
 		// Geometric-ish skew: most probes land in the first pages.
@@ -253,8 +257,8 @@ func (zipfHammer) Run(m *sim.Machine, accesses uint64) {
 		if span == 0 {
 			span = 1
 		}
-		m.Access(r.BaseVPN+(x>>16)%span, x&3 == 0)
-	}
+		return r.BaseVPN + (x>>16)%span, x&3 == 0
+	}, budget, workload.Unbounded, 1)
 }
 
 // TestTenantChurnProperty is the churn accounting property test: over
@@ -317,8 +321,8 @@ func TestTenantChurnProperty(t *testing.T) {
 // multi-tenant scheduler: the same seed must produce byte-identical
 // per-tenant event traces (spawns, switches, exits interleaved with
 // migrations) whether cells run sequentially or on eight workers. Run
-// under -race this also proves the baton scheduler never lets two
-// tenant goroutines touch the machine concurrently.
+// under -race this also proves parallel cells share no scheduler or
+// machine state.
 func TestTenantTraceDeterminism(t *testing.T) {
 	mk := func(name string) []scenario.Phase {
 		return []scenario.Phase{

@@ -17,16 +17,14 @@ import (
 	"memtis/internal/tenant"
 )
 
-// The tenant scheduler equivalence suite pins the baton-to-inline
-// scheduler rewrite (DESIGN.md §13): the golden hashes in
-// testdata/tenant_equiv.json were generated from the historical
-// goroutine-baton scheduler, and the inline scheduler must reproduce
-// them bit for bit — same event traces (tenant_spawn/switch/exit,
-// promotions, faults), same counters, same per-tenant result rows,
-// same virtual clock — across tenant counts, churn plans, floors,
-// fault injection, and a mix of streaming and raw-Run workloads (the
-// latter exercising the goroutine fallback the inline scheduler keeps
-// for workloads that cannot be suspended without a stack).
+// The tenant scheduler equivalence suite pins the scheduler (DESIGN.md
+// §10): the golden hashes in testdata/tenant_equiv.json were recorded
+// from the historical goroutine-per-tenant scheduler, and every later
+// scheduler must reproduce them bit for bit — same event traces
+// (tenant_spawn/switch/exit, promotions, faults), same counters, same
+// per-tenant result rows, same virtual clock — across tenant counts,
+// churn plans, floors, fault injection, and a zipfHammer neighbour whose
+// budget is checked before every access rather than once per batch.
 //
 // Regenerate with TENANT_EQUIV_REWRITE=1 only when a change is *meant*
 // to alter simulated multi-tenant behaviour; a scheduler-machinery
@@ -46,9 +44,8 @@ type tenantEquivCell struct {
 // tenantEquivSpecs builds the cell's tenant mix: a floored, weighted
 // immortal first tenant plus churning neighbours covering spawn, grow,
 // shrink and exit, over TenantLoad streams. When hammer is set, the
-// second tenant runs the raw zipfHammer workload instead — a plain
-// Run-loop sim.Workload with no stepper form, pinning the scheduler
-// path that cannot inline the tenant.
+// second tenant runs zipfHammer instead, a stream checking its budget
+// before every access.
 func tenantEquivSpecs(n int, hammer bool) ([]tenant.Spec, uint64) {
 	per := tenantSweepBytes(n)
 	specs := make([]tenant.Spec, n)
@@ -131,8 +128,7 @@ func runTenantEquivCell(n int, seed int64, faultPpm uint32, dense, hammer bool) 
 
 // tenantEquivCells enumerates the golden cells: the single-tenant
 // single-space path, churning 4- and 64-tenant mixes over two seeds,
-// a dense-sampler cell, a fault-injected cell, and the raw-workload
-// fallback cell.
+// a dense-sampler cell, a fault-injected cell, and the zipfHammer cell.
 func tenantEquivCells() map[string]func() tenantEquivCell {
 	return map[string]func() tenantEquivCell{
 		"n1_seed42":        func() tenantEquivCell { return runTenantEquivCell(1, 42, 0, false, false) },
@@ -146,7 +142,7 @@ func tenantEquivCells() map[string]func() tenantEquivCell {
 }
 
 // TestTenantSchedulerEquivalence drives the equivalence cells and
-// compares against the baton-scheduler goldens.
+// compares against the recorded goldens.
 func TestTenantSchedulerEquivalence(t *testing.T) {
 	path := filepath.Join("testdata", "tenant_equiv.json")
 	cells := tenantEquivCells()
@@ -184,7 +180,7 @@ func TestTenantSchedulerEquivalence(t *testing.T) {
 			t.Fatalf("cell %s missing from golden", name)
 		}
 		if got != w {
-			t.Errorf("cell %s diverged from the baton-scheduler golden:\n got %+v\nwant %+v", name, got, w)
+			t.Errorf("cell %s diverged from the scheduler golden:\n got %+v\nwant %+v", name, got, w)
 		}
 		totMigs += got.Migrations
 	}

@@ -1,7 +1,6 @@
 // Determinism and merge tests for tenant-sharded runs (DESIGN.md §13):
 // the parallel lanes must be byte-identical to the Sequential reference
-// at every shard count, per-tenant rows must merge to global ids, and
-// the driver must reject workloads it cannot replay.
+// at every shard count, and per-tenant rows must merge to global ids.
 package bench
 
 import (
@@ -209,23 +208,5 @@ func TestTenantSweepSharded(t *testing.T) {
 	cfg.EventDir = t.TempDir()
 	if _, err := r.TenantSweep(context.Background(), cfg, Ratio1to8, []string{"memtis"}, points); err == nil {
 		t.Fatal("TenantSweep accepted Shards with EventDir")
-	}
-}
-
-// TestTenantShardedRequiresStreamer: workloads without a resumable
-// stepper cannot be replayed driver-side and must be rejected up
-// front, not mid-run.
-func TestTenantShardedRequiresStreamer(t *testing.T) {
-	tn, err := tenant.New(tenant.Config{Tenants: []tenant.Spec{
-		{Name: "hammer", Workload: zipfHammer{}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn.RunSharded(tenant.ShardedConfig{
-		Shards:  2,
-		Machine: sim.Config{FastBytes: 8 << 20, CapBytes: 32 << 20, CapKind: tier.NVM, THP: true, Seed: 7},
-	}, 10_000); err == nil {
-		t.Fatal("RunSharded accepted a non-Streamer workload")
 	}
 }

@@ -21,8 +21,8 @@ import (
 // TenantLoad is the sweep's per-tenant synthetic workload: an 80/20
 // hot/cold mix over the tenant's own region, driven by a SplitMix64
 // counter stream seeded from the machine seed and the tenant name.
-// It is stateless across runs (all run state is local to Run), so one
-// value is safely shared by parallel cells, and under the tenant
+// It is stateless across runs (all run state lives in each stream), so
+// one value is safely shared by parallel cells, and under the tenant
 // scheduler its per-space access budget makes every tenant run until
 // the global budget is spent.
 type TenantLoad struct {
@@ -45,58 +45,53 @@ func (t *TenantLoad) Name() string { return t.name }
 // RSSBytes reports the region the workload reserves on first schedule.
 func (t *TenantLoad) RSSBytes() uint64 { return t.bytes }
 
-// Run drives the 90/10 skewed access loop over the tenant's region.
-func (t *TenantLoad) Run(m *sim.Machine, accesses uint64) {
-	s := t.Stream(workload.Env{Reserve: m.Reserve, Seed: m.Cfg.Seed})
-	for m.Accesses() < accesses {
-		m.Access(s.Step())
-	}
-}
+// Run drives the 80/20 skewed access stream over the tenant's region.
+func (t *TenantLoad) Run(m *sim.Machine, accesses uint64) { workload.Run(m, t, accesses) }
 
-// Stream implements workload.Streamer: the reservation and the exact
-// SplitMix64 access stream of Run in resumable stepper form, so the
-// tenant scheduler drives the load inline (and the sharded tenant
-// driver replays it lane-side) with no goroutine parked per tenant.
-func (t *TenantLoad) Stream(env workload.Env) workload.Stream {
+// Stream implements workload.Streamer: reserve the region, then draw
+// accesses until the budget is spent.
+func (t *TenantLoad) Stream(env workload.Env, budget uint64) workload.Stream {
 	r := env.Reserve(t.bytes)
 	hot := r.Pages / 8
 	if hot == 0 {
 		hot = 1
 	}
-	base := splitmix64(uint64(env.Seed) ^ fnv1a(t.name))
 	// Reciprocal remainders (exact, see internal/fastmod): the two span
-	// reductions are the only hardware divides left on the stepper path.
-	hotM, fullM := fastmod.New(hot), fastmod.New(r.Pages)
-	spans := [2]fastmod.M{hotM, fullM}
-	var ctr uint64
-	return workload.Stream{
-		Step: func() (uint64, bool) {
-			ctr++
-			x := splitmix64(base + ctr)
-			span := hotM
-			if x%5 == 4 { // 20% of probes roam the full region
-				span = fullM
-			}
-			return r.BaseVPN + span.Mod(x>>8), x&7 == 0
-		},
-		// Fill is Step's arithmetic unrolled over a batch (one closure
-		// call and counter write-back per slice batch, not per access),
-		// with the span picked by index so the 20% roam case is a
-		// predicate, not a mispredicted branch.
-		Fill: func(dst []sim.Op) {
-			c := ctr
-			for i := range dst {
-				c++
-				x := splitmix64(base + c)
-				k := 0
-				if x%5 == 4 {
-					k = 1
-				}
-				dst[i].VPN, dst[i].Write = r.BaseVPN+spans[k].Mod(x>>8), x&7 == 0
-			}
-			ctr = c
-		},
+	// reductions are the only hardware divides left on the access path.
+	return &tenantStream{
+		base:   splitmix64(uint64(env.Seed) ^ fnv1a(t.name)),
+		vpn:    r.BaseVPN,
+		spans:  [2]fastmod.M{fastmod.New(hot), fastmod.New(r.Pages)},
+		budget: budget,
 	}
+}
+
+// tenantStream is TenantLoad's drive state: the SplitMix64 counter.
+type tenantStream struct {
+	base, ctr, vpn, budget uint64
+	spans                  [2]fastmod.M // hot span, full region
+}
+
+// Next fills dst with the counter stream's next accesses, the span
+// picked by index so the 20% roam case is a predicate, not a
+// mispredicted branch.
+func (s *tenantStream) Next(dst []sim.Op, done uint64) int {
+	if done >= s.budget {
+		return 0
+	}
+	dst = dst[:min(uint64(len(dst)), s.budget-done)]
+	c := s.ctr
+	for i := range dst {
+		c++
+		x := splitmix64(s.base + c)
+		k := 0
+		if x%5 == 4 { // 20% of probes roam the full region
+			k = 1
+		}
+		dst[i].VPN, dst[i].Write = s.vpn+s.spans[k].Mod(x>>8), x&7 == 0
+	}
+	s.ctr = c
+	return len(dst)
 }
 
 // TenantPoint is one sweep coordinate: how many tenants contend, how

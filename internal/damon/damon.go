@@ -263,9 +263,12 @@ func (m *Monitor) Regions() int { return len(m.regions) }
 
 // hotOverlap scores one (estimate, truth) pair as captured volume: the
 // true access volume of the estimator's top-decile pages divided by the
-// volume of the ideal top decile. Ranking ties among statistically
-// equal pages do not hurt the score; stale or spatially blurred
-// estimates do.
+// volume of the ideal top decile. Stale or spatially blurred estimates
+// lower the score. Pages with equal estimates (every page of one
+// region) are indistinguishable to the estimator, so a tied group that
+// straddles the decile boundary contributes its mean true volume per
+// slot taken — the score any order of the ties would get on average,
+// and one that never depends on map iteration order.
 func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 	if len(truth) == 0 {
 		return 0
@@ -274,21 +277,39 @@ func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 		p uint64
 		v float64
 	}
-	var tr, es []pv
+	vols := make([]float64, 0, len(truth))
+	es := make([]pv, 0, len(truth))
 	for p, c := range truth {
-		tr = append(tr, pv{p, float64(c)})
+		vols = append(vols, float64(c))
 		es = append(es, pv{p, est[p]})
 	}
-	sort.Slice(tr, func(i, j int) bool { return tr[i].v > tr[j].v })
-	sort.Slice(es, func(i, j int) bool { return es[i].v > es[j].v })
-	k := len(tr) / 10
+	sort.Sort(sort.Reverse(sort.Float64Slice(vols)))
+	// Within a tie group, VPN order fixes the summation order.
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].v != es[j].v {
+			return es[i].v > es[j].v
+		}
+		return es[i].p < es[j].p
+	})
+	k := len(vols) / 10
 	if k < 1 {
 		k = 1
 	}
 	var idealVol, capturedVol float64
-	for i := 0; i < k; i++ {
-		idealVol += tr[i].v
-		capturedVol += float64(truth[es[i].p])
+	for _, v := range vols[:k] {
+		idealVol += v
+	}
+	for i := 0; i < k; {
+		j := i + 1
+		for j < len(es) && es[j].v == es[i].v {
+			j++
+		}
+		var groupVol float64
+		for _, e := range es[i:j] {
+			groupVol += float64(truth[e.p])
+		}
+		capturedVol += groupVol * float64(min(j, k)-i) / float64(j-i)
+		i = j
 	}
 	if idealVol == 0 {
 		return 0

@@ -1,7 +1,9 @@
 package damon
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -139,5 +141,39 @@ func TestAccuracyEmptyInputs(t *testing.T) {
 	}
 	if Accuracy([]Snapshot{{}}, []map[uint64]uint64{{}}, 1) != 0 {
 		t.Fatal("empty truth should score 0")
+	}
+}
+
+// TestHotOverlapTiesDeterministic pins the tie rule: every page of one
+// region shares an estimate, and the score must not depend on which of
+// the tied pages map iteration happens to rank first. A tied group
+// straddling the top decile counts its mean true volume per slot.
+func TestHotOverlapTiesDeterministic(t *testing.T) {
+	truth := map[uint64]uint64{}
+	est := map[uint64]float64{}
+	var total float64
+	for p := uint64(0); p < 400; p++ {
+		truth[p] = 1 + (p*7919)%97
+		total += float64(truth[p])
+		est[p] = 0.5 // one region: every estimate tied
+	}
+	want := hotOverlap(est, truth)
+	for i := 0; i < 50; i++ {
+		if got := hotOverlap(est, truth); got != want {
+			t.Fatalf("repeat %d scored %v, first scored %v", i, got, want)
+		}
+	}
+	vals := make([]float64, 0, len(truth))
+	for _, c := range truth {
+		vals = append(vals, float64(c))
+	}
+	sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+	var ideal float64
+	for _, v := range vals[:40] {
+		ideal += v
+	}
+	// The top decile takes 40 of the 400 tied slots: a tenth of the total.
+	if exp := total / 10 / ideal; math.Abs(want-exp) > 1e-12 {
+		t.Fatalf("tied score %v, want %v", want, exp)
 	}
 }

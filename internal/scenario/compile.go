@@ -23,7 +23,7 @@ type Options struct {
 
 // Runner is a compiled scenario: a sim.Workload whose Run executes the
 // phases in order. A Runner is immutable after Compile — all run state
-// lives on the Run stack — so one Runner may drive many machines, and
+// lives in each stream — so one Runner may drive many machines, and
 // matrix cells running in parallel may share it (the same contract as
 // workload.W; pinned by TestScenarioMatrixDeterminism).
 type Runner struct {
@@ -187,27 +187,35 @@ func (r *Runner) NumTenants() int {
 	return len(r.spec.Tenants)
 }
 
-// Run implements sim.Workload: phases execute in order, each driven
-// until the machine's cumulative access count reaches the phase's share
-// of the budget. Weights split the budget proportionally with integer
-// truncation; the rounding remainder lands on the last source phase, so
-// the run always issues exactly `accesses` accesses. Churn (Free, then
-// Grow with init touches) applies at phase entry; init touches are
-// charged against the whole run's budget, exactly like a workload's
-// allocation sweep.
+// Run implements sim.Workload: a multi-tenant scenario runs under its
+// tenant scheduler, which owns the budget split (each tenant's
+// sub-runner sees the global budget as its nominal target; per-space
+// progress runs behind it, so the scheduler's stop at the global budget
+// is what ends tenants); the phase form drives its stream.
+func (r *Runner) Run(m *sim.Machine, accesses uint64) {
+	if r.tn != nil {
+		r.tn.Run(m, accesses)
+		return
+	}
+	workload.Run(m, r, accesses)
+}
+
+// Stream implements workload.Streamer for the phase form: phases
+// execute in order, each driven until the space's cumulative access
+// count reaches the phase's share of the budget. Weights split the
+// budget proportionally with integer truncation; the rounding remainder
+// lands on the last source phase, so the run always issues exactly
+// `accesses` accesses. Churn (Free, then Grow with init touches)
+// applies at phase entry; init touches are charged against the whole
+// run's budget, exactly like a workload's allocation sweep.
 //
 // Determinism: every random stream is derived from the machine seed,
 // the scenario name and the phase index (SplitMix64 over FNV-1a), so a
 // fixed (spec, machine config, budget) triple always produces a
 // byte-identical access stream and event trace.
-func (r *Runner) Run(m *sim.Machine, accesses uint64) {
+func (r *Runner) Stream(env workload.Env, accesses uint64) workload.Stream {
 	if r.tn != nil {
-		// Multi-tenant: the tenant scheduler owns the budget split;
-		// each tenant's sub-runner sees the global budget as its
-		// nominal target (per-space progress runs behind it, so the
-		// scheduler's kill at the global budget is what ends tenants).
-		r.tn.Run(m, accesses)
-		return
+		panic("scenario: a multi-tenant scenario is not one stream; run it with Run")
 	}
 	var total float64
 	for i := range r.phases {
@@ -228,54 +236,51 @@ func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 		budgets[lastSrc] += accesses - used
 	}
 	regions := map[string]vm.Region{}
+	var parts []workload.Stream
 	var target uint64
 	for i := range r.phases {
 		cp := &r.phases[i]
 		target += budgets[i]
-		for _, name := range cp.p.Free {
-			if reg, ok := regions[name]; ok {
-				m.FreeRegion(reg)
-				delete(regions, name)
+		target := target
+		parts = append(parts, workload.Lazy(func(uint64) workload.Stream {
+			for _, name := range cp.p.Free {
+				if reg, ok := regions[name]; ok {
+					env.Free(reg)
+					delete(regions, name)
+				}
 			}
-		}
+			return nil
+		}))
 		for _, g := range cp.p.Grow {
-			reg := m.Reserve(g.Bytes)
-			regions[g.Name] = reg
-			if !g.SkipInit {
-				touchRegion(m, reg, accesses)
-			}
+			// First-touch writes of the fresh region, bounded by the run's
+			// total access budget.
+			parts = append(parts, workload.Lazy(func(done uint64) workload.Stream {
+				reg := env.Reserve(g.Bytes)
+				regions[g.Name] = reg
+				if g.SkipInit {
+					return nil
+				}
+				return workload.Sweep(workload.Writes(reg.BaseVPN), min(done+reg.Pages, accesses), workload.Unbounded, workload.BatchSize)
+			}))
 		}
 		switch {
 		case cp.w != nil:
-			cp.w.Run(m, target)
+			parts = append(parts, workload.Lazy(func(uint64) workload.Stream { return cp.w.Stream(env, target) }))
 		case cp.replay != nil:
-			cp.replay.Run(m, target)
+			parts = append(parts, workload.Lazy(func(uint64) workload.Stream { return cp.replay.Stream(env, target) }))
 		case len(cp.p.Mix) > 0:
-			r.runMix(m, i, cp.p.Mix, regions, target)
+			parts = append(parts, workload.Lazy(func(uint64) workload.Stream {
+				return r.mix(env.Seed, i, cp.p.Mix, regions, target)
+			}))
 		}
 	}
+	return workload.Seq(parts...)
 }
 
-// touchRegion first-touch writes every page of a fresh region in
-// sequence, bounded by the run's total access budget.
-func touchRegion(m *sim.Machine, reg vm.Region, budget uint64) {
-	until := m.Accesses() + reg.Pages
-	if until > budget {
-		until = budget
-	}
-	next := reg.BaseVPN
-	workload.Drive(m, until, func() (uint64, bool) {
-		v := next
-		next++
-		return v, true
-	})
-}
-
-// runMix drives one mix phase until the machine reaches target
+// mix is one mix phase's stream: draws until the space reaches target
 // cumulative accesses.
-func (r *Runner) runMix(m *sim.Machine, phase int, mix []MixEntry, regions map[string]vm.Region, target uint64) {
-	seed := int64(splitmix64(uint64(m.Cfg.Seed) ^ splitmix64(fnv1a(r.spec.Name)+uint64(phase)+1)))
-	rng := rand.New(rand.NewSource(seed))
+func (r *Runner) mix(seed int64, phase int, mix []MixEntry, regions map[string]vm.Region, target uint64) workload.Stream {
+	rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ splitmix64(fnv1a(r.spec.Name)+uint64(phase)+1)))))
 	type arm struct {
 		base  uint64
 		src   dist.Source
@@ -306,7 +311,7 @@ func (r *Runner) runMix(m *sim.Machine, phase int, mix []MixEntry, regions map[s
 		total += w
 		weights = append(weights, total)
 	}
-	workload.Drive(m, target, func() (uint64, bool) {
+	return workload.Sweep(func() (uint64, bool) {
 		pick := rng.Intn(total)
 		idx := 0
 		for weights[idx] <= pick {
@@ -314,7 +319,7 @@ func (r *Runner) runMix(m *sim.Machine, phase int, mix []MixEntry, regions map[s
 		}
 		a := &arms[idx]
 		return a.base + a.src.Next(), rng.Intn(100) < a.write
-	})
+	}, target, workload.Unbounded, workload.BatchSize)
 }
 
-var _ sim.Workload = (*Runner)(nil)
+var _ workload.Streamer = (*Runner)(nil)

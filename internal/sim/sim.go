@@ -207,10 +207,6 @@ type Result struct {
 	Tenants []TenantResult
 }
 
-// maxTiers bounds the tier-chain depth a machine supports, matching
-// vm's packed page-table entry (4 tier bits).
-const maxTiers = 16
-
 // Machine is one simulated tiered host running a single workload under
 // a single policy. Fast and Cap alias the endpoints of the tier chain;
 // Tiers holds the full chain on N-tier machines.
@@ -253,9 +249,8 @@ type Machine struct {
 	// chases per call).
 	// loadNS/storeNS are fixed-size arrays rather than slices so the
 	// per-access latency lookup is one indexed load with no slice
-	// header indirection; maxTiers matches the packed page-table
-	// entry's 4 tier bits.
-	loadNS, storeNS [maxTiers]uint64
+	// header indirection; tier.MaxTiers bounds every chain.
+	loadNS, storeNS [tier.MaxTiers]uint64
 
 	now      uint64
 	accesses uint64
@@ -293,9 +288,8 @@ type Machine struct {
 	multi       bool
 
 	// AccessObserver, when set, sees every access (used by the DAMON
-	// and trace-analysis experiments, and by the tenant scheduler to
-	// preempt the running tenant at slice boundaries). The vpn carries
-	// the current space tag, like the vpn fed to the TLB and policy.
+	// and trace-analysis experiments). The vpn carries the current
+	// space tag, like the vpn fed to the TLB and policy.
 	AccessObserver func(vpn uint64, write bool, now uint64)
 }
 
@@ -787,11 +781,11 @@ type Op struct {
 
 // AccessBatch issues the ops in order, exactly as the equivalent
 // sequence of Access calls would — same costs, same tick and sample
-// delivery points, byte-identical event traces. Workloads use it to
-// amortise per-access loop bookkeeping (budget checks, stepper
-// indirection) across a buffer of pre-generated accesses; ops whose
-// generation depends on machine state mutated mid-batch (frees,
-// reservations) must keep using Access.
+// delivery points, byte-identical event traces. The workload driver
+// (workload.Drive) issues every maximal run of a stream's accesses
+// through it, amortising per-access loop bookkeeping (budget checks,
+// stream indirection); the stream's reservations and frees land
+// between batches, at their exact stream position.
 //
 // The inner loop is Access's FastSampled bypass unrolled across the
 // batch: one op costs a TouchFast, a FeedFast, a TLB probe and the

@@ -265,3 +265,27 @@ func TestAdvanceBackgroundDeliversTicks(t *testing.T) {
 			m.now, m.nextTick, m.nextRecord)
 	}
 }
+
+// TestTierDepthBound pins the one depth bound: a machine over
+// tier.MaxTiers tiers builds, one tier deeper is rejected.
+func TestTierDepthBound(t *testing.T) {
+	topo := func(n int) *tier.Topology {
+		tp := &tier.Topology{}
+		for i := 0; i < n; i++ {
+			tp.Tiers = append(tp.Tiers, tier.Config{Kind: tier.NVM, Bytes: 2 * tier.HugePageSize})
+		}
+		return tp
+	}
+	cfg := testCfg()
+	cfg.Topology = topo(tier.MaxTiers)
+	if m := NewMachine(cfg, nil); m.Depth() != tier.MaxTiers {
+		t.Fatalf("depth %d machine has %d tiers", tier.MaxTiers, m.Depth())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewMachine accepted a depth %d topology", tier.MaxTiers+1)
+		}
+	}()
+	cfg.Topology = topo(tier.MaxTiers + 1)
+	NewMachine(cfg, nil)
+}

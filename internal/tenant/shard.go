@@ -1,15 +1,16 @@
-// Tenant-sharded parallel simulation (DESIGN.md §13): the inline
-// scheduler replayed as a driver over sim.Sharded's tenant routing.
-// Whole tenants are dealt round-robin across S shard machines — tenant
-// t runs as local address space t/S on shard t%S — and the scheduler
-// runs entirely on the driver goroutine: the weighted pick, the churn
-// plan, the slice accounting and the reservation layout are all
-// replayed from driver-local state (never read back from a shard), so
-// each lane receives its op subsequence in deterministic order and the
+// Tenant-sharded parallel simulation (DESIGN.md §13): the tenant
+// scheduler run over sim.Sharded's tenant routing. Whole tenants are
+// dealt round-robin across S shard machines — tenant t runs as local
+// address space t/S on shard t%S — and the scheduler runs entirely on
+// the driver goroutine through a shardIssuer: the weighted pick, the
+// churn plan, the slice accounting and the reservation layout all come
+// from driver-local state (never read back from a shard), so each lane
+// receives its op subsequence in deterministic order and the
 // block-sharding determinism argument carries over unchanged. Actions
-// that do depend on machine state — exit frees sized by residency,
-// QoS floor checks, lifecycle trace events — travel as hook ops and
-// execute on the owning lane at their exact stream position.
+// that do depend on machine state — exit frees sized by residency, QoS
+// floor checks, lifecycle trace events — travel as hook ops and run the
+// plain scheduler's inline actions on the owning lane at their exact
+// stream position.
 //
 // Every shard gets a private QoS arbiter over its local tenants: a
 // shard's fast tier is the only one its tenants contend for, so the
@@ -82,71 +83,96 @@ const (
 	shFloors // check every local tenant's floor (after churn)
 )
 
-// shardProc is one tenant's driver-side execution state: the suspended
-// stream plus the scheduler's view of its budget and liveness. The
-// machine-side state (its address space) lives on the owning shard.
-type shardProc struct {
-	id       int
-	spec     *Spec
-	stream   workload.Stream
-	begun    bool
-	live     bool
-	finished bool
-	issued   uint64 // accesses issued for this tenant (mirrors SpaceAccesses)
+// shardIssuer is the scheduler's issuer on a tenant-sharded machine.
+// The access counts are driver-local (each lane's machine belongs to its
+// worker between barriers): they advance exactly as TotalAccesses and
+// the tenant's space count will once the lanes drain. Reservation bases
+// are predicted with vm.NextReservation, and every action that depends
+// on machine state travels as a hook op that runs the owning lane's
+// machineIssuer at its exact stream position.
+type shardIssuer struct {
+	s      *sim.Sharded
+	shards int
+	lanes  []*machineIssuer // per shard; nil when the shard hosts no tenants
+	envs   []workload.Env   // per tenant
+	next   []uint64         // per tenant: reservation high-water mark
+	issued []uint64         // per tenant: accesses issued (its space count)
+	total  uint64           // accesses issued machine-wide
+	cur    int              // tenant last passed to use
 }
 
-// shardedRun is the driver: the same scheduler state as run, minus the
-// machine (replaced by issue counters and the reservation clocks).
-type shardedRun struct {
-	s      *sim.Sharded
-	cfg    *Config
-	shards int
-	target uint64
-	slice  uint64
-	issued uint64 // machine-wide accesses issued (mirrors TotalAccesses)
+// split maps a global tenant id to (shard, local space id).
+func (si *shardIssuer) split(t int) (int, int) { return t % si.shards, t / si.shards }
 
-	procs  []*shardProc
-	names  []string
-	locals [][]int // shard -> global tenant ids, local-space order
-	seeds  []int64 // per-shard derived machine seed (stream Env seed)
-	pk     *wpick
-	arbs   []*arbiter // per shard; nil when the shard hosts no tenants
+func (si *shardIssuer) Accesses() uint64      { return si.issued[si.cur] }
+func (si *shardIssuer) TotalAccesses() uint64 { return si.total }
 
-	events []churnEvent
-	nextEv int
-	grown  []vm.Region
-	// nextVPN is each tenant's reservation clock, mirroring
-	// vm.AddressSpace.Reserve bit for bit (2MB-aligned base, ceil-page
-	// length) so the driver predicts every space-local base without
-	// asking the shard; the lane's reserve assertion checks the mirror.
-	nextVPN []uint64
+func (si *shardIssuer) AccessBatch(ops []sim.Op) {
+	sh, _ := si.split(si.cur)
+	si.s.AccessBatchOn(sh, ops)
+	si.total += uint64(len(ops))
+	si.issued[si.cur] += uint64(len(ops))
+}
 
-	rng uint64
-	buf [tenantBatch]sim.Op
+func (si *shardIssuer) use(t int) {
+	si.cur = t
+	sh, loc := si.split(t)
+	si.s.UseOn(sh, loc)
+}
+
+func (si *shardIssuer) env(t int) workload.Env { return si.envs[t] }
+
+func (si *shardIssuer) hook(t int, kind, aux uint64) {
+	sh, loc := si.split(t)
+	si.s.HookOn(sh, kind|uint64(loc)<<4|aux<<24)
+}
+
+func (si *shardIssuer) spawn(t int)                  { si.hook(t, shSpawn, 0) }
+func (si *shardIssuer) exit(t int)                   { si.hook(t, shExit, 0) }
+func (si *shardIssuer) switched(t int, slice uint64) { si.hook(t, shSwitch, slice) }
+func (si *shardIssuer) checkFloor(t int)             { si.hook(t, shFloor, 0) }
+
+// checkFloors has every shard audit its own tenants at the same stream
+// position.
+func (si *shardIssuer) checkFloors() {
+	for sh, mi := range si.lanes {
+		if mi != nil {
+			si.s.HookOn(sh, shFloors)
+		}
+	}
+}
+
+// laneHook decodes a hook op on one lane and runs the lane's
+// machineIssuer action.
+func laneHook(mi *machineIssuer) func(*sim.Machine, uint64) {
+	return func(_ *sim.Machine, arg uint64) {
+		loc := int(arg >> 4 & 0xFFFFF)
+		switch arg & 15 {
+		case shSwitch:
+			mi.switched(loc, arg>>24)
+		case shSpawn:
+			mi.spawn(loc)
+		case shExit:
+			mi.exit(loc)
+		case shFloor:
+			mi.checkFloor(loc)
+		case shFloors:
+			mi.checkFloors()
+		}
+	}
 }
 
 // RunSharded executes the runner's tenant plan on a tenant-sharded
 // machine for exactly `accesses` machine-wide accesses and returns the
 // per-shard results, the aggregate and the merged arbiter state.
-// Every tenant workload must be a workload.Streamer (the goroutine-
-// baton fallback would need the machine on the driver's side of the
-// lanes), and Config.OnChurn is unsupported (it audits one machine
-// mid-run; sharded machines are mid-stream at churn time).
+// Config.OnChurn is unsupported (it audits one machine mid-run; sharded
+// machines are mid-stream at churn time).
 func (r *Runner) RunSharded(cfg ShardedConfig, accesses uint64) (*ShardedResult, error) {
 	n := len(r.cfg.Tenants)
 	if r.cfg.OnChurn != nil {
 		return nil, fmt.Errorf("tenant: OnChurn audits one machine mid-run; unsupported on sharded runs")
 	}
-	for i := range r.cfg.Tenants {
-		if _, ok := r.cfg.Tenants[i].Workload.(workload.Streamer); !ok {
-			return nil, fmt.Errorf("tenant: sharded runs need resumable steppers; tenant %d workload %T implements no workload.Streamer",
-				i, r.cfg.Tenants[i].Workload)
-		}
-	}
-	S := cfg.Shards
-	if S < 1 {
-		S = 1
-	}
+	S := max(cfg.Shards, 1)
 	s := sim.NewSharded(sim.ShardedConfig{
 		Shards:     S,
 		Machine:    cfg.Machine,
@@ -154,119 +180,65 @@ func (r *Runner) RunSharded(cfg ShardedConfig, accesses uint64) (*ShardedResult,
 		TraceFor:   cfg.TraceFor,
 		Sequential: cfg.Sequential,
 	})
-	sr := &shardedRun{
-		s:       s,
-		cfg:     &r.cfg,
-		shards:  S,
-		target:  accesses,
-		slice:   r.cfg.Slice,
-		procs:   make([]*shardProc, n),
-		names:   make([]string, n),
-		locals:  make([][]int, S),
-		seeds:   make([]int64, S),
-		pk:      newWpick(n),
-		arbs:    make([]*arbiter, S),
-		grown:   make([]vm.Region, n),
-		nextVPN: make([]uint64, n),
-		rng:     uint64(cfg.Machine.Seed) ^ 0x74_65_6e_61_6e_74, // "tenant", as in run
+	si := &shardIssuer{
+		s:      s,
+		shards: S,
+		lanes:  make([]*machineIssuer, S),
+		envs:   make([]workload.Env, n),
+		next:   make([]uint64, n),
+		issued: make([]uint64, n),
 	}
-	for i := range r.cfg.Tenants {
-		sr.names[i] = tenantName(&r.cfg.Tenants[i], i)
-	}
-	// Per-shard setup, before the first dispatch (the machines belong
-	// to the driver until a lane receives work): local spaces in
-	// round-robin deal order, the shard's private arbiter installed as
-	// the veto on the root space first so AddSpace copies it, and the
-	// hook decoder bound to the shard's local tenant table.
-	for sh := 0; sh < S; sh++ {
-		sr.seeds[sh] = s.Machine(sh).Cfg.Seed
-		var locals []int
+	// Per-shard setup, before the first dispatch (the machines belong to
+	// the driver until a lane receives work): each shard hosts tenants
+	// sh, sh+S, ... as its local spaces 0, 1, ..., under a private
+	// arbiter — a shard's fast tier is the only one its tenants contend
+	// for.
+	for sh := 0; sh < S && sh < n; sh++ {
+		var specs []*Spec
+		var names []string
 		for t := sh; t < n; t += S {
-			locals = append(locals, t)
+			specs = append(specs, &r.cfg.Tenants[t])
+			names = append(names, tenantName(&r.cfg.Tenants[t], t))
 		}
-		sr.locals[sh] = locals
-		if len(locals) == 0 {
-			continue
-		}
-		m := s.Machine(sh)
-		specs := make([]*Spec, len(locals))
-		names := make([]string, len(locals))
-		for l, g := range locals {
-			specs[l] = &r.cfg.Tenants[g]
-			names[l] = sr.names[g]
-		}
-		a := newArbiter(m, specs, names)
-		m.AS.MigrateVeto = a.veto
-		for l := 1; l < len(locals); l++ {
-			if id := m.AddSpace(names[l]); id != l {
-				panic("tenant: sharded machine not fresh (spaces already added)")
-			}
-		}
-		if len(locals) > 1 {
-			m.SetSpaceLabel(0, names[0])
-		}
-		sr.arbs[sh] = a
-		s.SetHook(sh, sr.hookFor(sh))
+		si.lanes[sh] = hostTenants(s.Machine(sh), specs, names, S, sh)
+		s.SetHook(sh, laneHook(si.lanes[sh]))
 	}
-	// Initial spawns and the churn plan, exactly as newRun builds them:
-	// the spawn hooks are each lane's first ops, mirroring the plain
-	// scheduler's pre-run spawn events.
-	for i := range r.cfg.Tenants {
-		t := &r.cfg.Tenants[i]
-		sr.procs[i] = &shardProc{id: i, spec: t}
-		if t.SpawnFrac <= 0 {
-			sr.procs[i].live = true
-			sr.pk.set(i, max(t.Weight, 1))
-			sr.hookOn(i, shSpawn, 0)
-		} else {
-			sr.events = append(sr.events, churnEvent{sr.frac(t.SpawnFrac), i, ChurnSpawn})
-		}
-		if t.GrowBytes > 0 {
-			sr.events = append(sr.events, churnEvent{sr.frac(t.GrowFrac), i, ChurnGrow})
-			if t.ShrinkFrac > 0 {
-				sr.events = append(sr.events, churnEvent{sr.frac(t.ShrinkFrac), i, ChurnShrink})
-			}
-		}
-		if t.ExitFrac > 0 {
-			sr.events = append(sr.events, churnEvent{sr.frac(t.ExitFrac), i, ChurnExit})
+	for t := range si.envs {
+		t, sh := t, t%S
+		si.envs[t] = workload.Env{
+			Seed: s.Machine(sh).Cfg.Seed,
+			Reserve: func(bytes uint64) vm.Region {
+				r := vm.NextReservation(si.next[t], bytes)
+				si.next[t] = r.BaseVPN + r.Pages
+				s.ReserveOn(sh, bytes, r.BaseVPN)
+				return r
+			},
+			Free: func(r vm.Region) { s.FreeOn(sh, r.BaseVPN, r.Pages) },
 		}
 	}
-	sortChurn(sr.events)
-	// The scheduler loop, issuing against driver-local counters only.
-	for {
-		sr.fireChurn()
-		if sr.issued >= sr.target {
-			break
-		}
-		p := sr.pick()
-		if p == nil {
-			break
-		}
-		sr.schedule(p)
-	}
+	newRun(&r.cfg, si, cfg.Machine.Seed, accesses).loop()
 	// Final barrier: drain the lanes, then finalize each arbiter (the
 	// machines are the driver's again) and merge the per-shard views.
 	s.Flush()
-	for _, a := range sr.arbs {
-		if a != nil {
-			a.finalize()
+	for _, mi := range si.lanes {
+		if mi != nil {
+			mi.arb.finalize()
 		}
 	}
-	merge := sr.mergeArbiters()
+	merge := si.mergeArbiters()
 	rs := s.Finish("tenants")
 	// A shard hosting exactly one tenant stays single-space (the same
 	// fast path a one-tenant plain run takes) and so reports no tenant
 	// rows; synthesize the row so the aggregate table is complete.
-	for sh, locals := range sr.locals {
-		if len(locals) != 1 || len(rs[sh].Tenants) != 0 {
+	for sh, mi := range si.lanes {
+		if mi == nil || len(mi.arb.cells) != 1 || len(rs[sh].Tenants) != 0 {
 			continue
 		}
-		m := s.Machine(sh)
-		as := m.Space(0)
+		as := mi.Space(0)
 		rs[sh].Tenants = []sim.TenantResult{{
 			ID:            0,
-			Name:          sr.names[locals[0]],
-			Accesses:      m.SpaceAccesses(0),
+			Name:          tenantName(&r.cfg.Tenants[sh], sh),
+			Accesses:      mi.SpaceAccesses(0),
 			ResidentBytes: as.ResidentUnits() * tier.BasePageSize,
 			FastBytes:     as.FastUnits() * tier.BasePageSize,
 		}}
@@ -274,235 +246,25 @@ func (r *Runner) RunSharded(cfg ShardedConfig, accesses uint64) (*ShardedResult,
 	return &ShardedResult{Shards: rs, Aggregate: sim.AggregateShards(rs), Arbiter: merge}, nil
 }
 
-func (sr *shardedRun) frac(f float64) uint64 { return uint64(f * float64(sr.target)) }
-
-// rand is the identical SplitMix64 step run uses: same seed, same
-// draw sequence, same schedule.
-func (sr *shardedRun) rand() uint64 {
-	sr.rng += 0x9e3779b97f4a7c15
-	z := sr.rng
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
-}
-
-// shardOf splits a global tenant id into (shard, local space id).
-func (sr *shardedRun) shardOf(t int) (int, int) { return t % sr.shards, t / sr.shards }
-
-// hookOn enqueues a hook op on tenant t's shard.
-func (sr *shardedRun) hookOn(t int, kind, aux uint64) {
-	sh, loc := sr.shardOf(t)
-	sr.s.HookOn(sh, kind|uint64(loc)<<4|aux<<24)
-}
-
-// hookFor builds shard sh's lane-side hook: it decodes the argument
-// and performs the machine-state-dependent actions the plain scheduler
-// does inline, against the shard machine and its private arbiter.
-// Trace events carry the global tenant id, so per-shard traces read
-// like the plain runner's.
-func (sr *shardedRun) hookFor(sh int) func(m *sim.Machine, arg uint64) {
-	a := sr.arbs[sh]
-	return func(m *sim.Machine, arg uint64) {
-		loc := int(arg >> 4 & 0xFFFFF)
-		global := uint64(loc*sr.shards + sh)
-		switch arg & 15 {
-		case shSwitch:
-			m.Tracer().Emit(obs.EvTenantSwitch, global, false, 0, arg>>24)
-		case shSpawn:
-			a.addLive(loc)
-			m.Tracer().Emit(obs.EvTenantSpawn, global, false, 0, 0)
-		case shExit:
-			a.removeLive(loc)
-			as := m.Space(loc)
-			released := as.ResidentUnits() * tier.BasePageSize
-			m.UseSpace(loc)
-			m.FreeRegion(vm.Region{BaseVPN: 0, Pages: as.ReservedPages()})
-			m.Tracer().Emit(obs.EvTenantExit, global, false, released, 0)
-		case shFloor:
-			a.checkFloor(loc)
-		case shFloors:
-			a.checkFloors()
-		}
-	}
-}
-
-// fireChurn applies every lifecycle event whose threshold has passed,
-// measured by the driver's issue counter (the exact value
-// TotalAccesses reaches once the lanes drain).
-func (sr *shardedRun) fireChurn() {
-	for sr.nextEv < len(sr.events) && sr.events[sr.nextEv].at <= sr.issued {
-		ev := sr.events[sr.nextEv]
-		sr.nextEv++
-		sr.apply(ev)
-	}
-}
-
-func (sr *shardedRun) apply(ev churnEvent) {
-	p := sr.procs[ev.tenant]
-	switch ev.kind {
-	case ChurnSpawn:
-		p.live = true
-		sr.pk.set(ev.tenant, max(p.spec.Weight, 1))
-		sr.hookOn(ev.tenant, shSpawn, 0)
-	case ChurnExit:
-		sr.exit(p)
-	case ChurnGrow:
-		sr.grow(p)
-	case ChurnShrink:
-		sr.shrink(p)
-	}
-	// The plain scheduler floor-checks every tenant after churn; each
-	// shard checks its own locals at the same stream position.
-	for sh, a := range sr.arbs {
-		if a != nil {
-			sr.s.HookOn(sh, shFloors)
-		}
-	}
-}
-
-// exit retires the tenant driver-side and hands the residency-sized
-// free and the exit event to the owning lane.
-func (sr *shardedRun) exit(p *shardProc) {
-	if !p.live {
-		return
-	}
-	p.finished = true
-	sr.pk.clear(p.id)
-	p.live = false
-	sr.hookOn(p.id, shExit, 0)
-}
-
-// grow reserves the tenant's churn region and write-touches it, the
-// touches counting against the global budget exactly as the plain
-// scheduler's do.
-func (sr *shardedRun) grow(p *shardProc) {
-	if !p.live || p.spec.GrowBytes == 0 {
-		return
-	}
-	sh, loc := sr.shardOf(p.id)
-	sr.s.UseOn(sh, loc)
-	reg := sr.reserve(p.id, p.spec.GrowBytes)
-	sr.grown[p.id] = reg
-	for vpn := reg.BaseVPN; vpn < reg.BaseVPN+reg.Pages && sr.issued < sr.target; vpn++ {
-		sr.s.AccessOn(sh, vpn, true)
-		sr.issued++
-		p.issued++
-	}
-}
-
-func (sr *shardedRun) shrink(p *shardProc) {
-	if !p.live || sr.grown[p.id].Pages == 0 {
-		return
-	}
-	sh, loc := sr.shardOf(p.id)
-	sr.s.UseOn(sh, loc)
-	sr.s.FreeOn(sh, sr.grown[p.id].BaseVPN, sr.grown[p.id].Pages)
-	sr.grown[p.id] = vm.Region{}
-}
-
-// pick draws the next tenant with the same Fenwick search and the same
-// RNG stream as the plain scheduler.
-func (sr *shardedRun) pick() *shardProc {
-	if sr.pk.sum == 0 {
-		return nil
-	}
-	return sr.procs[sr.pk.pick(sr.rand()%sr.pk.sum)]
-}
-
-// reserve mirrors vm.AddressSpace.Reserve for tenant t's space —
-// 2MB-aligned base, ceil-page length — records the prediction in the
-// tenant's reservation clock and enqueues the reserve on its lane,
-// which asserts the shard machine lands on the same base.
-func (sr *shardedRun) reserve(t int, bytes uint64) vm.Region {
-	pages := (bytes + tier.BasePageSize - 1) / tier.BasePageSize
-	nv := sr.nextVPN[t]
-	if rem := nv % tier.SubPages; rem != 0 {
-		nv += tier.SubPages - rem
-	}
-	r := vm.Region{BaseVPN: nv, Pages: pages}
-	sr.nextVPN[t] = nv + pages
-	sh, _ := sr.shardOf(t)
-	sr.s.ReserveOn(sh, bytes, r.BaseVPN)
-	return r
-}
-
-// schedule issues one slice for p: the same bounds as the plain
-// runSlice (next churn threshold, global budget, the tenant's own
-// per-space budget), batch-filled from the tenant's suspended stream
-// and enqueued on the owning lane.
-func (sr *shardedRun) schedule(p *shardProc) {
-	now := sr.issued
-	end := now + sr.slice
-	if sr.nextEv < len(sr.events) && sr.events[sr.nextEv].at < end {
-		end = sr.events[sr.nextEv].at
-	}
-	if sr.target < end {
-		end = sr.target
-	}
-	sh, loc := sr.shardOf(p.id)
-	sr.s.UseOn(sh, loc)
-	sr.hookOn(p.id, shSwitch, end-now)
-	if !p.begun {
-		p.begun = true
-		t := p.id
-		p.stream = p.spec.Workload.(workload.Streamer).Stream(workload.Env{
-			Reserve: func(bytes uint64) vm.Region { return sr.reserve(t, bytes) },
-			Seed:    sr.seeds[sh],
-		})
-	}
-	step, fill := p.stream.Step, p.stream.Fill
-	for {
-		if sr.issued >= end {
-			break
-		}
-		if p.issued >= sr.target {
-			// The tenant's own (per-space) budget is spent: the plain
-			// runSlice retires it at the same point.
-			p.finished = true
-			sr.pk.clear(p.id)
-			break
-		}
-		n := end - sr.issued
-		if rem := sr.target - p.issued; rem < n {
-			n = rem
-		}
-		if n > tenantBatch {
-			n = tenantBatch
-		}
-		if fill != nil {
-			fill(sr.buf[:n])
-		} else {
-			for i := uint64(0); i < n; i++ {
-				sr.buf[i].VPN, sr.buf[i].Write = step()
-			}
-		}
-		sr.s.AccessBatchOn(sh, sr.buf[:n])
-		sr.issued += n
-		p.issued += n
-	}
-	sr.hookOn(p.id, shFloor, 0)
-}
-
 // mergeArbiters folds the per-shard arbiter state into the global
 // view, indexed by global tenant id. Runs at a barrier: the lanes are
 // idle and every counter cell is settled.
-func (sr *shardedRun) mergeArbiters() ArbiterMerge {
-	n := len(sr.procs)
+func (si *shardIssuer) mergeArbiters() ArbiterMerge {
+	n := len(si.envs)
 	am := ArbiterMerge{
 		Contended:        make([]uint64, n),
 		PromotionsDenied: make([]uint64, n),
 		DemotionsDenied:  make([]uint64, n),
 		FloorViolations:  make([]uint64, n),
 	}
-	for sh, a := range sr.arbs {
-		if a == nil {
+	for sh, mi := range si.lanes {
+		if mi == nil {
 			continue
 		}
+		a := mi.arb
 		am.TotalContended += a.totalContended
 		for l := range a.cells {
-			g := l*sr.shards + sh
+			g := l*si.shards + sh
 			am.Contended[g] = a.contendedPromoted[l]
 			am.PromotionsDenied[g] = *a.cells[l].promoDenied
 			am.DemotionsDenied[g] = *a.cells[l].demoDenied

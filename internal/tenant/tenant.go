@@ -1,30 +1,25 @@
 // Package tenant multiplexes N contending processes onto one simulated
 // machine: each tenant owns a vm.AddressSpace and an independent
-// workload, all sharing the machine's two tiers and its single policy
+// workload, all sharing the machine's tiers and its single policy
 // daemon. A deterministic weighted scheduler interleaves the tenants'
 // access streams in fixed-size slices; a lifecycle plan spawns and
 // exits tenants and grows and shrinks their footprints mid-run; and a
 // QoS arbiter below the policy layer enforces per-tenant fast-tier
 // floors and weighted promotion shares (DESIGN.md §10).
 //
-// The scheduler is an inline run loop: tenants whose workloads
-// implement workload.Streamer are resumable steppers — the scheduler
-// holds their suspended drive state (workload.Stream) and pulls
-// batches of accesses from it for exactly one slice at a time, with no
-// goroutine, channel operation or allocation on the per-slice path.
-// Workloads without a stepper form (mid-stream allocation churn,
-// phased initialisation) keep the historical goroutine-baton fallback:
-// their Run executes on a dedicated goroutine that an AccessObserver
-// parks at slice boundaries, installed only while such a tenant runs.
+// The scheduler is an inline run loop on the caller's goroutine. Every
+// tenant workload is a workload.Streamer: the scheduler holds each
+// tenant's suspended stream and drives it through workload.Drive for
+// exactly one slice at a time, with no goroutine, channel operation or
+// allocation on the per-slice path. The same scheduler serves the plain
+// machine and a tenant-sharded one (shard.go); only the issuer its
+// actions go through differs.
 //
-// Determinism is by construction either way: exactly one goroutine —
-// the scheduler or the currently scheduled fallback tenant — is
-// runnable at any instant, so the interleaving is a pure function of
-// the machine seed and the config. The same seed produces
-// byte-identical event traces sequential or under a parallel matrix,
-// including under the race detector; the inline scheduler reproduces
-// the baton scheduler's traces bit for bit (the tenant_equiv.json
-// golden in internal/bench pins this).
+// Determinism is by construction: the interleaving is a pure function
+// of the machine seed and the config, so the same seed produces
+// byte-identical event traces sequential or under a parallel matrix
+// (the tenant_equiv.json and drive_equiv.json goldens in internal/bench
+// pin this).
 package tenant
 
 import (
@@ -56,10 +51,10 @@ type Spec struct {
 	// are clamped proportionally if their sum exceeds what the fast
 	// tier can honour.
 	FloorBytes uint64
-	// Workload drives the tenant's address space. Any sim.Workload
-	// works, including scenario runners; instances may be shared
-	// across tenants (workloads keep per-Run state only).
-	Workload sim.Workload
+	// Workload drives the tenant's address space, including
+	// single-tenant scenario runners; instances may be shared across
+	// tenants (all run state lives in each stream).
+	Workload workload.Streamer
 	// Admit, when set, is this tenant's admission hook, layered below
 	// the policy's own AdmissionFunc: it is consulted (with
 	// sync=false — the arbiter cannot tell) before floor and share
@@ -241,49 +236,108 @@ func (r *Runner) Name() string { return "tenants" }
 // Run implements sim.Workload: it interleaves the tenants' workloads
 // on m until exactly `accesses` accesses have been issued machine-wide
 // (every tenant's workload is given the global budget as its nominal
-// target; the scheduler preempts and finally kills them at slice and
+// target; the scheduler preempts and finally stops them at slice and
 // budget boundaries, so the total always lands exactly). The machine
-// must be fresh: single-space, no other AccessObserver, not previously
-// run.
+// must be fresh: single-space and not previously run.
 func (r *Runner) Run(m *sim.Machine, accesses uint64) {
-	st := newRun(r, m, accesses)
-	defer st.finalize()
-	defer st.killAll()
-	for {
-		st.fireChurn()
-		if m.TotalAccesses() >= st.target {
-			return
-		}
-		p := st.pick()
-		if p == nil {
-			return
-		}
-		st.schedule(p)
+	specs := make([]*Spec, len(r.cfg.Tenants))
+	names := make([]string, len(r.cfg.Tenants))
+	for i := range r.cfg.Tenants {
+		specs[i], names[i] = &r.cfg.Tenants[i], tenantName(&r.cfg.Tenants[i], i)
 	}
+	mi := hostTenants(m, specs, names, 1, 0)
+	newRun(&r.cfg, mi, m.Cfg.Seed, accesses).loop()
+	mi.arb.finalize()
 }
 
-// killedPanic unwinds a fallback tenant goroutine the scheduler
-// terminates (budget exhausted or exit churn); procMain recovers
-// exactly this type and re-raises anything else.
-type killedPanic struct{}
+// issuer is what the scheduler acts through: the plain machine acting
+// inline (machineIssuer), or a sharded machine's lanes (shardIssuer).
+// Its workload.Target methods act on the tenant last passed to use.
+type issuer interface {
+	workload.Target
+	// use makes tenant t's address space the target of the ops that
+	// follow.
+	use(t int)
+	// env is tenant t's workload environment.
+	env(t int) workload.Env
+	// spawn brings tenant t up; exit frees its whole address space.
+	spawn(t int)
+	exit(t int)
+	// switched records a slice of the given length handed to tenant t.
+	switched(t int, slice uint64)
+	// checkFloor audits tenant t's fast-tier floor; checkFloors audits
+	// every tenant's.
+	checkFloor(t int)
+	checkFloors()
+}
 
-// proc is one tenant's execution state. Streaming tenants (streamer
-// non-nil) are driven inline: their suspended drive state is the
-// stream field and the channels stay nil. Fallback tenants run their
-// workload on a dedicated goroutine with the resume channel as the
-// scheduling baton, exactly the historical design.
+// machineIssuer runs the scheduler's actions inline on one machine
+// hosting some tenants, each in its own address space (space l of the
+// machine is tenant l*stride+offset, the id its trace events carry).
+// The plain runner hosts every tenant on one machine (stride 1); each
+// lane of a sharded run hosts its own tenants and runs the same
+// actions as hook ops.
+type machineIssuer struct {
+	*sim.Machine
+	arb            *arbiter
+	stride, offset int
+}
+
+// hostTenants binds tenants (specs and names in space order) to a fresh
+// machine: a QoS arbiter installed as the migration veto on the root
+// space first, so AddSpace copies it onto every additional space, then
+// one space per tenant — the first keeps the root space, so a lone
+// tenant stays on the single-space fast path.
+func hostTenants(m *sim.Machine, specs []*Spec, names []string, stride, offset int) *machineIssuer {
+	a := newArbiter(m, specs, names)
+	m.AS.MigrateVeto = a.veto
+	for i := 1; i < len(specs); i++ {
+		if id := m.AddSpace(names[i]); id != i {
+			panic("tenant: machine not fresh (spaces already added)")
+		}
+	}
+	if len(specs) > 1 {
+		m.SetSpaceLabel(0, names[0])
+	}
+	return &machineIssuer{Machine: m, arb: a, stride: stride, offset: offset}
+}
+
+func (mi *machineIssuer) id(t int) uint64 { return uint64(t*mi.stride + mi.offset) }
+
+func (mi *machineIssuer) use(t int)        { mi.UseSpace(t) }
+func (mi *machineIssuer) checkFloor(t int) { mi.arb.checkFloor(t) }
+func (mi *machineIssuer) checkFloors()     { mi.arb.checkFloors() }
+
+// env binds a workload to the current space, which use has switched to
+// the tenant.
+func (mi *machineIssuer) env(int) workload.Env {
+	return workload.Env{Seed: mi.Cfg.Seed, Reserve: mi.Reserve, Free: mi.FreeRegion}
+}
+
+func (mi *machineIssuer) spawn(t int) {
+	mi.arb.addLive(t)
+	mi.Tracer().Emit(obs.EvTenantSpawn, mi.id(t), false, 0, 0)
+}
+
+func (mi *machineIssuer) exit(t int) {
+	mi.arb.removeLive(t)
+	as := mi.Space(t)
+	released := as.ResidentUnits() * tier.BasePageSize
+	mi.UseSpace(t)
+	mi.FreeRegion(vm.Region{BaseVPN: 0, Pages: as.ReservedPages()})
+	mi.Tracer().Emit(obs.EvTenantExit, mi.id(t), false, released, 0)
+}
+
+func (mi *machineIssuer) switched(t int, slice uint64) {
+	mi.Tracer().Emit(obs.EvTenantSwitch, mi.id(t), false, 0, slice)
+}
+
+// proc is one tenant's scheduler state: its suspended stream (nil until
+// first scheduled) and its liveness.
 type proc struct {
-	id       int
-	spec     *Spec
-	streamer workload.Streamer // nil: goroutine-baton fallback
-	stream   workload.Stream   // suspended drive state once begun
-	begun    bool
-	resume   chan struct{}
-	done     chan struct{}
-	started  bool
-	finished bool
-	killed   bool
-	live     bool
+	spec   *Spec
+	stream workload.Stream
+	live   bool
 }
 
 type churnEvent struct {
@@ -292,99 +346,42 @@ type churnEvent struct {
 	kind   ChurnKind
 }
 
-// tenantBatch is the inline scheduler's issue granularity, matching
-// the workload package's batched drive: large enough to amortise the
-// budget checks and stepper indirection, small enough that the Op
-// buffer stays L1-resident.
-const tenantBatch = 256
-
-// run is the per-Run mutable state: scheduler, churn plan and arbiter.
+// run is the scheduler: the weighted pick, the churn plan and the slice
+// accounting, over an issuer.
 type run struct {
-	m      *sim.Machine
+	iss    issuer
 	cfg    *Config
 	target uint64
 	slice  uint64
-
-	procs    []*proc
-	names    []string
-	yield    chan *proc
-	active   *proc
-	sliceEnd uint64
-
+	procs  []proc
 	// pk is the weighted pick state (see wpick): tenants are credited
 	// when runnable, cleared when finished or exited.
-	pk *wpick
-
-	// buf is the inline scheduler's access batch (no allocation on the
-	// slice path).
-	buf [tenantBatch]sim.Op
-
+	pk     *wpick
 	events []churnEvent
 	nextEv int
 	grown  []vm.Region
-
-	arb *arbiter
-
-	rng uint64
+	rng    uint64
+	// buf is the issue batch (no allocation on the slice path).
+	buf [workload.BatchSize]sim.Op
 }
 
-// setRunnable credits tenant i's weight to the pick tree (no-op when
-// already runnable).
-func (st *run) setRunnable(i int) { st.pk.set(i, st.arb.weight(i)) }
-
-// clearRunnable removes tenant i's weight from the pick tree (no-op
-// when not runnable).
-func (st *run) clearRunnable(i int) { st.pk.clear(i) }
-
-func newRun(r *Runner, m *sim.Machine, accesses uint64) *run {
-	n := len(r.cfg.Tenants)
+func newRun(cfg *Config, iss issuer, seed int64, accesses uint64) *run {
+	n := len(cfg.Tenants)
 	st := &run{
-		m:      m,
-		cfg:    &r.cfg,
+		iss:    iss,
+		cfg:    cfg,
 		target: accesses,
-		slice:  r.cfg.Slice,
-		procs:  make([]*proc, n),
-		names:  make([]string, n),
-		yield:  make(chan *proc),
+		slice:  cfg.Slice,
+		procs:  make([]proc, n),
 		pk:     newWpick(n),
 		grown:  make([]vm.Region, n),
-		rng:    uint64(m.Cfg.Seed) ^ 0x74_65_6e_61_6e_74, // "tenant"
+		rng:    uint64(seed) ^ 0x74_65_6e_61_6e_74, // "tenant"
 	}
-	specs := make([]*Spec, n)
-	for i := range r.cfg.Tenants {
-		st.names[i] = tenantName(&r.cfg.Tenants[i], i)
-		specs[i] = &r.cfg.Tenants[i]
-	}
-	st.arb = newArbiter(m, specs, st.names)
-	// Install the veto hook on the root space first: AddSpace copies it
-	// onto every additional space. The access observer is installed
-	// only while a fallback tenant's goroutine runs.
-	m.AS.MigrateVeto = st.arb.veto
-	// Tenant i owns space i; tenant 0 keeps the root space, so a
-	// one-tenant run stays on the single-space fast path.
-	for i := 1; i < n; i++ {
-		if id := m.AddSpace(st.names[i]); id != i {
-			panic("tenant: machine not fresh (spaces already added)")
-		}
-	}
-	if n > 1 {
-		m.SetSpaceLabel(0, st.names[0])
-	}
-	for i := range r.cfg.Tenants {
-		t := &r.cfg.Tenants[i]
-		p := &proc{id: i, spec: t}
-		if s, ok := t.Workload.(workload.Streamer); ok {
-			p.streamer = s
-		} else {
-			p.resume = make(chan struct{})
-			p.done = make(chan struct{})
-		}
-		st.procs[i] = p
+	for i := range cfg.Tenants {
+		t := &cfg.Tenants[i]
+		st.procs[i].spec = t
 		if t.SpawnFrac <= 0 {
-			p.live = true
-			st.arb.addLive(i)
-			st.setRunnable(i)
-			m.Tracer().Emit(obs.EvTenantSpawn, uint64(i), false, 0, 0)
+			st.spawn(i)
 		} else {
 			st.events = append(st.events, churnEvent{st.frac(t.SpawnFrac), i, ChurnSpawn})
 		}
@@ -398,15 +395,9 @@ func newRun(r *Runner, m *sim.Machine, accesses uint64) *run {
 			st.events = append(st.events, churnEvent{st.frac(t.ExitFrac), i, ChurnExit})
 		}
 	}
-	sortChurn(st.events)
-	return st
-}
-
-// sortChurn orders a churn plan by (threshold, kind, tenant) — the
-// intra-threshold application order both schedulers share.
-func sortChurn(events []churnEvent) {
-	sort.SliceStable(events, func(a, b int) bool {
-		ea, eb := events[a], events[b]
+	// Intra-threshold application order: (threshold, kind, tenant).
+	sort.SliceStable(st.events, func(a, b int) bool {
+		ea, eb := st.events[a], st.events[b]
 		if ea.at != eb.at {
 			return ea.at < eb.at
 		}
@@ -415,6 +406,23 @@ func sortChurn(events []churnEvent) {
 		}
 		return ea.tenant < eb.tenant
 	})
+	return st
+}
+
+// loop schedules slices until the budget is spent or no tenant is
+// runnable.
+func (st *run) loop() {
+	for {
+		st.fireChurn()
+		if st.iss.TotalAccesses() >= st.target {
+			return
+		}
+		t := st.pick()
+		if t < 0 {
+			return
+		}
+		st.schedule(t)
+	}
 }
 
 func (st *run) frac(f float64) uint64 { return uint64(f * float64(st.target)) }
@@ -433,7 +441,7 @@ func (st *run) rand() uint64 {
 
 // fireChurn applies every lifecycle event whose threshold has passed.
 func (st *run) fireChurn() {
-	for st.nextEv < len(st.events) && st.events[st.nextEv].at <= st.m.TotalAccesses() {
+	for st.nextEv < len(st.events) && st.events[st.nextEv].at <= st.iss.TotalAccesses() {
 		ev := st.events[st.nextEv]
 		st.nextEv++
 		st.apply(ev)
@@ -441,83 +449,79 @@ func (st *run) fireChurn() {
 }
 
 func (st *run) apply(ev churnEvent) {
-	p := st.procs[ev.tenant]
 	switch ev.kind {
 	case ChurnSpawn:
-		p.live = true
-		st.arb.addLive(ev.tenant)
-		st.setRunnable(ev.tenant)
-		st.m.Tracer().Emit(obs.EvTenantSpawn, uint64(ev.tenant), false, 0, 0)
+		st.spawn(ev.tenant)
 	case ChurnExit:
-		st.exit(p)
+		st.exit(ev.tenant)
 	case ChurnGrow:
-		st.grow(p)
+		st.grow(ev.tenant)
 	case ChurnShrink:
-		st.shrink(p)
+		st.shrink(ev.tenant)
 	}
-	st.arb.checkFloors()
+	st.iss.checkFloors()
 	if st.cfg.OnChurn != nil {
 		st.cfg.OnChurn(ev.kind, ev.tenant)
 	}
 }
 
-// exit kills the tenant's goroutine (it is parked or unstarted — the
-// scheduler holds the baton) and frees its entire address space.
-func (st *run) exit(p *proc) {
+func (st *run) spawn(t int) {
+	st.procs[t].live = true
+	st.pk.set(t, max(st.procs[t].spec.Weight, 1))
+	st.iss.spawn(t)
+}
+
+// exit stops the tenant's stream and frees its entire address space.
+func (st *run) exit(t int) {
+	p := &st.procs[t]
 	if !p.live {
 		return
 	}
-	st.kill(p)
 	p.live = false
-	st.arb.removeLive(p.id)
-	as := st.m.Space(p.id)
-	released := as.ResidentUnits() * tier.BasePageSize
-	st.m.UseSpace(p.id)
-	st.m.FreeRegion(vm.Region{BaseVPN: 0, Pages: as.ReservedPages()})
-	st.m.Tracer().Emit(obs.EvTenantExit, uint64(p.id), false, released, 0)
+	st.pk.clear(t)
+	st.iss.exit(t)
 }
 
 // grow reserves the tenant's churn region and write-touches it
-// (scheduler-issued accesses: the observer sees no active proc, so
-// they never park; they do count against the global budget).
-func (st *run) grow(p *proc) {
+// (scheduler-issued accesses: they count against the global budget and
+// the tenant's own).
+func (st *run) grow(t int) {
+	p := &st.procs[t]
 	if !p.live || p.spec.GrowBytes == 0 {
 		return
 	}
-	st.m.UseSpace(p.id)
-	reg := st.m.Reserve(p.spec.GrowBytes)
-	st.grown[p.id] = reg
-	for vpn := reg.BaseVPN; vpn < reg.BaseVPN+reg.Pages && st.m.TotalAccesses() < st.target; vpn++ {
-		st.m.Access(vpn, true)
-	}
+	st.iss.use(t)
+	reg := st.iss.env(t).Reserve(p.spec.GrowBytes)
+	st.grown[t] = reg
+	workload.Drive(st.iss, workload.Sweep(workload.Writes(reg.BaseVPN), workload.Unbounded, reg.Pages, workload.BatchSize), st.target, st.buf[:])
 }
 
-func (st *run) shrink(p *proc) {
-	if !p.live || st.grown[p.id].Pages == 0 {
+func (st *run) shrink(t int) {
+	if !st.procs[t].live || st.grown[t].Pages == 0 {
 		return
 	}
-	st.m.UseSpace(p.id)
-	st.m.FreeRegion(st.grown[p.id])
-	st.grown[p.id] = vm.Region{}
+	st.iss.use(t)
+	st.iss.env(t).Free(st.grown[t])
+	st.grown[t] = vm.Region{}
 }
 
 // pick draws the next tenant to run, weighted by share weight among
-// live, unfinished tenants; nil when none are runnable. The draw is a
-// Fenwick prefix-sum search — the selected tenant is exactly the one
-// the historical linear cumulative-weight scan would return for the
-// same draw, so the scheduling sequence is unchanged.
-func (st *run) pick() *proc {
+// live, unfinished tenants; -1 when none are runnable. The draw is a
+// Fenwick prefix-sum search — the selected tenant is exactly the one a
+// linear cumulative-weight scan would return for the same draw.
+func (st *run) pick() int {
 	if st.pk.sum == 0 {
-		return nil
+		return -1
 	}
-	return st.procs[st.pk.pick(st.rand()%st.pk.sum)]
+	return st.pk.pick(st.rand() % st.pk.sum)
 }
 
-// schedule runs p for one slice, bounded by the next churn threshold
-// and the global budget: inline batch issue for streaming tenants,
-// baton handoff for fallback tenants.
-func (st *run) schedule(p *proc) {
-	now := st.m.TotalAccesses()
+// schedule runs tenant t for one slice, bounded by the next churn
+// threshold and the global budget: its stream is driven until the
+// machine reaches the slice end or the stream ends (its own budget,
+// measured on its own space, is spent).
+func (st *run) schedule(t int) {
+	now := st.iss.TotalAccesses()
 	end := now + st.slice
 	if st.nextEv < len(st.events) && st.events[st.nextEv].at < end {
 		end = st.events[st.nextEv].at
@@ -525,143 +529,14 @@ func (st *run) schedule(p *proc) {
 	if st.target < end {
 		end = st.target
 	}
-	st.m.UseSpace(p.id)
-	st.m.Tracer().Emit(obs.EvTenantSwitch, uint64(p.id), false, 0, end-now)
-	if p.streamer != nil {
-		st.runSlice(p, end)
-	} else {
-		st.runBaton(p, end)
+	st.iss.use(t)
+	st.iss.switched(t, end-now)
+	p := &st.procs[t]
+	if p.stream == nil {
+		p.stream = p.spec.Workload.Stream(st.iss.env(t), st.target)
 	}
-	st.arb.checkFloor(p.id)
-}
-
-// runSlice drives a streaming tenant inline until the machine reaches
-// the slice end or the tenant's own budget is spent. The batch bound
-// is exact — each Access advances both counters by exactly one and
-// nothing else does mid-batch — so the accesses issued are precisely
-// those the observer-parked goroutine would have issued: the baton
-// parks after the access that reaches the boundary, the batch simply
-// stops issuing there.
-func (st *run) runSlice(p *proc, end uint64) {
-	if !p.begun {
-		p.begun = true
-		m := st.m
-		p.stream = p.streamer.Stream(workload.Env{Reserve: m.Reserve, Seed: m.Cfg.Seed})
+	if !workload.Drive(st.iss, p.stream, end, st.buf[:]) {
+		st.pk.clear(t)
 	}
-	step, fill := p.stream.Step, p.stream.Fill
-	for {
-		total := st.m.TotalAccesses()
-		if total >= end {
-			return
-		}
-		done := st.m.Accesses()
-		if done >= st.target {
-			// The tenant's own (per-space) budget is spent: its Run
-			// loop would have returned here.
-			p.finished = true
-			st.clearRunnable(p.id)
-			return
-		}
-		n := end - total
-		if r := st.target - done; r < n {
-			n = r
-		}
-		if n > tenantBatch {
-			n = tenantBatch
-		}
-		if fill != nil {
-			fill(st.buf[:n])
-		} else {
-			for i := uint64(0); i < n; i++ {
-				st.buf[i].VPN, st.buf[i].Write = step()
-			}
-		}
-		st.m.AccessBatch(st.buf[:n])
-	}
-}
-
-// runBaton hands the baton to a fallback tenant's goroutine for one
-// slice and takes it back when the tenant parks (observe) or its
-// workload returns. The observer is installed only for the duration:
-// inline slices never pay the per-access callback.
-func (st *run) runBaton(p *proc, end uint64) {
-	st.sliceEnd = end
-	st.active = p
-	st.m.AccessObserver = st.observe
-	if !p.started {
-		p.started = true
-		go st.procMain(p)
-	}
-	p.resume <- struct{}{}
-	select {
-	case <-st.yield:
-	case <-p.done:
-		p.finished = true
-		st.clearRunnable(p.id)
-	}
-	st.m.AccessObserver = nil
-	st.active = nil
-}
-
-// observe is the machine's AccessObserver while a fallback tenant
-// runs: it preempts the tenant once its slice is used up. It runs on
-// the tenant's goroutine; the yield send blocks until the scheduler
-// takes the baton back, and the resume receive blocks until the
-// tenant is scheduled again.
-func (st *run) observe(vpn uint64, write bool, now uint64) {
-	p := st.active
-	if p == nil || st.m.TotalAccesses() < st.sliceEnd {
-		return
-	}
-	st.yield <- p
-	<-p.resume
-	if p.killed {
-		panic(killedPanic{})
-	}
-}
-
-// procMain is a fallback tenant's goroutine: wait for the first
-// slice, run the workload against the (already switched) machine, and
-// swallow only the scheduler's kill panic.
-func (st *run) procMain(p *proc) {
-	defer close(p.done)
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killedPanic); !ok {
-				panic(r)
-			}
-		}
-	}()
-	<-p.resume
-	if p.killed {
-		return
-	}
-	p.spec.Workload.Run(st.m, st.target)
-}
-
-// kill finishes p, terminating its goroutine if one is running
-// (parked — the scheduler holds the baton whenever kill runs);
-// streaming tenants have no goroutine and are simply marked done.
-func (st *run) kill(p *proc) {
-	if p.started && !p.finished {
-		p.killed = true
-		p.resume <- struct{}{}
-		<-p.done
-	}
-	p.finished = true
-	st.clearRunnable(p.id)
-}
-
-func (st *run) killAll() {
-	for _, p := range st.procs {
-		st.kill(p)
-	}
-}
-
-// finalize publishes the end-of-run per-tenant gauges and detaches the
-// scheduler from the machine.
-func (st *run) finalize() {
-	st.arb.finalize()
-	st.m.AccessObserver = nil
-	st.active = nil
+	st.iss.checkFloor(t)
 }

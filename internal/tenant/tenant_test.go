@@ -13,9 +13,9 @@ import (
 )
 
 // synth is a minimal deterministic workload: reserve a region, then
-// sweep it with writes until the machine budget is exhausted (under
-// the tenant scheduler the per-space count never reaches the global
-// budget, so the scheduler's kill is what ends it — exactly the
+// sweep it with writes until the budget is exhausted (under the tenant
+// scheduler the per-space count never reaches the global budget, so the
+// scheduler's stop at the global budget is what ends it — exactly the
 // contract real workloads follow).
 type synth struct {
 	name  string
@@ -24,13 +24,15 @@ type synth struct {
 
 func (s *synth) Name() string { return s.name }
 
-func (s *synth) Run(m *sim.Machine, accesses uint64) {
-	r := m.Reserve(s.bytes)
+func (s *synth) Run(m *sim.Machine, accesses uint64) { workload.Run(m, s, accesses) }
+
+func (s *synth) Stream(env workload.Env, budget uint64) workload.Stream {
+	r := env.Reserve(s.bytes)
 	i := uint64(0)
-	for m.Accesses() < accesses {
-		m.Access(r.BaseVPN+i%r.Pages, i%4 != 3)
+	return workload.Sweep(func() (uint64, bool) {
 		i++
-	}
+		return r.BaseVPN + (i-1)%r.Pages, (i-1)%4 != 3
+	}, budget, workload.Unbounded, 1)
 }
 
 func smallConfig(seed int64) sim.Config {

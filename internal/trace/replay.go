@@ -3,6 +3,7 @@ package trace
 import (
 	"memtis/internal/sim"
 	"memtis/internal/tier"
+	"memtis/internal/workload"
 )
 
 // Capture attaches a trace writer to a machine: every access the
@@ -19,7 +20,7 @@ func Capture(m *sim.Machine, w *Writer) (detach func()) {
 	return func() { m.AccessObserver = prev }
 }
 
-// Replay is a sim.Workload that re-issues a recorded access stream
+// Replay is a workload that re-issues a recorded access stream
 // against a fresh machine, mapping the recorded address range into a
 // newly reserved region. Replaying the same trace under different
 // policies gives an exact apples-to-apples placement comparison.
@@ -51,22 +52,26 @@ func (r *Replay) Records() int { return len(r.recs) }
 // it to budget machine capacity for a replay phase.
 func (r *Replay) SpanPages() uint64 { return r.span }
 
-// Run implements sim.Workload: the trace loops until the access budget
-// is consumed (a trace shorter than the budget repeats, modelling the
-// iterative structure of the original applications).
-func (r *Replay) Run(m *sim.Machine, accesses uint64) {
-	region := m.Reserve(r.span * tier.BasePageSize)
+// Run implements sim.Workload by driving the replay stream.
+func (r *Replay) Run(m *sim.Machine, accesses uint64) { workload.Run(m, r, accesses) }
+
+// Stream implements workload.Streamer: reserve the remapped span, then
+// loop the trace until the access budget is consumed (a trace shorter
+// than the budget repeats, modelling the iterative structure of the
+// original applications), the budget checked before every access.
+func (r *Replay) Stream(env workload.Env, accesses uint64) workload.Stream {
+	region := env.Reserve(r.span * tier.BasePageSize)
 	if len(r.recs) == 0 {
-		return
+		return workload.Seq()
 	}
-	for m.Accesses() < accesses {
-		for _, rec := range r.recs {
-			if m.Accesses() >= accesses {
-				return
-			}
-			m.Access(region.BaseVPN+(rec.VPN-r.min), rec.Write)
+	i := 0
+	return workload.Sweep(func() (uint64, bool) {
+		rec := r.recs[i]
+		if i++; i == len(r.recs) {
+			i = 0
 		}
-	}
+		return region.BaseVPN + (rec.VPN - r.min), rec.Write
+	}, accesses, workload.Unbounded, 1)
 }
 
-var _ sim.Workload = (*Replay)(nil)
+var _ workload.Streamer = (*Replay)(nil)

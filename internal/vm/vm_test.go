@@ -474,3 +474,24 @@ func TestArenaLoc(t *testing.T) {
 		t.Fatalf("walk ended in chunk %d, want %d", prevC, rampChunks+2)
 	}
 }
+
+// TestTierDepthBound pins the one depth bound: a chain of tier.MaxTiers
+// tiers builds, one deeper is rejected.
+func TestTierDepthBound(t *testing.T) {
+	chain := func(n int) []*tier.Tier {
+		ts := make([]*tier.Tier, n)
+		for i := range ts {
+			ts[i] = tier.MustNew(tier.Config{Kind: tier.NVM, Bytes: tier.HugePageSize})
+		}
+		return ts
+	}
+	if as := NewAddressSpaceTiers(chain(tier.MaxTiers), nil, true); as.TierCount() != tier.MaxTiers {
+		t.Fatalf("depth %d chain has %d tiers", tier.MaxTiers, as.TierCount())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NewAddressSpaceTiers accepted a depth %d chain", tier.MaxTiers+1)
+		}
+	}()
+	NewAddressSpaceTiers(chain(tier.MaxTiers+1), nil, true)
+}

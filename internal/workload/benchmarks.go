@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 
+	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
 )
@@ -40,7 +41,7 @@ func (b blockZipf) next() uint64 {
 // dense) while probing edges with block-level skew. The vertex region
 // is allocated after the graph, so tiering systems must earn its
 // placement by migrating.
-func buildGraph500(c *ctx) stepper {
+func buildGraph500(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	main := c.spec.RSSBytes() - c.spec.SmallBytes()
 	edges := c.reserve(main * 90 / 100)
@@ -48,16 +49,20 @@ func buildGraph500(c *ctx) stepper {
 	c.touchSmall(small)
 	c.touchAll(edges)
 	// Generation phase: another sequential write sweep over the edge
-	// region (frequent large-region accesses), ~12% of the budget.
-	genEnd := c.m.Accesses() + c.budget*12/100
-	for i := uint64(0); c.m.Accesses() < genEnd && c.m.Accesses() < c.budget; i++ {
-		c.m.Access(edges.vpnAt(i), true)
-	}
+	// region (frequent large-region accesses), ~12% of the budget,
+	// measured from the space's access count when it starts.
+	var gen uint64
+	c.init = append(c.init, Lazy(func(done uint64) Stream {
+		return Sweep(func() (uint64, bool) {
+			gen++
+			return edges.vpnAt(gen - 1), true
+		}, min(done+c.budget*12/100, c.budget), Unbounded, 1)
+	}))
 	c.touchAll(vertices)
 	zv := newZipf(c.rng, 1.25, vertices.pages)
 	ze := newBlockZipf(c.rng, 1.45, edges)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 550:
 			return vertices.vpnAt(zv.next()), c.pick(1, 3)
@@ -66,7 +71,7 @@ func buildGraph500(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }
 
 // buildPageRank models GAP PageRank on the Twitter graph (§6.2.1): the
@@ -75,7 +80,7 @@ func buildGraph500(c *ctx) stepper {
 // hot rank vector. The explicit hot set (rank vector) is well below the
 // fast tier size, reproducing HeMem's Figure 2 pathology; the streamed
 // edges bait recency-based systems into promotion churn.
-func buildPageRank(c *ctx) stepper {
+func buildPageRank(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	main := c.spec.RSSBytes() - c.spec.SmallBytes()
 	edges := c.reserve(main * 88 / 100)
@@ -86,7 +91,7 @@ func buildPageRank(c *ctx) stepper {
 	var cursor uint64
 	zr := newZipf(c.rng, 1.05, ranks.pages)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 420:
 			cursor++
@@ -96,7 +101,7 @@ func buildPageRank(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }
 
 // buildXSBench models the Monte Carlo neutron transport kernel
@@ -105,18 +110,18 @@ func buildPageRank(c *ctx) stepper {
 // it. The hot region exceeds the fast tier except at 1:2, and because
 // it is allocated early, AutoNUMA's no-demotion placement happens to
 // work well at 1:2 — exactly the paper's observation.
-func buildXSBench(c *ctx) stepper {
+func buildXSBench(c *ctx) Stream {
 	main := c.reserve(c.spec.RSSBytes())
 	c.touchAll(main)
 	hotPages := main.pages * 35 / 100
 	hot := region{r: vm.Region{BaseVPN: main.r.BaseVPN, Pages: hotPages}, pages: hotPages}
 	zh := newBlockZipf(c.rng, 1.30, hot)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		if c.pick(88, 100) {
 			return zh.next(), c.pick(1, 10)
 		}
 		return main.r.BaseVPN + hotPages + c.rng.Uint64()%(main.pages-hotPages), false
-	}
+	})
 }
 
 // buildLiblinear models linear classification over KDD12 (§6.2.3): the
@@ -124,7 +129,7 @@ func buildXSBench(c *ctx) stepper {
 // with block-level skew while a compact model region (allocated after
 // the data) stays hot. Hot huge pages exhibit high utilization
 // (Figure 3a), so MEMTIS keeps them whole.
-func buildLiblinear(c *ctx) stepper {
+func buildLiblinear(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	main := c.spec.RSSBytes() - c.spec.SmallBytes()
 	features := c.reserve(main * 92 / 100)
@@ -136,7 +141,7 @@ func buildLiblinear(c *ctx) stepper {
 	zf := newBlockZipf(c.rng, 1.40, features)
 	zm := newZipf(c.rng, 1.15, model.pages)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 240:
 			cursor++
@@ -148,7 +153,7 @@ func buildLiblinear(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }
 
 // buildSilo models the Silo in-memory database under YCSB-C (§6.2.4):
@@ -156,7 +161,7 @@ func buildLiblinear(c *ctx) stepper {
 // each huge page holds only a few hot subpages (Figure 3b) — the
 // showcase for skewness-aware splitting. Every subpage is written
 // during population, so splitting reclaims no memory (no bloat).
-func buildSilo(c *ctx) stepper {
+func buildSilo(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	heap := c.reserve(c.spec.RSSBytes() - c.spec.SmallBytes())
 	c.touchSmall(small)
@@ -164,12 +169,12 @@ func buildSilo(c *ctx) stepper {
 	pm := newPerm(c.rng, heap.pages)
 	z := newZipf(c.rng, 1.15, heap.pages)
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		if c.pick(96, 100) {
 			return heap.r.BaseVPN + pm.at(z.next()), false
 		}
 		return smallStep()
-	}
+	})
 }
 
 // buildBtree models the Mitosis BTree lookup benchmark (§6.2.5): the
@@ -177,7 +182,7 @@ func buildSilo(c *ctx) stepper {
 // subpages are ever written — and lookups are skewed over scattered
 // leaves, so hot huge pages have low utilization. Splitting both
 // improves the hit ratio and reclaims the never-written subpages.
-func buildBtree(c *ctx) stepper {
+func buildBtree(c *ctx) Stream {
 	inner := c.reserveSmall(c.spec.SmallBytes()) // internal nodes: hot
 	heap := c.reserve(c.spec.RSSBytes() - c.spec.SmallBytes())
 	c.touchSmall(inner)
@@ -188,16 +193,15 @@ func buildBtree(c *ctx) stepper {
 			touched = append(touched, uint32(i))
 		}
 	}
-	for _, i := range touched {
-		if c.m.Accesses() >= c.budget {
-			break
-		}
-		c.m.Access(heap.r.BaseVPN+uint64(i), true)
-	}
+	var next int
+	c.init = append(c.init, Sweep(func() (uint64, bool) {
+		next++
+		return heap.r.BaseVPN + uint64(touched[next-1]), true
+	}, c.budget, uint64(len(touched)), 1))
 	pm := newPerm(c.rng, uint64(len(touched)))
 	z := newZipf(c.rng, 1.25, uint64(len(touched)))
 	innerStep := smallStepper(c, inner)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 350:
 			// Internal-node traversal: small, very hot regions.
@@ -207,7 +211,7 @@ func buildBtree(c *ctx) stepper {
 			leaf := touched[pm.at(z.next())%uint64(len(touched))]
 			return heap.r.BaseVPN + uint64(leaf), c.pick(1, 20)
 		}
-	}
+	})
 }
 
 // buildBwaves models 603.bwaves (§6.2.6): long-lived solver arrays plus
@@ -216,7 +220,7 @@ func buildBtree(c *ctx) stepper {
 // serve the churn from DRAM; AutoTiering reserves free space only for
 // promotions and AutoNUMA cannot demote at all, so their churn lands on
 // the capacity tier.
-func buildBwaves(c *ctx) stepper {
+func buildBwaves(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	long := c.reserve(c.spec.RSSBytes() * 70 / 100)
 	c.touchSmall(small)
@@ -227,41 +231,63 @@ func buildBwaves(c *ctx) stepper {
 	var cur vm.Region
 	var curIdx uint64
 	var phaseWrite, freePending bool
+	// short marks a drawn short-buffer access whose free and reserve
+	// could not be applied yet: accesses written earlier in the batch
+	// must reach the machine first.
+	var short bool
 	const shortPages = tier.SubPages // 2MB short-lived buffers
-	return func() (uint64, bool) {
-		if c.pick(45, 100) {
-			if c.pick(1, 2) {
-				cursor++
-				return long.vpnAt(cursor), false
+	// The budget is checked before every step, as a step may free and
+	// reserve before its access.
+	return streamFunc(func(dst []sim.Op, done uint64) int {
+		n := 0
+		for n < len(dst) {
+			if !short {
+				if done+uint64(n) >= c.budget {
+					break
+				}
+				if c.pick(45, 100) {
+					if c.pick(1, 2) {
+						cursor++
+						dst[n] = sim.Op{VPN: long.vpnAt(cursor)}
+					} else {
+						vpn := zl.next()
+						dst[n] = sim.Op{VPN: vpn, Write: c.pick(1, 4)}
+					}
+					n++
+					continue
+				}
+				short = true
 			}
-			return zl.next(), c.pick(1, 4)
-		}
-		// Short-lived buffer protocol: write it fully, read it back,
-		// free it, allocate the next. The free is deferred to the call
-		// after the last read so the returned VPN is still mapped when
-		// the machine issues the access.
-		if freePending {
-			c.m.FreeRegion(cur)
-			cur = vm.Region{}
-			freePending = false
-		}
-		if cur.Pages == 0 {
-			cur = c.m.Reserve(shortPages * tier.BasePageSize)
-			curIdx, phaseWrite = 0, true
-		}
-		vpn := cur.BaseVPN + curIdx
-		w := phaseWrite
-		curIdx++
-		if curIdx >= cur.Pages {
-			curIdx = 0
-			if phaseWrite {
-				phaseWrite = false
-			} else {
-				freePending = true
+			// Short-lived buffer protocol: write it fully, read it back,
+			// free it, allocate the next. The free is deferred to the step
+			// after the last read so the last access still hits a mapping.
+			if (freePending || cur.Pages == 0) && n > 0 {
+				break
+			}
+			if freePending {
+				c.env.Free(cur)
+				cur = vm.Region{}
+				freePending = false
+			}
+			if cur.Pages == 0 {
+				cur = c.env.Reserve(shortPages * tier.BasePageSize)
+				curIdx, phaseWrite = 0, true
+			}
+			dst[n] = sim.Op{VPN: cur.BaseVPN + curIdx, Write: phaseWrite}
+			n++
+			short = false
+			curIdx++
+			if curIdx >= cur.Pages {
+				curIdx = 0
+				if phaseWrite {
+					phaseWrite = false
+				} else {
+					freePending = true
+				}
 			}
 		}
-		return vpn, w
-	}
+		return n
+	})
 }
 
 // buildRoms models 654.roms (§6.2.6): a moderately skewed working set
@@ -269,7 +295,7 @@ func buildBwaves(c *ctx) stepper {
 // full arrays. Its high access rate is what drives ksampled's period
 // upward (§6.3.5); splitting helps its hit ratio only slightly
 // (Figure 12) because the skew lives at block, not subpage, level.
-func buildRoms(c *ctx) stepper {
+func buildRoms(c *ctx) Stream {
 	small := c.reserveSmall(c.spec.SmallBytes())
 	arrays := c.reserve(c.spec.RSSBytes() - c.spec.SmallBytes())
 	c.touchSmall(small)
@@ -278,7 +304,7 @@ func buildRoms(c *ctx) stepper {
 	zw := newBlockZipf(c.rng, 1.40, work)
 	var cursor uint64
 	smallStep := smallStepper(c, small)
-	return func() (uint64, bool) {
+	return c.steady(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 260:
 			cursor++
@@ -288,5 +314,5 @@ func buildRoms(c *ctx) stepper {
 		default:
 			return smallStep()
 		}
-	}
+	})
 }

@@ -44,7 +44,7 @@ type SyntheticSpec struct {
 	Phases  []SyntheticPhase
 }
 
-// Synthetic is a sim.Workload built from a SyntheticSpec.
+// Synthetic is a workload built from a SyntheticSpec.
 type Synthetic struct {
 	spec SyntheticSpec
 }
@@ -106,21 +106,24 @@ func (s *Synthetic) TotalBytes() uint64 {
 	return t
 }
 
-// Run implements sim.Workload.
-func (s *Synthetic) Run(m *sim.Machine, accesses uint64) {
-	rng := rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(s.spec.Name))<<7))
+// Run implements sim.Workload by driving the synthetic stream.
+func (s *Synthetic) Run(m *sim.Machine, accesses uint64) { Run(m, s, accesses) }
+
+// Stream implements Streamer: reserve every region, first-touch the
+// initialised ones page by page (budget checked before every access),
+// then draw the steady mix until the budget is exhausted.
+func (s *Synthetic) Stream(env Env, accesses uint64) Stream {
+	rng := rand.New(rand.NewSource(env.Seed ^ int64(len(s.spec.Name))<<7))
 	regions := map[string]region{}
 	for _, rs := range s.spec.Regions {
-		r := m.Reserve(rs.Bytes)
+		r := env.Reserve(rs.Bytes)
 		regions[rs.Name] = region{r: r, pages: r.Pages}
 	}
+	var parts []Stream
 	for _, rs := range s.spec.Regions {
-		if rs.SkipInit {
-			continue
-		}
-		reg := regions[rs.Name]
-		for i := uint64(0); i < reg.pages && m.Accesses() < accesses; i++ {
-			m.Access(reg.r.BaseVPN+i, true)
+		if !rs.SkipInit {
+			reg := regions[rs.Name]
+			parts = append(parts, Sweep(Writes(reg.r.BaseVPN), accesses, reg.pages, 1))
 		}
 	}
 	type armedPhase struct {
@@ -149,9 +152,7 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) {
 		total += p.Weight
 		weights = append(weights, total)
 	}
-	// The steady mix is a pure stepper (regions are fixed by now), so
-	// it goes through the batched issue path.
-	issueBatched(m, accesses, func() (uint64, bool) {
+	return Seq(append(parts, Sweep(func() (uint64, bool) {
 		pick := rng.Intn(total)
 		idx := 0
 		for weights[idx] <= pick {
@@ -159,7 +160,7 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) {
 		}
 		ph := phases[idx]
 		return ph.reg.r.BaseVPN + ph.src.Next(), rng.Intn(100) < ph.write
-	})
+	}, accesses, Unbounded, BatchSize))...)
 }
 
-var _ sim.Workload = (*Synthetic)(nil)
+var _ Streamer = (*Synthetic)(nil)

@@ -72,13 +72,10 @@ type stepper func() (vpn uint64, write bool)
 
 // W is one runnable benchmark model.
 type W struct {
-	spec  Spec
-	build func(c *ctx) stepper
-	// stateful marks steppers that mutate machine state between
-	// accesses (Reserve/FreeRegion churn): their accesses must be
-	// issued one at a time, because pre-generating a batch would run
-	// the mutation before earlier accesses reach the machine.
-	stateful bool
+	spec Spec
+	// build performs the model's reservations against c and returns its
+	// steady phase; the initialisation phase it queues on c runs first.
+	build func(c *ctx) Stream
 }
 
 // Name implements sim.Workload.
@@ -87,119 +84,24 @@ func (w *W) Name() string { return w.spec.Name }
 // Spec returns the benchmark's Table 2 description.
 func (w *W) Spec() Spec { return w.spec }
 
-// batchSize is the steady-phase issue granularity: large enough to
-// amortise the per-access budget check and stepper indirection, small
-// enough that the Op buffer stays L1-resident (4KB).
-const batchSize = 256
+// Run implements sim.Workload by driving the model's stream.
+func (w *W) Run(m *sim.Machine, accesses uint64) { Run(m, w, accesses) }
 
-// Run implements sim.Workload: the build function performs the
-// initialisation phase (allocations and first-touch writes count toward
-// the access budget), then the steady-phase stepper is driven until the
-// budget is exhausted. Pure steppers are issued through
-// sim.Machine.AccessBatch — byte-identical to access-at-a-time (the
-// batch API's contract, pinned by TestAccessBatchMatchesSequential) but
-// with the loop bookkeeping amortised; stateful steppers (allocation
-// churn) keep the one-at-a-time path.
-func (w *W) Run(m *sim.Machine, accesses uint64) {
+// Stream implements Streamer: the initialisation phase (reservations,
+// then first-touch writes that count toward the access budget), then
+// the steady phase until the budget is exhausted. The reservations are
+// applied before Stream returns; an exhausted budget skips every
+// access but no reservation, so a zero budget leaves the model's
+// address space laid out and untouched.
+func (w *W) Stream(env Env, budget uint64) Stream {
 	c := &ctx{
-		m:      m,
-		rng:    rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8))),
-		budget: accesses,
+		env:    env,
+		rng:    rand.New(rand.NewSource(env.Seed ^ int64(len(w.spec.Name)<<8))),
+		budget: budget,
 		spec:   w.spec,
 	}
-	step := w.build(c)
-	if w.stateful {
-		for m.Accesses() < accesses {
-			vpn, write := step()
-			m.Access(vpn, write)
-		}
-		return
-	}
-	issueBatched(m, accesses, step)
-}
-
-// issueBatched drives a pure stepper until the machine has issued
-// budget accesses, filling a fixed Op buffer and handing it to
-// AccessBatch. Each Access advances m.Accesses() by exactly one and
-// nothing else does, so issuing min(batchSize, remaining) ops per round
-// lands on the budget exactly, as the per-access check would.
-func issueBatched(m *sim.Machine, budget uint64, step stepper) {
-	var buf [batchSize]sim.Op
-	for {
-		done := m.Accesses()
-		if done >= budget {
-			return
-		}
-		n := budget - done
-		if n > batchSize {
-			n = batchSize
-		}
-		for i := uint64(0); i < n; i++ {
-			buf[i].VPN, buf[i].Write = step()
-		}
-		m.AccessBatch(buf[:n])
-	}
-}
-
-// Drive issues accesses from a pure step function until the machine's
-// cumulative access count reaches target, using the same batched issue
-// path as the benchmark models (byte-identical to access-at-a-time).
-// It is the building block external composers — notably
-// internal/scenario — use to drive synthetic phases with workload's
-// exact issue discipline. step must not mutate machine state.
-func Drive(m *sim.Machine, target uint64, step func() (vpn uint64, write bool)) {
-	issueBatched(m, target, step)
-}
-
-// Env is the execution environment a streaming workload initialises
-// against when an external scheduler — rather than the workload's own
-// Run loop — will pull its accesses: a reservation primitive for the
-// tenant's address space and the machine seed. It deliberately carries
-// no machine handle, so the same Stream can be driven against a plain
-// machine or replayed through a sharded dispatch pipeline whose
-// reservations are predicted driver-side.
-type Env struct {
-	// Reserve carves a region out of the workload's address space,
-	// exactly like sim.Machine.Reserve would during Run.
-	Reserve func(bytes uint64) vm.Region
-	// Seed is the machine seed the workload derives its deterministic
-	// access stream from (sim.Config.Seed).
-	Seed int64
-}
-
-// Stream is the explicit suspend/resume state of one streaming drive:
-// where the goroutine-baton scheduler parked a blocked goroutine
-// between slices, an inline scheduler holds this struct and pulls
-// accesses from Step whenever the workload is scheduled. All resume
-// state (regions, RNG counters, phase) lives behind the closure; the
-// stream is suspended simply by not calling Step.
-type Stream struct {
-	// Step emits the next access of the workload's deterministic
-	// stream. It must not mutate machine state (no reservations or
-	// frees), so a scheduler may pre-generate a batch of accesses
-	// before issuing them.
-	Step func() (vpn uint64, write bool)
-	// Fill, when non-nil, writes the stream's next len(dst) accesses
-	// into dst — exactly the ops len(dst) sequential Step calls would
-	// return, advancing the same state. It exists purely to amortise
-	// the per-access closure call across a batch on the scheduler hot
-	// path; schedulers may mix Fill and Step calls freely.
-	Fill func(dst []sim.Op)
-}
-
-// Streamer is a sim.Workload that can also run as a resumable stepper
-// under an inline scheduler. Stream must produce exactly the access
-// stream Run would issue (the budget and slice bounds are the
-// driver's job), so a scheduler may use either form interchangeably;
-// workloads with non-trivial machine interaction (mid-stream
-// allocation churn, phased initialisation issuing accesses) cannot
-// satisfy the contract and simply do not implement it — schedulers
-// fall back to driving their Run on a dedicated goroutine.
-type Streamer interface {
-	sim.Workload
-	// Stream performs the workload's setup (reservations only) against
-	// env and returns the suspended drive state.
-	Stream(env Env) Stream
+	steady := w.build(c)
+	return Seq(append(c.init, steady)...)
 }
 
 // New builds the named benchmark model.
@@ -208,7 +110,7 @@ func New(name string) (*W, error) {
 	if err != nil {
 		return nil, err
 	}
-	var build func(c *ctx) stepper
+	var build func(c *ctx) Stream
 	switch name {
 	case "graph500":
 		build = buildGraph500
@@ -227,9 +129,7 @@ func New(name string) (*W, error) {
 	case "654.roms":
 		build = buildRoms
 	}
-	// bwaves' stepper reserves and frees its short-lived buffers
-	// between accesses, so its accesses cannot be pre-generated.
-	return &W{spec: spec, build: build, stateful: name == "603.bwaves"}, nil
+	return &W{spec: spec, build: build}, nil
 }
 
 // NewScaled builds the named benchmark with an overridden paper-scale
@@ -263,12 +163,14 @@ func All() []*W {
 	return ws
 }
 
-// ctx carries build/run state shared by the generators.
+// ctx carries build state shared by the generators: the stream's
+// environment and budget, and the initialisation phase queued so far.
 type ctx struct {
-	m      *sim.Machine
+	env    Env
 	rng    *rand.Rand
 	budget uint64
 	spec   Spec
+	init   []Stream
 }
 
 // region wraps a reservation with conveniences for page-granular access.
@@ -278,7 +180,7 @@ type region struct {
 }
 
 func (c *ctx) reserve(bytes uint64) region {
-	r := c.m.Reserve(bytes)
+	r := c.env.Reserve(bytes)
 	return region{r: r, pages: r.Pages}
 }
 
@@ -305,29 +207,10 @@ func (c *ctx) reserveSmall(total uint64) []region {
 // vpnAt returns the region's i-th page VPN.
 func (r region) vpnAt(i uint64) uint64 { return r.r.BaseVPN + i%r.pages }
 
-// touchAll writes one word per page sequentially (first-touch init),
-// counting toward the access budget. Issued in batches: the init sweep
-// is a pure function of the region, so pre-generating it is safe.
+// touchAll queues a first-touch write of every page in order, counting
+// toward the access budget, checked once per batch.
 func (c *ctx) touchAll(r region) {
-	var buf [batchSize]sim.Op
-	for i := uint64(0); i < r.pages; {
-		done := c.m.Accesses()
-		if done >= c.budget {
-			return
-		}
-		n := c.budget - done
-		if n > batchSize {
-			n = batchSize
-		}
-		if rem := r.pages - i; n > rem {
-			n = rem
-		}
-		for k := uint64(0); k < n; k++ {
-			buf[k] = sim.Op{VPN: r.r.BaseVPN + i + k, Write: true}
-		}
-		c.m.AccessBatch(buf[:n])
-		i += n
-	}
+	c.init = append(c.init, Sweep(Writes(r.r.BaseVPN), c.budget, r.pages, BatchSize))
 }
 
 // touchSmall initialises a set of small regions.
@@ -336,6 +219,10 @@ func (c *ctx) touchSmall(rs []region) {
 		c.touchAll(r)
 	}
 }
+
+// steady is the steady phase of a pure stepper: driven until the budget
+// is exhausted, checked once per batch.
+func (c *ctx) steady(step stepper) Stream { return Sweep(step, c.budget, Unbounded, BatchSize) }
 
 // zipf draws skewed indexes in [0, n) with rand.Zipf (s > 1).
 type zipf struct {
@@ -393,7 +280,7 @@ func smallStepper(c *ctx, rs []region) stepper {
 	}
 }
 
-var _ sim.Workload = (*W)(nil)
+var _ Streamer = (*W)(nil)
 
 // HugeAllocRatio computes the fraction of RSS mapped by huge pages on
 // the machine — the measured RHP for Table 2.
