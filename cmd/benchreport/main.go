@@ -4,7 +4,8 @@
 // anecdotally.
 //
 // It shells out to `go test -bench` over the hot-path packages
-// (internal/sim, internal/vm, internal/tlb, internal/bench by default),
+// (internal/sim, internal/vm, internal/tlb, internal/bench,
+// internal/core and internal/dist by default),
 // parses the standard benchmark output, and writes BENCH_<n>.json into
 // the output directory, where <n> is one past the highest existing
 // snapshot. When a previous snapshot exists it also prints a
@@ -74,7 +75,7 @@ type Bench struct {
 
 func main() {
 	var (
-		pkgs       = flag.String("pkgs", "./internal/sim,./internal/vm,./internal/tlb,./internal/bench,./internal/core", "comma-separated packages holding the benchmark suite")
+		pkgs       = flag.String("pkgs", "./internal/sim,./internal/vm,./internal/tlb,./internal/bench,./internal/core,./internal/dist", "comma-separated packages holding the benchmark suite")
 		benchRe    = flag.String("bench", ".", "benchmark selection regexp (go test -bench)")
 		benchtime  = flag.String("benchtime", "300ms", "go test -benchtime (use 1x for a smoke run)")
 		count      = flag.Int("count", 1, "go test -count; with >1 the best (minimum) ns/op per benchmark is recorded")

@@ -33,7 +33,11 @@ func newBlockZipf(rng *rand.Rand, s float64, r region) blockZipf {
 func (b blockZipf) next() uint64 {
 	blk := b.bperm.at(b.z.next())
 	off := b.rng.Uint64() % tier.SubPages
-	return b.r.vpnAt(blk*tier.SubPages + off)
+	if b.r.pages < tier.SubPages {
+		// A region under one block: the one block's offsets wrap.
+		return b.r.vpnAt(blk*tier.SubPages + off)
+	}
+	return b.r.at(blk*tier.SubPages + off)
 }
 
 // buildGraph500 models Graph500 (§6.2.1): edge-list generation writes a
@@ -65,7 +69,7 @@ func buildGraph500(c *ctx) Stream {
 	return c.steady(func() (uint64, bool) {
 		switch r := c.rng.Uint32() % 1000; {
 		case r < 550:
-			return vertices.vpnAt(zv.next()), c.pick(1, 3)
+			return vertices.at(zv.next()), c.pick(1, 3)
 		case r < 998:
 			return ze.next(), false
 		default:
@@ -97,7 +101,7 @@ func buildPageRank(c *ctx) Stream {
 			cursor++
 			return edges.vpnAt(cursor), false
 		case r < 998:
-			return ranks.vpnAt(zr.next()), c.pick(1, 2)
+			return ranks.at(zr.next()), c.pick(1, 2)
 		default:
 			return smallStep()
 		}
@@ -149,7 +153,7 @@ func buildLiblinear(c *ctx) Stream {
 		case r < 660:
 			return zf.next(), false
 		case r < 998:
-			return model.vpnAt(zm.next()), c.pick(3, 10)
+			return model.at(zm.next()), c.pick(3, 10)
 		default:
 			return smallStep()
 		}
@@ -171,7 +175,7 @@ func buildSilo(c *ctx) Stream {
 	smallStep := smallStepper(c, small)
 	return c.steady(func() (uint64, bool) {
 		if c.pick(96, 100) {
-			return heap.r.BaseVPN + pm.at(z.next()), false
+			return heap.at(pm.at(z.next())), false
 		}
 		return smallStep()
 	})
@@ -208,7 +212,7 @@ func buildBtree(c *ctx) Stream {
 			vpn, _ := innerStep()
 			return vpn, false
 		default:
-			leaf := touched[pm.at(z.next())%uint64(len(touched))]
+			leaf := touched[pm.at(z.next())]
 			return heap.r.BaseVPN + uint64(leaf), c.pick(1, 20)
 		}
 	})

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"memtis/internal/dist"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -204,8 +205,13 @@ func (c *ctx) reserveSmall(total uint64) []region {
 	return out
 }
 
-// vpnAt returns the region's i-th page VPN.
+// vpnAt returns the region's i-th page VPN, wrapping i around the
+// region (cursor sweeps run past its end).
 func (r region) vpnAt(i uint64) uint64 { return r.r.BaseVPN + i%r.pages }
+
+// at returns the region's i-th page VPN for an i already in range, such
+// as a Zipf draw over the region's pages: no divide.
+func (r region) at(i uint64) uint64 { return r.r.BaseVPN + i }
 
 // touchAll queues a first-touch write of every page in order, counting
 // toward the access budget, checked once per batch.
@@ -224,16 +230,24 @@ func (c *ctx) touchSmall(rs []region) {
 // is exhausted, checked once per batch.
 func (c *ctx) steady(step stepper) Stream { return Sweep(step, c.budget, Unbounded, BatchSize) }
 
-// zipf draws skewed indexes in [0, n) with rand.Zipf (s > 1).
+// zipf draws skewed indexes in [0, n): rand.Zipf's value stream
+// (s > 1), from dist's guide-table copy of it.
 type zipf struct {
-	z *rand.Zipf
+	z *dist.StdZipf
 }
+
+// zipfBuilt, when set, observes every sampler's (s, n) as a model
+// builds it.
+var zipfBuilt func(s float64, n uint64)
 
 func newZipf(rng *rand.Rand, s float64, n uint64) zipf {
 	if n < 1 {
 		n = 1
 	}
-	return zipf{z: rand.NewZipf(rng, s, 1, n-1)}
+	if zipfBuilt != nil {
+		zipfBuilt(s, n)
+	}
+	return zipf{z: dist.NewStdZipf(rng, s, 1, n-1)}
 }
 
 func (z zipf) next() uint64 { return z.z.Uint64() }
@@ -253,7 +267,8 @@ func newPerm(rng *rand.Rand, n uint64) perm {
 	return perm{p: p}
 }
 
-func (pm perm) at(i uint64) uint64 { return uint64(pm.p[i%uint64(len(pm.p))]) }
+// at returns the i-th entry; i must be in range.
+func (pm perm) at(i uint64) uint64 { return uint64(pm.p[i]) }
 
 // pick returns true with probability num/den.
 func (c *ctx) pick(num, den uint32) bool { return c.rng.Uint32()%den < num }
@@ -268,15 +283,13 @@ func smallStepper(c *ctx, rs []region) stepper {
 	for _, r := range rs {
 		total += r.pages
 	}
+	// reserveSmall's chunks all hold per pages but the last, which holds
+	// no more, so the index's chunk is one divide away.
+	per := rs[0].pages
 	return func() (uint64, bool) {
 		i := c.rng.Uint64() % total
-		for _, r := range rs {
-			if i < r.pages {
-				return r.r.BaseVPN + i, c.pick(1, 4)
-			}
-			i -= r.pages
-		}
-		return rs[0].r.BaseVPN, false
+		r := rs[i/per]
+		return r.r.BaseVPN + i%per, c.pick(1, 4)
 	}
 }
 
