@@ -24,7 +24,8 @@
 // The -ratio gate bounds one benchmark's ns/op against another's from
 // the same run: both sides move with the runner's speed, so the ratio
 // stays meaningful on noisy shared CI machines where absolute ns/op
-// thresholds do not.
+// thresholds do not. -ratio may be repeated; every gate is checked,
+// whether or not a baseline snapshot exists.
 //
 // The JSON schema is stable ("benchreport/v1"): benchmarks are sorted
 // by package then name, names are stripped of the -GOMAXPROCS suffix,
@@ -39,6 +40,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -83,8 +85,9 @@ func main() {
 		baseline   = flag.String("baseline", "", "explicit baseline JSON (default: highest BENCH_<n>.json in -out)")
 		maxRegress = flag.Float64("maxregress", 0, "fail when any shared benchmark's ns/op regresses by more than this fraction (0 disables the gate)")
 		dry        = flag.Bool("dry", false, "measure and compare but do not write a snapshot")
-		ratio      = flag.String("ratio", "", "same-run ratio gate: \"NUM DEN MAX\" (whitespace-separated benchmark names and a bound) — fail when NUM's ns/op exceeds MAX x DEN's ns/op in this run")
+		ratios     ratioGates
 	)
+	flag.Var(&ratios, "ratio", "same-run ratio gate: \"NUM DEN MAX\" (whitespace-separated benchmark names and a bound) — fail when NUM's ns/op exceeds MAX x DEN's ns/op in this run; repeatable")
 	flag.Parse()
 
 	prevPath, prevN := latestSnapshot(*outDir)
@@ -120,60 +123,98 @@ func main() {
 		fmt.Printf("wrote %s (%d benchmarks)\n", path, len(rep.Benchmarks))
 	}
 
-	if prevPath == "" {
-		fmt.Println("no baseline snapshot; comparison skipped")
-		return
-	}
-	prev, err := readReport(prevPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		os.Exit(2)
-	}
-	regressed := compare(os.Stdout, prev, rep, prevPath, *maxRegress)
-	if regressed {
-		fmt.Fprintf(os.Stderr, "benchreport: ns/op regression beyond %.0f%% threshold\n", *maxRegress*100)
-		os.Exit(1)
-	}
-	checkRatio(rep, *ratio)
+	os.Exit(gate(os.Stdout, rep, prevPath, *maxRegress, ratios))
 }
 
-// checkRatio enforces the -ratio gate: both sides are measured in this
-// run on the same machine, so the ratio is robust to runner speed where
-// absolute ns/op bounds are not — the form CI uses to gate scheduler
-// overhead. Benchmark names cannot contain spaces, so the spec is
-// whitespace-separated. No-op on an empty spec; exits on failure.
-func checkRatio(rep *Report, spec string) {
-	if spec == "" {
-		return
+// gate compares rep against the baseline snapshot at prevPath, when
+// there is one, and checks every ratio gate either way. It returns the
+// exit code: 0 when everything holds, 1 on an ns/op regression or an
+// exceeded ratio, 2 on an unreadable baseline or a gate naming a
+// benchmark this run did not measure.
+func gate(w io.Writer, rep *Report, prevPath string, maxRegress float64, ratios ratioGates) int {
+	code := 0
+	if prevPath == "" {
+		fmt.Fprintln(w, "no baseline snapshot; comparison skipped")
+	} else {
+		prev, err := readReport(prevPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchreport:", err)
+			return 2
+		}
+		if compare(w, prev, rep, prevPath, maxRegress) {
+			fmt.Fprintf(os.Stderr, "benchreport: ns/op regression beyond %.0f%% threshold\n", maxRegress*100)
+			code = 1
+		}
 	}
+	for _, g := range ratios {
+		ok, err := g.check(w, rep)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchreport: -ratio:", err)
+			return 2
+		}
+		if !ok {
+			code = 1
+		}
+	}
+	return code
+}
+
+// ratioGate is one -ratio bound: Num's ns/op must not exceed Max times
+// Den's. Both sides are measured in this run on the same machine, so
+// the ratio is robust to runner speed where absolute ns/op bounds are
+// not — the form CI uses to gate hot-path overheads.
+type ratioGate struct {
+	Num, Den string
+	Max      float64
+}
+
+// ratioGates collects repeated -ratio flags (a flag.Value). Benchmark
+// names cannot contain spaces, so each spec is whitespace-separated.
+type ratioGates []ratioGate
+
+func (g *ratioGates) String() string { return fmt.Sprint(*g) }
+
+// Set parses one "NUM DEN MAX" spec.
+func (g *ratioGates) Set(spec string) error {
 	f := strings.Fields(spec)
 	if len(f) != 3 {
-		fmt.Fprintf(os.Stderr, "benchreport: -ratio %q: want \"NUM DEN MAX\"\n", spec)
-		os.Exit(2)
+		return fmt.Errorf("%q: want \"NUM DEN MAX\"", spec)
 	}
-	bound, err := strconv.ParseFloat(f[2], 64)
-	if err != nil || bound <= 0 {
-		fmt.Fprintf(os.Stderr, "benchreport: -ratio %q: bad bound %q\n", spec, f[2])
-		os.Exit(2)
+	max, err := strconv.ParseFloat(f[2], 64)
+	if err != nil || max <= 0 {
+		return fmt.Errorf("%q: bad bound %q", spec, f[2])
 	}
-	find := func(name string) Bench {
+	*g = append(*g, ratioGate{Num: f[0], Den: f[1], Max: max})
+	return nil
+}
+
+// check prints the gate's ratio in rep and reports whether it holds.
+// A benchmark missing from rep is an error, not a failed gate.
+func (g ratioGate) check(w io.Writer, rep *Report) (bool, error) {
+	find := func(name string) (Bench, error) {
 		for _, b := range rep.Benchmarks {
 			if b.Name == name {
-				return b
+				return b, nil
 			}
 		}
-		fmt.Fprintf(os.Stderr, "benchreport: -ratio: benchmark %q not in this run (check -bench)\n", name)
-		os.Exit(2)
-		panic("unreachable")
+		return Bench{}, fmt.Errorf("benchmark %q not in this run (check -bench)", name)
 	}
-	num, den := find(f[0]), find(f[1])
+	num, err := find(g.Num)
+	if err != nil {
+		return false, err
+	}
+	den, err := find(g.Den)
+	if err != nil {
+		return false, err
+	}
 	r := num.NsPerOp / den.NsPerOp
-	fmt.Printf("ratio gate: %s %.1f ns/op / %s %.1f ns/op = %.2fx (bound %.2fx)\n",
-		num.Name, num.NsPerOp, den.Name, den.NsPerOp, r, bound)
-	if r > bound {
-		fmt.Fprintf(os.Stderr, "benchreport: ratio %.2fx exceeds the %.2fx bound\n", r, bound)
-		os.Exit(1)
+	verdict := "ok"
+	if r > g.Max {
+		verdict = "EXCEEDED"
 	}
+	fmt.Fprintf(w, "ratio gate: %s %.1f ns/op / %s %.1f ns/op = %.2fx (bound %gx) %s\n",
+		num.Name, num.NsPerOp, den.Name, den.NsPerOp, r, g.Max, verdict)
+	return r <= g.Max, nil
 }
 
 // measure runs the benchmark suite and parses it into a Report. With
@@ -303,7 +344,7 @@ func readReport(path string) (*Report, error) {
 // (ignored when <= 0). A 1x-smoke baseline or measurement compares like
 // any other — callers that want timing to be meaningful pass a real
 // benchtime.
-func compare(w *os.File, prev, cur *Report, prevPath string, maxRegress float64) bool {
+func compare(w io.Writer, prev, cur *Report, prevPath string, maxRegress float64) bool {
 	old := map[string]Bench{}
 	for _, b := range prev.Benchmarks {
 		old[b.Package+"."+b.Name] = b

@@ -346,17 +346,11 @@ func (p *Policy) Capabilities() sim.Capability { return 0 }
 // Sampler exposes the PEBS controller for overhead reporting (§6.3.5).
 func (p *Policy) Sampler() *pebs.Sampler { return p.smp }
 
-// SampleGate implements sim.FastSampled: on every variant except
-// hybrid scanning, OnAccess does nothing on a non-faulting access the
-// sampler ignores, so the machine may serve those accesses through its
-// policy bypass. HybridScan marks every touched page's scan-referenced
-// flag per access and must keep seeing the full stream.
-func (p *Policy) SampleGate() *pebs.Sampler {
-	if p.cfg.HybridScan {
-		return nil
-	}
-	return p.smp
-}
+// SampleGate implements sim.FastSampled: on a non-faulting access the
+// sampler ignores, OnAccess does nothing beyond HybridScan's
+// scan-referenced flag, which stays set until hybridScan clears it and
+// watches the page.
+func (p *Policy) SampleGate() *pebs.Sampler { return p.smp }
 
 // deref reads a registry cell that may not be bound yet (before
 // Attach the accessors report zero).
@@ -1242,6 +1236,7 @@ func (p *Policy) hybridScan() {
 		scanned++
 		if pg.PFlags&flagScanRef != 0 {
 			pg.PFlags &^= flagScanRef
+			p.m.AS.Watch(pg)
 			return
 		}
 		p.applyCooling(pg)

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"math"
+
 	"memtis/internal/obs"
 	"memtis/internal/pebs"
 	"memtis/internal/sim"
@@ -52,7 +54,8 @@ func (h *HeMem) Name() string { return "hemem" }
 func (h *HeMem) Attach(m *sim.Machine) {
 	h.Base.Attach(m)
 	// HeMem polls PEBS buffers from a spinning thread; its sampling
-	// period is fixed (no feedback controller). Same scaled period as
+	// period is fixed (no feedback controller, so no adjustment is ever
+	// due and FeedFast never defers to one). Same scaled period as
 	// MEMTIS's initial one so both see comparable sample streams.
 	h.smp = pebs.NewSampler(pebs.Config{
 		LoadPeriod:  20,
@@ -60,6 +63,7 @@ func (h *HeMem) Attach(m *sim.Machine) {
 		MinPeriod:   20,
 		MaxPeriod:   20,
 		CostNS:      160,
+		AdjustNS:    math.MaxUint64,
 	})
 	h.nextWake = h.wakeEvery
 	h.smp.Trace = m.Cfg.Trace
@@ -67,6 +71,10 @@ func (h *HeMem) Attach(m *sim.Machine) {
 	h.overAllocBytes = g.Counter("overalloc_bytes")
 	h.coolings = g.Counter("coolings")
 }
+
+// SampleGate implements sim.FastSampled: on a non-faulting access,
+// OnAccess only feeds the sampler.
+func (h *HeMem) SampleGate() *pebs.Sampler { return h.smp }
 
 // BusyCores implements sim.Policy: the polling thread spins on a core
 // (§6.2.1 observes ~100% CPU usage for HeMem's sampling thread).

@@ -61,6 +61,7 @@ func (c *MultiClock) Tick(now uint64) {
 	for _, pg := range c.Registry {
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed
+			c.M.AS.Watch(pg)
 			if pg.P0 < 3 {
 				pg.P0++
 			}

@@ -62,6 +62,7 @@ func (n *Nimble) Tick(now uint64) {
 	for _, pg := range n.Registry {
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed
+			n.M.AS.Watch(pg)
 			if pg.Tier != tier.FastTier {
 				n.hot = append(n.hot, pg)
 			}

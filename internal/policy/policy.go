@@ -9,13 +9,16 @@ package policy
 
 import (
 	"memtis/internal/obs"
+	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
 )
 
 // Page flag bits shared by the baselines (one policy owns a machine's
-// pages at a time, so reuse across policies is safe).
+// pages at a time, so reuse across policies is safe). OnAccess acts on
+// flagArmed and flagAccessed, so whoever sets the first or clears the
+// second must Watch the page (sim.FastSampled).
 const (
 	flagArmed    = 1 << iota // hint fault armed (page unmapped for tracking)
 	flagAccessed             // accessed bit since last scan
@@ -159,6 +162,11 @@ func (b *Base) BusyCores() float64 { return 0 }
 // contract deviations. Policies that deviate (the pinning references)
 // override this — see the sim.Capability constants for the contract.
 func (b *Base) Capabilities() sim.Capability { return 0 }
+
+// SampleGate implements sim.FastSampled: a baseline without a sampler
+// acts only on faults and on pages it watched (vm.AddressSpace.Watch)
+// when it armed them or cleared their accessed flag.
+func (b *Base) SampleGate() *pebs.Sampler { return nil }
 
 // PlaceNew implements part of sim.Policy: default fast-first placement.
 func (b *Base) PlaceNew(huge bool, vpn uint64) tier.ID { return tier.NoTier }
@@ -367,6 +375,7 @@ func (r *Rearmer) Advance(b *Base, now uint64) int {
 			continue
 		}
 		pg.PFlags |= flagArmed
+		b.M.AS.Watch(pg)
 		r.carry -= float64(pg.Units())
 		armed++
 	}

@@ -126,6 +126,7 @@ func (t *Tiering08) demote() {
 		}
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed // second chance
+			t.M.AS.Watch(pg)
 			continue
 		}
 		t.MigrateAsync(pg, t.M.DemoteTarget(pg.Tier))

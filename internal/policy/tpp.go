@@ -92,6 +92,7 @@ func (t *TPP) demote() {
 		}
 		if pg.PFlags&flagAccessed != 0 {
 			pg.PFlags &^= flagAccessed
+			t.M.AS.Watch(pg)
 			continue
 		}
 		t.MigrateAsync(pg, t.M.DemoteTarget(pg.Tier))

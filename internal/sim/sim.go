@@ -26,11 +26,11 @@ import (
 )
 
 // Policy is a tiering system under test. Exactly one policy is attached
-// to a machine; it sees every access (for fault- and scan-based
-// tracking this doubles as the accessed-bit/page-fault stream — PEBS
-// policies feed their own sampler from it), is ticked on a fixed
-// virtual-time period for background work, and decides initial page
-// placement.
+// to a machine; it sees every access its FastSampled contract, if any,
+// does not exempt (for fault- and scan-based tracking this doubles as
+// the accessed-bit/page-fault stream — PEBS policies feed their own
+// sampler from it), is ticked on a fixed virtual-time period for
+// background work, and decides initial page placement.
 type Policy interface {
 	Name() string
 	// Attach binds the policy to the machine before the workload runs.
@@ -89,21 +89,17 @@ type HotSetReporter interface {
 	HotSet() (hotBytes, warmBytes, coldBytes uint64)
 }
 
-// FastSampled is implemented by policies whose OnAccess, on a
-// non-faulting access the PEBS sampler ignores, provably does nothing
-// and returns zero stall — the MEMTIS shape: feed the sampler, act
-// only on samples, run the period controller on its own schedule. For
-// such policies the machine serves non-sampled steady-state accesses
-// through the TouchFast/FeedFast bypass, skipping the TouchResult and
-// the OnAccess call entirely while keeping sample streams, adjustment
-// schedules and event traces byte-identical (pebs.Sampler.FeedFast
-// consumes an access only when neither a sample nor a controller run
-// is due, so the full path still sees exactly the accesses it would
-// have acted on).
+// FastSampled declares the access-bypass contract (DESIGN.md §7):
+// OnAccess does nothing and returns zero stall on a non-faulting access
+// to a seen page that the policy's sampler, if any, declines. Touch
+// makes a page seen and vm.AddressSpace.Watch makes it unseen, so the
+// policy must Watch a page whenever it changes state its OnAccess acts
+// on (arms a hint fault, clears an accessed flag). The machine serves
+// the exempt accesses with TouchFast and FeedFast alone, leaving every
+// result and trace byte-identical. A policy that does not implement
+// FastSampled sees every access.
 type FastSampled interface {
-	// SampleGate returns the sampler gating the bypass, or nil when a
-	// mode of the policy does per-access work (e.g. hybrid scanning)
-	// and must see every access.
+	// SampleGate returns the policy's sampler, or nil when it has none.
 	SampleGate() *pebs.Sampler
 }
 
@@ -223,10 +219,10 @@ type Machine struct {
 	Rand  *rand.Rand
 	reg   *obs.Registry
 
-	// fastSmp is the attached policy's sampler when it declared the
-	// FastSampled bypass (nil otherwise): the Access fast path that
-	// skips OnAccess for provably ignored accesses.
-	fastSmp *pebs.Sampler
+	// gate is the attached policy's FastSampled sampler: nil when the
+	// policy has none or there is no policy, declineAll when the policy
+	// declares no bypass contract.
+	gate *pebs.Sampler
 
 	// topo is Cfg.Topology (nil on the historical two-tier path); new
 	// address spaces inherit its hop-cost model.
@@ -302,9 +298,10 @@ type Machine struct {
 // keeping their streams bit-identical to the pre-tenant simulator.
 const SpaceTagShift = 40
 
-type defaultPlacer struct{}
-
-func (defaultPlacer) PlaceNew(bool, uint64) tier.ID { return tier.NoTier }
+// declineAll gates policies without FastSampled: a zero Sampler's
+// controller is always due, so FeedFast (which only reads it then)
+// declines every access.
+var declineAll = new(pebs.Sampler)
 
 // NewMachine builds a machine; pol may be nil (no tiering: default
 // placement, no migration), which is the all-on-one-tier baseline when
@@ -371,21 +368,17 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 	if cfg.RecordNS > 0 {
 		m.nextRecord = cfg.RecordNS
 	}
+	// A nil policy is a nil placer: the address space's default.
+	m.AS.SetPlacer(pol)
 	if pol != nil {
-		m.AS.SetPlacer(policyPlacer{pol})
 		pol.Attach(m)
+		m.gate = declineAll
 		if fs, ok := pol.(FastSampled); ok {
-			m.fastSmp = fs.SampleGate()
+			m.gate = fs.SampleGate()
 		}
-	} else {
-		m.AS.SetPlacer(defaultPlacer{})
 	}
 	return m
 }
-
-type policyPlacer struct{ p Policy }
-
-func (pp policyPlacer) PlaceNew(huge bool, vpn uint64) tier.ID { return pp.p.PlaceNew(huge, vpn) }
 
 // Now returns the current virtual time in nanoseconds.
 func (m *Machine) Now() uint64 { return m.now }
@@ -478,11 +471,7 @@ func (m *Machine) AddSpace(label string) int {
 	as.Clock = m.AS.Clock
 	as.OnUnmap = m.AS.OnUnmap
 	as.MigrateVeto = m.AS.MigrateVeto
-	if m.Pol != nil {
-		as.SetPlacer(policyPlacer{m.Pol})
-	} else {
-		as.SetPlacer(defaultPlacer{})
-	}
+	as.SetPlacer(m.Pol)
 	m.spaces = append(m.spaces, as)
 	m.spaceAcc = append(m.spaceAcc, 0)
 	m.spaceLabels = append(m.spaceLabels, label)
@@ -687,26 +676,13 @@ func (m *Machine) deliverRecords() {
 // (fault injection, tick delivery, series sampling, RSS accounting)
 // hidden behind single predictable compares.
 func (m *Machine) Access(vpn uint64, write bool) {
-	// Policy-free machines (replay, capacity baselines, the raw-speed
-	// benchmark) never read tr.Page: TouchFast inlines here and resolves
-	// a steady-state access from one block-table or pte load, with no
-	// TouchResult built at all; only first writes and demand faults drop
-	// into the full TouchLite machinery.
 	var tr vm.TouchResult
 	pol := m.Pol
-	if pol == nil {
-		if t, huge, ok := m.cur.TouchFast(vpn, write); ok {
-			tr.Tier, tr.Huge = t, huge
-		} else {
-			tr = m.cur.TouchLite(vpn, write)
-		}
-	} else if m.fastSmp == nil {
-		tr = m.cur.Touch(vpn, write)
-	} else if t, huge, ok := m.cur.TouchFast(vpn, write); ok && m.fastSmp.FeedFast(write, m.now) {
-		// FastSampled bypass: the access is mapped and steady-state
-		// (TouchFast had no side effects) and the sampler provably
-		// ignores it (FeedFast consumed it), so OnAccess would have
-		// done nothing and returned zero — skip it and the TouchResult.
+	if t, huge, ok := m.cur.TouchFast(vpn, write); ok && (m.gate == nil || m.gate.FeedFast(write, m.now)) {
+		// Bypass (FastSampled): the page is mapped and seen, a write is
+		// not the subpage's first, and the sampler, if any, consumed the
+		// access without sampling it, so OnAccess would do nothing.
+		// TouchFast inlines here and builds no TouchResult.
 		tr.Tier, tr.Huge = t, huge
 		pol = nil
 	} else {
@@ -787,16 +763,16 @@ type Op struct {
 // stream indirection); the stream's reservations and frees land
 // between batches, at their exact stream position.
 //
-// The inner loop is Access's FastSampled bypass unrolled across the
-// batch: one op costs a TouchFast, a FeedFast, a TLB probe and the
-// counter updates, with the call into Access (and its rare-path
-// branches) paid only by ops that fault, sample, or run under a fault
-// plan or observer. The operations and their order are identical to
-// Access's per op — the tenant_equiv goldens pin this.
+// The inner loop is Access's bypass unrolled across the batch: one op
+// costs a TouchFast, a FeedFast, a TLB probe and the counter updates,
+// with the call into Access (and its rare-path branches) paid only by
+// ops the bypass refuses, or that run under a fault plan or observer.
+// The operations and their order are identical to Access's per op —
+// the tenant_equiv goldens pin this.
 func (m *Machine) AccessBatch(ops []Op) {
 	i := 0
 	for i < len(ops) {
-		if m.fastSmp != nil && m.faults == nil && m.AccessObserver == nil {
+		if m.gate != declineAll && m.faults == nil && m.AccessObserver == nil {
 			// Batch-invariant fields and the hot counters live in
 			// locals, so the loop keeps them in registers across the
 			// (non-inlined) TLB probe instead of reloading the Machine
@@ -804,7 +780,7 @@ func (m *Machine) AccessBatch(ops []Op) {
 			// (scheduling is a batch boundary); the counters are
 			// flushed back before anything that can observe them —
 			// tick/record delivery and the Access fallback below.
-			cur, tag, smp, tl, multi := m.cur, m.curTag, m.fastSmp, m.TLB, m.multi
+			cur, tag, smp, tl, multi := m.cur, m.curTag, m.gate, m.TLB, m.multi
 			ldp, stp := &m.loadNS, &m.storeNS
 			now, acc, fh := m.now, m.accesses, m.fastHits
 			// One fused boundary guards both tick and record delivery;
@@ -816,7 +792,7 @@ func (m *Machine) AccessBatch(ops []Op) {
 			for i < len(ops) {
 				vpn, write := ops[i].VPN, ops[i].Write
 				t, huge, ok := cur.TouchFast(vpn, write)
-				if !ok || !smp.FeedFast(write, now) {
+				if !ok || smp != nil && !smp.FeedFast(write, now) {
 					// Not steady-state or the sampler wants it: replay
 					// through Access (TouchFast and a refused FeedFast
 					// are both side-effect-free, so the replay is exact).
@@ -882,7 +858,7 @@ func (m *Machine) record() {
 		RSSBytes: m.RSSBytes(),
 		FastUsed: m.Fast.UsedFrames() * tier.BasePageSize,
 	}
-	if hr, ok := m.Pol.(HotSetReporter); ok && m.Pol != nil {
+	if hr, ok := m.Pol.(HotSetReporter); ok {
 		pt.HotBytes, pt.WarmBytes, pt.ColdBytes = hr.HotSet()
 	}
 	dA := m.accesses - m.lastAccesses

@@ -1,6 +1,6 @@
-// Touch is the first call of every simulated access; these benchmarks
-// pin the cost of its mapped fast path (the ~100% case in steady
-// state) for both page kinds, read and write.
+// Touch serves every access TouchFast declines and every access of a
+// policy without a bypass contract; these benchmarks pin the cost of
+// its mapped case for both page kinds, read and write.
 package vm
 
 import "testing"

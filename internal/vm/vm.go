@@ -59,8 +59,8 @@ const (
 // address space (DESIGN.md §12). The table is a dense VPN-indexed
 // []pte, so the translation hot path reads 4 bytes per access instead
 // of chasing a *Page into a scattered heap object: the entry carries
-// everything Touch needs for an already-mapped, already-written access
-// (page-record index, huge bit, per-subpage touched bit, tier).
+// everything TouchFast needs for a seen, already-written access
+// (page-record index, huge bit, per-subpage touched and seen bits, tier).
 //
 // Layout (low to high):
 //
@@ -71,7 +71,9 @@ const (
 //	bit  27     touched: this 4KB subpage has been written at least
 //	            once (mirrors the record's touched bitmap so steady-
 //	            state writes never dirty the record's cache line)
-//	bits 28..31 tier of the mapping (kept in sync with Page.Tier by
+//	bit  28     seen: Touch served an access since the mapping was made
+//	            or last watched (Watch); huge mappings mirror bt's bit
+//	bits 29..31 tier of the mapping (kept in sync with Page.Tier by
 //	            every tier-changing operation; Audit verifies it)
 type pte uint32
 
@@ -80,9 +82,14 @@ const (
 	pteIdxMask   = 1<<pteIdxBits - 1
 	pteHuge      = 1 << 26
 	pteTouched   = 1 << 27
-	pteTierShift = 28
-	pteTierMask  = pte(0xF) << pteTierShift
+	pteSeen      = 1 << 28
+	pteTierShift = 29
+	pteTierMask  = pte(1<<(32-pteTierShift)-1) << pteTierShift
 )
+
+// The tier field must hold every chain position: this constant
+// overflows (a compile error) if tier.MaxTiers outgrows bits 29..31.
+const _ uint = 1<<(32-pteTierShift) - tier.MaxTiers
 
 // Page-record arena geometry: records live in append-only chunks so a
 // *Page handed to a policy is stable for the lifetime of the address
@@ -573,8 +580,8 @@ func (as *AddressSpace) newPage() *Page {
 	return pg
 }
 
-// pteFor builds the table entry mapping a vpn to pg (without the
-// touched bit, which tracks per-slot write state).
+// pteFor builds the table entry mapping a vpn to pg, unseen and without
+// the touched bit (which tracks per-slot write state).
 func pteFor(pg *Page) pte {
 	e := pte(pg.arIdx+1) | pte(pg.Tier)<<pteTierShift
 	if pg.Kind == HugePage {
@@ -585,14 +592,41 @@ func pteFor(pg *Page) pte {
 
 // setTierPTE rewrites the tier bits of every slot of a live page after
 // a tier change, keeping the packed table (and, for huge pages, the
-// block table) in sync with Page.Tier.
+// block table) in sync with Page.Tier; the seen bit survives.
 func (as *AddressSpace) setTierPTE(p *Page) {
 	nt := pte(p.Tier) << pteTierShift
 	for i := p.VPN; i < p.VPN+p.Units(); i++ {
 		as.pt[i] = as.pt[i]&^pteTierMask | nt
 	}
 	if p.IsHuge() {
-		as.bt[p.VPN/tier.SubPages] = pteFor(p)
+		b := p.VPN / tier.SubPages
+		as.bt[b] = as.bt[b]&^pteTierMask | nt
+	}
+}
+
+// Watch clears p's seen bit, so TouchFast declines p's next access and
+// it takes Touch (on a machine, OnAccess too): the model of clearing a
+// PTE's accessed bit or arming a NUMA-hint fault (sim.FastSampled).
+// Any space handle serves; a dead page is left alone.
+func (as *AddressSpace) Watch(p *Page) {
+	if !p.dead {
+		as.ownerOf(p).setSeen(p, 0)
+	}
+}
+
+// setSeen sets p's seen bit to seen (pteSeen or 0) in its slots and,
+// for a huge page, its block entry; the slots mirror the block entry,
+// so when it already agrees there is nothing to do.
+func (as *AddressSpace) setSeen(p *Page, seen pte) {
+	if p.IsHuge() {
+		b := p.VPN / tier.SubPages
+		if as.bt[b]&pteSeen == seen {
+			return
+		}
+		as.bt[b] = as.bt[b]&^pteSeen | seen
+	}
+	for i := p.VPN; i < p.VPN+p.Units(); i++ {
+		as.pt[i] = as.pt[i]&^pteSeen | seen
 	}
 }
 
@@ -672,36 +706,34 @@ func (as *AddressSpace) placeFor(huge bool, vpn uint64) tier.ID {
 // Touch performs one access to vpn: demand-faults the page on first
 // touch (THP maps the surrounding 2MB block as a huge page when
 // eligible) and returns the mapping plus any fault cost. Write touches
-// mark the subpage as non-zero for later bloat reclaim.
+// mark the subpage as non-zero for later bloat reclaim. An access to a
+// mapped page sets the mapping's seen bit; a demand fault leaves the
+// new mapping unseen, so the access after it comes back here too.
 //
-// The already-mapped case is the simulator's hot path: one bounds
-// check and one 4-byte pte load yield tier, huge bit and touched state;
-// the page record is located by arithmetic (chunk index) but its memory
-// is not read, so steady-state accesses touch exactly one table cache
-// line. Only the first write to a subpage dirties the record (its
-// touched bitmap); the pte's touched bit short-circuits every later
-// write. The fault path lives in touchFault so this body stays small.
+// The mapped case locates the page record by arithmetic (chunk index);
+// it touches the record and writes the tables only on a watch
+// transition (seen clear) or a first write to the subpage. Steady-state
+// callers that do not consume TouchResult.Page try TouchFast first.
 func (as *AddressSpace) Touch(vpn uint64, write bool) TouchResult {
-	if vpn < uint64(len(as.pt)) {
-		// Fast path: mapped, and either a read or a re-write of an
-		// already-touched subpage. Small enough to inline into the
-		// simulator's access loop, which lets the compiler hoist the
-		// pte load ahead of the caller's other work.
-		if e := as.pt[vpn]; e != 0 && (!write || e&pteTouched != 0) {
-			sub := 0
-			if e&pteHuge != 0 {
-				// Huge mappings are always 2MB-aligned.
-				sub = int(vpn & (tier.SubPages - 1))
-			}
-			return TouchResult{
-				Page:   as.pageAt(e),
-				SubIdx: sub,
-				Tier:   tier.ID(e >> pteTierShift),
-				Huge:   e&pteHuge != 0,
-			}
-		}
+	var faultNS uint64 // non-zero exactly when this access faults
+	if vpn >= uint64(len(as.pt)) || as.pt[vpn] == 0 {
+		faultNS = as.touchFault(vpn)
 	}
-	return as.touchSlow(vpn, write)
+	e := as.pt[vpn]
+	pg, sub := as.pageAt(e), 0
+	if e&pteHuge != 0 {
+		// Huge mappings are always 2MB-aligned.
+		sub = int(vpn & (tier.SubPages - 1))
+	}
+	if e&pteSeen == 0 && faultNS == 0 {
+		as.setSeen(pg, pteSeen)
+	}
+	if write && e&pteTouched == 0 {
+		as.pt[vpn] |= pteTouched
+		pg.markTouched(sub)
+	}
+	return TouchResult{Page: pg, SubIdx: sub, Tier: tier.ID(e >> pteTierShift),
+		FaultNS: faultNS, Faulted: faultNS != 0, Huge: e&pteHuge != 0}
 }
 
 // TouchFast serves a steady-state access for callers that do not
@@ -713,88 +745,58 @@ func (as *AddressSpace) Touch(vpn uint64, write bool) TouchResult {
 // table, where the full pt working set would thrash the cache.
 // Writes (which need the per-subpage touched bit) and base-page
 // traffic read the packed pte instead. ok=false means the access
-// needs the slow path (first write to a subpage, or a demand fault);
-// the caller must then call TouchLite.
+// needs Touch: the mapping is unseen (new, or watched since its last
+// access), the write is the subpage's first, or the vpn faults.
+// TouchFast has no side effects.
 func (as *AddressSpace) TouchFast(vpn uint64, write bool) (t tier.ID, huge, ok bool) {
-	if b := vpn / tier.SubPages; !write && b < uint64(len(as.bt)) {
-		if e := as.bt[b]; e != 0 {
-			return tier.ID(e >> pteTierShift), true, true
-		}
-	}
 	if vpn < uint64(len(as.pt)) {
-		if e := as.pt[vpn]; e != 0 && (!write || e&pteTouched != 0) {
+		if !write {
+			// bt always covers pt, so the block index is in range.
+			if e := as.bt[vpn/tier.SubPages]; e&pteSeen != 0 {
+				return tier.ID(e >> pteTierShift), true, true
+			}
+		}
+		if e := as.pt[vpn]; e&pteSeen != 0 && (!write || e&pteTouched != 0) {
 			return tier.ID(e >> pteTierShift), e&pteHuge != 0, true
 		}
 	}
 	return 0, false, false
 }
 
-// TouchLite is Touch for callers that do not consume TouchResult.Page
-// (machines running without a policy: replay and capacity baselines).
-// The page record is neither read nor located on the fast paths; the
-// slow paths fall through to the full Touch machinery and do populate
-// Page.
+// TouchLite is TouchFast with Touch as its fallback, for callers that
+// do not consume TouchResult.Page on the steady-state path (the
+// benchmark's per-layer replay); Page is set only when Touch ran.
 func (as *AddressSpace) TouchLite(vpn uint64, write bool) TouchResult {
 	if t, huge, ok := as.TouchFast(vpn, write); ok {
 		return TouchResult{Tier: t, Huge: huge}
 	}
-	return as.touchSlow(vpn, write)
+	return as.Touch(vpn, write)
 }
 
-// touchSlow handles Touch's two out-of-line cases: the first write to a
-// mapped subpage (set both touched bits), and the demand fault.
-func (as *AddressSpace) touchSlow(vpn uint64, write bool) TouchResult {
-	if vpn < uint64(len(as.pt)) {
-		if e := as.pt[vpn]; e != 0 {
-			res := TouchResult{
-				Page: as.pageAt(e),
-				Tier: tier.ID(e >> pteTierShift),
-				Huge: e&pteHuge != 0,
-			}
-			if e&pteHuge != 0 {
-				res.SubIdx = int(vpn & (tier.SubPages - 1))
-			}
-			as.pt[vpn] = e | pteTouched
-			res.Page.markTouched(res.SubIdx)
-			return res
-		}
-	}
-	return as.touchFault(vpn, write)
-}
-
-// touchFault is Touch's slow path: first touch of a reserved vpn (or a
-// touch of an unreserved one, which is a workload bug and panics).
-func (as *AddressSpace) touchFault(vpn uint64, write bool) TouchResult {
+// touchFault maps the page the first touch of vpn faults in, unseen,
+// and returns the fault cost. A touch of an unreserved vpn is a
+// workload bug and panics.
+func (as *AddressSpace) touchFault(vpn uint64) uint64 {
 	if vpn >= as.nextVPN {
 		panic(fmt.Sprintf("vm: touch of unreserved vpn %d", vpn))
 	}
-	var res TouchResult
-	res.Faulted = true
 	as.stats.Faults++
 	var pg *Page
+	ns := uint64(BaseFaultNS)
 	if as.THP && as.hugeEligible(vpn) {
-		pg = as.mapHuge(vpn - vpn%tier.SubPages)
-		res.FaultNS = HugeFaultNS
+		pg, ns = as.mapHuge(vpn), HugeFaultNS
 	} else {
 		pg = as.mapBase(vpn)
-		res.FaultNS = BaseFaultNS
 	}
-	as.stats.FaultNS += res.FaultNS
-	as.Trace.Emit(obs.EvDemandFault, pg.VPN, pg.IsHuge(), pg.Bytes(), res.FaultNS)
-	res.Page = pg
-	res.Tier = pg.Tier
-	res.Huge = pg.IsHuge()
-	if res.Huge {
-		res.SubIdx = int(vpn - pg.VPN)
-	}
-	if write {
-		as.pt[vpn] |= pteTouched
-		pg.markTouched(res.SubIdx)
-	}
-	return res
+	as.stats.FaultNS += ns
+	as.Trace.Emit(obs.EvDemandFault, pg.VPN, pg.IsHuge(), pg.Bytes(), ns)
+	return ns
 }
 
-func (as *AddressSpace) mapHuge(baseVPN uint64) *Page {
+// mapHuge maps the 2MB block around vpn as one huge page, or vpn alone
+// as a base page when no tier has a huge frame.
+func (as *AddressSpace) mapHuge(vpn uint64) *Page {
+	baseVPN := vpn - vpn%tier.SubPages
 	id := as.placeFor(true, baseVPN)
 	t := as.tierOf(id)
 	f, err := t.AllocHuge()
@@ -802,7 +804,7 @@ func (as *AddressSpace) mapHuge(baseVPN uint64) *Page {
 		// Fall back to the other tiers in chain order, then to base pages.
 		id, f, err = as.allocFallback(id, true)
 		if err != nil {
-			return as.mapBase(baseVPN)
+			return as.mapBase(vpn)
 		}
 	}
 	pg := as.newPage()
@@ -1422,7 +1424,7 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 			}
 			if pg.IsHuge() {
 				b := pg.VPN / tier.SubPages
-				if b >= uint64(len(as.bt)) || as.bt[b] != pteFor(pg) {
+				if b >= uint64(len(as.bt)) || as.bt[b]&^pteSeen != pteFor(pg) {
 					return nil, fmt.Errorf("vm: huge page %d missing or stale in the block table", pg.VPN)
 				}
 			}
@@ -1437,6 +1439,12 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 			}
 		}
 		mapped[pg]++
+		// A huge mapping's slots mirror its block entry's tier and seen
+		// bit; TouchFast reads either.
+		if pg.IsHuge() && (e^as.bt[vpn/tier.SubPages])&(pteTierMask|pteSeen) != 0 {
+			return nil, fmt.Errorf("vm: pte at vpn %d disagrees with block table entry %d on tier or seen",
+				vpn, vpn/tier.SubPages)
+		}
 	}
 	for pg, n := range mapped {
 		if n != pg.Units() {

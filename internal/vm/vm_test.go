@@ -385,6 +385,32 @@ func TestBaseFaultDegradesWhenNoHugeFrame(t *testing.T) {
 	}
 }
 
+func TestHugeFaultWithoutHugeFrameMapsTheFaultingVPN(t *testing.T) {
+	// No tier has a whole free block: a huge-eligible fault degrades
+	// to a base page at the touched vpn, not at the block's base.
+	as := newAS(t, 1, 1, true)
+	as.Touch(as.Reserve(tier.BasePageSize).BaseVPN, true)
+	stray, err := as.Cap.AllocBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := as.Reserve(tier.HugePageSize)
+	res := as.Touch(r.BaseVPN+7, true)
+	if res.Page.IsHuge() || res.Page.VPN != r.BaseVPN+7 || as.Lookup(r.BaseVPN+7) != res.Page {
+		t.Fatalf("fault at vpn %d mapped page %d (huge %v)", r.BaseVPN+7, res.Page.VPN, res.Page.IsHuge())
+	}
+	if as.Lookup(r.BaseVPN) != nil {
+		t.Fatal("fault mapped the block base as well")
+	}
+	if res2 := as.Touch(r.BaseVPN+7, false); res2.Faulted || res2.Page != res.Page {
+		t.Fatalf("second touch: %+v", res2)
+	}
+	as.Cap.FreeBase(stray)
+	if err := as.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSplitKeepsInPlaceSubpagesWithoutCopy(t *testing.T) {
 	as := newAS(t, 4, 16, true)
 	r := as.Reserve(tier.HugePageSize)
