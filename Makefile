@@ -1,11 +1,12 @@
 # CI / developer entry points. `make check` is the tier-1 gate;
 # `make race` is the short-budget race smoke over the concurrency
 # surface (parallel experiment runner, per-machine independence audit,
-# codec and sampler tests).
+# codec and sampler tests); `make digests` pins the simulated bytes of
+# the benchmark's four workloads.
 
 GO ?= go
 
-.PHONY: check fmt vet build docs test benchmod race fuzz bench benchdry figures clean
+.PHONY: check fmt vet build docs test benchmod digests race fuzz bench benchdry figures clean
 
 check: fmt vet build docs test benchmod
 
@@ -40,16 +41,26 @@ docs:
 	$(GO) run ./cmd/doclint ./internal ./cmd ./examples
 	$(GO) run ./cmd/doclint -md README.md DESIGN.md EXPERIMENTS.md docs
 
+# Simulated-bytes pin: every benchmark workload, run once at seed 42,
+# must print the sim_digest listed here (each takes seconds; all four
+# about half a minute). A change that moves simulated bytes updates
+# this list in the same diff.
+DIGESTS = fig5=da9d758ebe3cf190 memtis-silo=8a6c6f99c561cdd2 tenants=89e946e9946b237e hunt=410e5430a7b607ae
+digests:
+	@fail=0; for pin in $(DIGESTS); do \
+		w=$${pin%%=*}; want=$${pin#*=}; \
+		got=$$(bash benchmark/run.sh --workload $$w --seed 42 --seconds 0 | awk '$$1 == "sim_digest" { print $$2 }'); \
+		if [ "$$got" = "$$want" ]; then echo "sim_digest $$w $$got ok"; \
+		else echo "sim_digest $$w: got '$$got', want $$want"; fail=1; fi; \
+	done; exit $$fail
+
 # Race smoke: the parallel-runner determinism regression, the
-# per-machine shared-state audit, the VPN-sharded machine's
-# seq≡parallel byte-identity (its private-state-per-worker claim is
-# exactly what -race checks), the tenant-sharded run's byte-identity
-# (whole tenants routed across shards, DESIGN.md §13), the codec/dist
-# suites, and the multi-tenant scheduler (whole package: the scheduler
-# runs inline on the caller's goroutine, with no goroutine of its own,
-# which -race checks), all with CI-sized budgets.
+# per-machine shared-state audit, the codec/dist suites, and the
+# multi-tenant scheduler (whole package: the scheduler runs inline on
+# the caller's goroutine, with no goroutine of its own, which -race
+# checks), all with CI-sized budgets.
 race:
-	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestShardedSeqParallelIdentical|TestShardedOneShardMatchesMachine|TestShardedTenantsSeqParallelIdentical' ./internal/bench ./internal/sim
+	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism' ./internal/bench ./internal/sim
 	$(GO) test -race -run 'TestSharedRunnerParallelDeterminism' ./internal/scenario
 	$(GO) test -race ./internal/trace ./internal/dist ./internal/obs ./internal/tenant
 

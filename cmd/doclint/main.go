@@ -5,10 +5,12 @@
 // file, and — for roots under internal/ — every exported type,
 // function and method must carry its own doc comment. With -md it
 // instead lints markdown documentation: every relative link must
-// resolve to an existing file and every #fragment must match a heading
-// anchor (GitHub slug rules) in the target document. Both modes are
-// wired into `make check` via the docs target, so an undocumented
-// export or a dead doc link fails CI.
+// resolve to an existing file, every #fragment must match a heading
+// anchor (GitHub slug rules) in the target document, and every code
+// reference to a package under ./internal must name a symbol that
+// exists (see staleRefs). Both modes are wired into `make check` via the
+// docs target, so an undocumented export, a dead doc link or a stale
+// code reference fails CI.
 //
 // Usage:
 //
@@ -247,10 +249,15 @@ func lintMarkdown(args []string) int {
 	}
 	sort.Strings(files)
 
+	syms, err := packageSymbols("internal")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		return 2
+	}
 	exit := 0
 	anchorCache := map[string]map[string]bool{}
 	for _, f := range files {
-		for _, msg := range lintMarkdownFile(f, anchorCache) {
+		for _, msg := range lintMarkdownFile(f, anchorCache, syms) {
 			fmt.Fprintln(os.Stderr, "doclint:", msg)
 			exit = 1
 		}
@@ -259,14 +266,17 @@ func lintMarkdown(args []string) int {
 }
 
 // lintMarkdownFile checks one document's links, using (and filling)
-// the per-target anchor cache.
-func lintMarkdownFile(path string, anchors map[string]map[string]bool) []string {
+// the per-target anchor cache, and its code references against syms.
+func lintMarkdownFile(path string, anchors map[string]map[string]bool, syms map[string]map[string]bool) []string {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return []string{err.Error()}
 	}
 	var msgs []string
 	for ln, line := range strippedLines(string(data)) {
+		for _, ref := range staleRefs(line, syms) {
+			msgs = append(msgs, fmt.Sprintf("%s:%d: code reference %q names no symbol under internal/", path, ln+1, ref))
+		}
 		for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 			target := m[1]
 			switch {
@@ -303,6 +313,128 @@ func lintMarkdownFile(path string, anchors map[string]map[string]bool) []string 
 		}
 	}
 	return msgs
+}
+
+// codeSpan matches an inline code span; codeRef matches one that opens
+// with pkg.Name, Name capitalised so file names (`trace.mtrc`) and
+// metric names (`vm.touch_ns`) stay out, optionally continued by
+// .Member segments or ended by * (a name prefix, as in `obs.Ev*`).
+var (
+	codeSpan = regexp.MustCompile("`[^`]+`")
+	codeRef  = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.[A-Za-z_]\w*)*)(\*?)`)
+)
+
+// staleRefs returns the code references on one line that name a
+// package under internal/ but a symbol that package does not declare.
+// A reference resolves when each dotted segment after the package is a
+// symbol of it (see packageSymbols); with a trailing *, the last
+// segment need only prefix one. Spans naming other packages (`rand.New`,
+// `math.MaxUint64`) are not checked.
+func staleRefs(line string, syms map[string]map[string]bool) []string {
+	var out []string
+	for _, span := range codeSpan.FindAllString(line, -1) {
+		m := codeRef.FindStringSubmatch(strings.Trim(span, "`"))
+		if m == nil || syms[m[1]] == nil {
+			continue
+		}
+		pkg, segs, prefix := syms[m[1]], strings.Split(m[2], "."), m[3] == "*"
+		ok := true
+		for i, seg := range segs {
+			if prefix && i == len(segs)-1 {
+				ok = ok && hasPrefixed(pkg, seg)
+			} else {
+				ok = ok && pkg[seg]
+			}
+		}
+		if !ok {
+			out = append(out, m[0])
+		}
+	}
+	return out
+}
+
+func hasPrefixed(set map[string]bool, prefix string) bool {
+	for name := range set {
+		if strings.HasPrefix(name, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// packageSymbols maps each package directory directly under root to
+// the names a doc may cite from it: top-level declarations, method,
+// struct field and interface method names from its non-test files
+// (so `vm.Touch` resolves to AddressSpace.Touch), and the functions of
+// its test files.
+func packageSymbols(root string) (map[string]map[string]bool, error) {
+	entries, err := os.ReadDir(root)
+	if err != nil {
+		return nil, err
+	}
+	out := map[string]map[string]bool{}
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		dir := filepath.Join(root, e.Name())
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		set := map[string]bool{}
+		for _, path := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			test := strings.HasSuffix(path, "_test.go")
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					set[d.Name.Name] = true
+				case *ast.GenDecl:
+					if !test {
+						addSpecNames(set, d)
+					}
+				}
+			}
+		}
+		if len(set) > 0 {
+			out[e.Name()] = set
+		}
+	}
+	return out, nil
+}
+
+// addSpecNames adds a declaration's names to set, with the fields and
+// methods of the struct and interface types it declares.
+func addSpecNames(set map[string]bool, d *ast.GenDecl) {
+	for _, spec := range d.Specs {
+		switch sp := spec.(type) {
+		case *ast.ValueSpec:
+			for _, n := range sp.Names {
+				set[n.Name] = true
+			}
+		case *ast.TypeSpec:
+			set[sp.Name.Name] = true
+			var fields *ast.FieldList
+			switch t := sp.Type.(type) {
+			case *ast.StructType:
+				fields = t.Fields
+			case *ast.InterfaceType:
+				fields = t.Methods
+			}
+			if fields == nil {
+				continue
+			}
+			for _, fl := range fields.List {
+				for _, n := range fl.Names {
+					set[n.Name] = true
+				}
+			}
+		}
+	}
 }
 
 // strippedLines splits a document into lines with fenced code blocks

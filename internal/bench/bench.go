@@ -77,13 +77,6 @@ type Config struct {
 	// Mover, when enabled, runs the rate-limited background mover on
 	// every machine the harness builds (tier.MoverConfig).
 	Mover tier.MoverConfig
-
-	// Shards, when > 1, runs multi-tenant cells on an S-shard machine:
-	// whole tenants route across the shards (tenant.Runner.RunSharded)
-	// and each cell records the aggregate view. Only TenantSweep reads
-	// it; it conflicts with EventDir (a sharded cell traces per shard,
-	// not per cell) and with Topology (sharded machines are two-tier).
-	Shards int
 }
 
 // DefaultConfig returns the harness defaults used by the bench targets.

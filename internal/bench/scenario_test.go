@@ -8,18 +8,38 @@ import (
 	"memtis/internal/scenario"
 )
 
+// smokeSeeds are TestScenarioSmokeSweep's hunt seeds. Seeds 0..9 match
+// the fuzz corpus; 10/11/13/14/17/24/27 fill in the HuntShape
+// combinations (depth 2-4 with and without benefit admission and the
+// background mover) the first ten under-cover, so together they cover
+// all twelve.
+var smokeSeeds = []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 17, 24, 27}
+
 // TestScenarioSmokeSweep is the deterministic scenario sweep make
 // check runs: the listed hunt seeds must pass every conformance
 // invariant, and running each twice must produce byte-identical
 // results — the fixed-seed reproducibility the nightly fuzz job's
-// failure messages depend on. Seeds 0..9 match the fuzz corpus;
-// 10/13/14/17 fill in HuntShape combinations (depth 2-4 with and
-// without benefit admission and the background mover) the first ten
-// under-cover. Seeds 0/2/3/5/17 also draw the sharded-tenant shape
-// (shards 2 and 4), so the sweep exercises the tenant-sharded
-// byte-identity cross-check at both shard counts.
+// failure messages depend on.
 func TestScenarioSmokeSweep(t *testing.T) {
-	for _, seed := range []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14, 17} {
+	type shape struct {
+		depth          int
+		admission, mov bool
+	}
+	covered := map[shape]bool{}
+	for _, seed := range smokeSeeds {
+		d, a, m, _ := HuntShape(seed)
+		covered[shape{d, a, m}] = true
+	}
+	for d := 2; d <= 4; d++ {
+		for _, a := range []bool{false, true} {
+			for _, m := range []bool{false, true} {
+				if !covered[shape{d, a, m}] {
+					t.Errorf("no smoke seed has depth=%d admission=%t mover=%t", d, a, m)
+				}
+			}
+		}
+	}
+	for _, seed := range smokeSeeds {
 		seed := seed
 		t.Run(scenario.Generate(seed).Name, func(t *testing.T) {
 			t.Parallel()

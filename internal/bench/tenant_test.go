@@ -245,9 +245,9 @@ func (zipfHammer) Name() string { return "hammer" }
 
 func (h zipfHammer) Run(m *sim.Machine, accesses uint64) { workload.Run(m, h, accesses) }
 
-func (zipfHammer) Stream(env workload.Env, budget uint64) workload.Stream {
-	r := env.Reserve(48 << 20)
-	base := splitmix64(uint64(env.Seed) ^ fnv1a("hammer"))
+func (zipfHammer) Stream(m *sim.Machine, budget uint64) workload.Stream {
+	r := m.Reserve(48 << 20)
+	base := splitmix64(uint64(m.Cfg.Seed) ^ fnv1a("hammer"))
 	var ctr uint64
 	return workload.Sweep(func() (uint64, bool) {
 		ctr++

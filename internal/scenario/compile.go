@@ -213,7 +213,7 @@ func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 // the scenario name and the phase index (SplitMix64 over FNV-1a), so a
 // fixed (spec, machine config, budget) triple always produces a
 // byte-identical access stream and event trace.
-func (r *Runner) Stream(env workload.Env, accesses uint64) workload.Stream {
+func (r *Runner) Stream(m *sim.Machine, accesses uint64) workload.Stream {
 	if r.tn != nil {
 		panic("scenario: a multi-tenant scenario is not one stream; run it with Run")
 	}
@@ -245,7 +245,7 @@ func (r *Runner) Stream(env workload.Env, accesses uint64) workload.Stream {
 		parts = append(parts, workload.Lazy(func(uint64) workload.Stream {
 			for _, name := range cp.p.Free {
 				if reg, ok := regions[name]; ok {
-					env.Free(reg)
+					m.FreeRegion(reg)
 					delete(regions, name)
 				}
 			}
@@ -255,7 +255,7 @@ func (r *Runner) Stream(env workload.Env, accesses uint64) workload.Stream {
 			// First-touch writes of the fresh region, bounded by the run's
 			// total access budget.
 			parts = append(parts, workload.Lazy(func(done uint64) workload.Stream {
-				reg := env.Reserve(g.Bytes)
+				reg := m.Reserve(g.Bytes)
 				regions[g.Name] = reg
 				if g.SkipInit {
 					return nil
@@ -265,12 +265,12 @@ func (r *Runner) Stream(env workload.Env, accesses uint64) workload.Stream {
 		}
 		switch {
 		case cp.w != nil:
-			parts = append(parts, workload.Lazy(func(uint64) workload.Stream { return cp.w.Stream(env, target) }))
+			parts = append(parts, workload.Lazy(func(uint64) workload.Stream { return cp.w.Stream(m, target) }))
 		case cp.replay != nil:
-			parts = append(parts, workload.Lazy(func(uint64) workload.Stream { return cp.replay.Stream(env, target) }))
+			parts = append(parts, workload.Lazy(func(uint64) workload.Stream { return cp.replay.Stream(m, target) }))
 		case len(cp.p.Mix) > 0:
 			parts = append(parts, workload.Lazy(func(uint64) workload.Stream {
-				return r.mix(env.Seed, i, cp.p.Mix, regions, target)
+				return r.mix(m.Cfg.Seed, i, cp.p.Mix, regions, target)
 			}))
 		}
 	}

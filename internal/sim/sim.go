@@ -535,9 +535,6 @@ func (m *Machine) SpaceOf(p *vm.Page) *vm.AddressSpace {
 // Multi reports whether the machine hosts more than one address space.
 func (m *Machine) Multi() bool { return m.multi }
 
-// CurrentSpace returns the index of the space accesses currently target.
-func (m *Machine) CurrentSpace() int { return int(m.curID) }
-
 // SpaceAccesses returns the access count issued by space id.
 func (m *Machine) SpaceAccesses(id int) uint64 {
 	if m.spaces == nil {

@@ -26,17 +26,14 @@ type tenantCells struct {
 // and can only say no, so every policy inherits the same fairness
 // semantics without knowing tenants exist.
 //
-// An arbiter binds to one machine and the tenants hosted on it, not to
-// a scheduler: the plain runner builds one over the whole mix, the
-// sharded runner builds one per shard over that shard's local tenants
-// (each shard's fast tier is the only one its tenants contend for, so
-// the local mix is the correct contention domain). Liveness flows in
-// through addLive/removeLive at the same stream positions the plain
-// scheduler flips them.
+// Runner.Run builds one per run over the whole mix: the machine's one
+// fast tier is the contention domain for floors and weighted promotion
+// shares. Liveness flows in through addLive/removeLive at the stream
+// positions the scheduler flips it.
 type arbiter struct {
 	m     *sim.Machine
-	specs []*Spec // per hosted tenant, space order
-	live  []bool  // mirrors the scheduler's tenant liveness
+	specs []Spec // per tenant, space order
+	live  []bool // mirrors the scheduler's tenant liveness
 
 	weights []uint64 // per-tenant share weight (>= 1)
 	sumW    uint64   // Σ weights over live tenants
@@ -64,7 +61,7 @@ type arbiter struct {
 	cells []tenantCells
 }
 
-func newArbiter(m *sim.Machine, specs []*Spec, names []string) *arbiter {
+func newArbiter(m *sim.Machine, specs []Spec, names []string) *arbiter {
 	n := len(specs)
 	a := &arbiter{
 		m:                 m,

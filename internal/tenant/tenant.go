@@ -11,9 +11,7 @@
 // tenant workload is a workload.Streamer: the scheduler holds each
 // tenant's suspended stream and drives it through workload.Drive for
 // exactly one slice at a time, with no goroutine, channel operation or
-// allocation on the per-slice path. The same scheduler serves the plain
-// machine and a tenant-sharded one (shard.go); only the issuer its
-// actions go through differs.
+// allocation on the per-slice path.
 //
 // Determinism is by construction: the interleaving is a pure function
 // of the machine seed and the config, so the same seed produces
@@ -239,97 +237,30 @@ func (r *Runner) Name() string { return "tenants" }
 // target; the scheduler preempts and finally stops them at slice and
 // budget boundaries, so the total always lands exactly). The machine
 // must be fresh: single-space and not previously run.
+//
+// Tenant i runs in space i, the id its trace events carry. The QoS
+// arbiter is installed as the migration veto on the root space first,
+// so AddSpace copies it onto every additional space; the first tenant
+// keeps the root space, so a lone tenant stays on the single-space
+// fast path.
 func (r *Runner) Run(m *sim.Machine, accesses uint64) {
-	specs := make([]*Spec, len(r.cfg.Tenants))
-	names := make([]string, len(r.cfg.Tenants))
+	n := len(r.cfg.Tenants)
+	names := make([]string, n)
 	for i := range r.cfg.Tenants {
-		specs[i], names[i] = &r.cfg.Tenants[i], tenantName(&r.cfg.Tenants[i], i)
+		names[i] = tenantName(&r.cfg.Tenants[i], i)
 	}
-	mi := hostTenants(m, specs, names, 1, 0)
-	newRun(&r.cfg, mi, m.Cfg.Seed, accesses).loop()
-	mi.arb.finalize()
-}
-
-// issuer is what the scheduler acts through: the plain machine acting
-// inline (machineIssuer), or a sharded machine's lanes (shardIssuer).
-// Its workload.Target methods act on the tenant last passed to use.
-type issuer interface {
-	workload.Target
-	// use makes tenant t's address space the target of the ops that
-	// follow.
-	use(t int)
-	// env is tenant t's workload environment.
-	env(t int) workload.Env
-	// spawn brings tenant t up; exit frees its whole address space.
-	spawn(t int)
-	exit(t int)
-	// switched records a slice of the given length handed to tenant t.
-	switched(t int, slice uint64)
-	// checkFloor audits tenant t's fast-tier floor; checkFloors audits
-	// every tenant's.
-	checkFloor(t int)
-	checkFloors()
-}
-
-// machineIssuer runs the scheduler's actions inline on one machine
-// hosting some tenants, each in its own address space (space l of the
-// machine is tenant l*stride+offset, the id its trace events carry).
-// The plain runner hosts every tenant on one machine (stride 1); each
-// lane of a sharded run hosts its own tenants and runs the same
-// actions as hook ops.
-type machineIssuer struct {
-	*sim.Machine
-	arb            *arbiter
-	stride, offset int
-}
-
-// hostTenants binds tenants (specs and names in space order) to a fresh
-// machine: a QoS arbiter installed as the migration veto on the root
-// space first, so AddSpace copies it onto every additional space, then
-// one space per tenant — the first keeps the root space, so a lone
-// tenant stays on the single-space fast path.
-func hostTenants(m *sim.Machine, specs []*Spec, names []string, stride, offset int) *machineIssuer {
-	a := newArbiter(m, specs, names)
+	a := newArbiter(m, r.cfg.Tenants, names)
 	m.AS.MigrateVeto = a.veto
-	for i := 1; i < len(specs); i++ {
+	for i := 1; i < n; i++ {
 		if id := m.AddSpace(names[i]); id != i {
 			panic("tenant: machine not fresh (spaces already added)")
 		}
 	}
-	if len(specs) > 1 {
+	if n > 1 {
 		m.SetSpaceLabel(0, names[0])
 	}
-	return &machineIssuer{Machine: m, arb: a, stride: stride, offset: offset}
-}
-
-func (mi *machineIssuer) id(t int) uint64 { return uint64(t*mi.stride + mi.offset) }
-
-func (mi *machineIssuer) use(t int)        { mi.UseSpace(t) }
-func (mi *machineIssuer) checkFloor(t int) { mi.arb.checkFloor(t) }
-func (mi *machineIssuer) checkFloors()     { mi.arb.checkFloors() }
-
-// env binds a workload to the current space, which use has switched to
-// the tenant.
-func (mi *machineIssuer) env(int) workload.Env {
-	return workload.Env{Seed: mi.Cfg.Seed, Reserve: mi.Reserve, Free: mi.FreeRegion}
-}
-
-func (mi *machineIssuer) spawn(t int) {
-	mi.arb.addLive(t)
-	mi.Tracer().Emit(obs.EvTenantSpawn, mi.id(t), false, 0, 0)
-}
-
-func (mi *machineIssuer) exit(t int) {
-	mi.arb.removeLive(t)
-	as := mi.Space(t)
-	released := as.ResidentUnits() * tier.BasePageSize
-	mi.UseSpace(t)
-	mi.FreeRegion(vm.Region{BaseVPN: 0, Pages: as.ReservedPages()})
-	mi.Tracer().Emit(obs.EvTenantExit, mi.id(t), false, released, 0)
-}
-
-func (mi *machineIssuer) switched(t int, slice uint64) {
-	mi.Tracer().Emit(obs.EvTenantSwitch, mi.id(t), false, 0, slice)
+	newRun(&r.cfg, m, a, accesses).loop()
+	a.finalize()
 }
 
 // proc is one tenant's scheduler state: its suspended stream (nil until
@@ -347,9 +278,10 @@ type churnEvent struct {
 }
 
 // run is the scheduler: the weighted pick, the churn plan and the slice
-// accounting, over an issuer.
+// accounting, acting inline on the machine and its QoS arbiter.
 type run struct {
-	iss    issuer
+	m      *sim.Machine
+	arb    *arbiter
 	cfg    *Config
 	target uint64
 	slice  uint64
@@ -365,17 +297,18 @@ type run struct {
 	buf [workload.BatchSize]sim.Op
 }
 
-func newRun(cfg *Config, iss issuer, seed int64, accesses uint64) *run {
+func newRun(cfg *Config, m *sim.Machine, arb *arbiter, accesses uint64) *run {
 	n := len(cfg.Tenants)
 	st := &run{
-		iss:    iss,
+		m:      m,
+		arb:    arb,
 		cfg:    cfg,
 		target: accesses,
 		slice:  cfg.Slice,
 		procs:  make([]proc, n),
 		pk:     newWpick(n),
 		grown:  make([]vm.Region, n),
-		rng:    uint64(seed) ^ 0x74_65_6e_61_6e_74, // "tenant"
+		rng:    uint64(m.Cfg.Seed) ^ 0x74_65_6e_61_6e_74, // "tenant"
 	}
 	for i := range cfg.Tenants {
 		t := &cfg.Tenants[i]
@@ -414,7 +347,7 @@ func newRun(cfg *Config, iss issuer, seed int64, accesses uint64) *run {
 func (st *run) loop() {
 	for {
 		st.fireChurn()
-		if st.iss.TotalAccesses() >= st.target {
+		if st.m.TotalAccesses() >= st.target {
 			return
 		}
 		t := st.pick()
@@ -441,7 +374,7 @@ func (st *run) rand() uint64 {
 
 // fireChurn applies every lifecycle event whose threshold has passed.
 func (st *run) fireChurn() {
-	for st.nextEv < len(st.events) && st.events[st.nextEv].at <= st.iss.TotalAccesses() {
+	for st.nextEv < len(st.events) && st.events[st.nextEv].at <= st.m.TotalAccesses() {
 		ev := st.events[st.nextEv]
 		st.nextEv++
 		st.apply(ev)
@@ -459,7 +392,7 @@ func (st *run) apply(ev churnEvent) {
 	case ChurnShrink:
 		st.shrink(ev.tenant)
 	}
-	st.iss.checkFloors()
+	st.arb.checkFloors()
 	if st.cfg.OnChurn != nil {
 		st.cfg.OnChurn(ev.kind, ev.tenant)
 	}
@@ -468,7 +401,8 @@ func (st *run) apply(ev churnEvent) {
 func (st *run) spawn(t int) {
 	st.procs[t].live = true
 	st.pk.set(t, max(st.procs[t].spec.Weight, 1))
-	st.iss.spawn(t)
+	st.arb.addLive(t)
+	st.m.Tracer().Emit(obs.EvTenantSpawn, uint64(t), false, 0, 0)
 }
 
 // exit stops the tenant's stream and frees its entire address space.
@@ -479,7 +413,12 @@ func (st *run) exit(t int) {
 	}
 	p.live = false
 	st.pk.clear(t)
-	st.iss.exit(t)
+	st.arb.removeLive(t)
+	as := st.m.Space(t)
+	released := as.ResidentUnits() * tier.BasePageSize
+	st.m.UseSpace(t)
+	st.m.FreeRegion(vm.Region{BaseVPN: 0, Pages: as.ReservedPages()})
+	st.m.Tracer().Emit(obs.EvTenantExit, uint64(t), false, released, 0)
 }
 
 // grow reserves the tenant's churn region and write-touches it
@@ -490,18 +429,18 @@ func (st *run) grow(t int) {
 	if !p.live || p.spec.GrowBytes == 0 {
 		return
 	}
-	st.iss.use(t)
-	reg := st.iss.env(t).Reserve(p.spec.GrowBytes)
+	st.m.UseSpace(t)
+	reg := st.m.Reserve(p.spec.GrowBytes)
 	st.grown[t] = reg
-	workload.Drive(st.iss, workload.Sweep(workload.Writes(reg.BaseVPN), workload.Unbounded, reg.Pages, workload.BatchSize), st.target, st.buf[:])
+	workload.Drive(st.m, workload.Sweep(workload.Writes(reg.BaseVPN), workload.Unbounded, reg.Pages, workload.BatchSize), st.target, st.buf[:])
 }
 
 func (st *run) shrink(t int) {
 	if !st.procs[t].live || st.grown[t].Pages == 0 {
 		return
 	}
-	st.iss.use(t)
-	st.iss.env(t).Free(st.grown[t])
+	st.m.UseSpace(t)
+	st.m.FreeRegion(st.grown[t])
 	st.grown[t] = vm.Region{}
 }
 
@@ -521,7 +460,7 @@ func (st *run) pick() int {
 // machine reaches the slice end or the stream ends (its own budget,
 // measured on its own space, is spent).
 func (st *run) schedule(t int) {
-	now := st.iss.TotalAccesses()
+	now := st.m.TotalAccesses()
 	end := now + st.slice
 	if st.nextEv < len(st.events) && st.events[st.nextEv].at < end {
 		end = st.events[st.nextEv].at
@@ -529,14 +468,14 @@ func (st *run) schedule(t int) {
 	if st.target < end {
 		end = st.target
 	}
-	st.iss.use(t)
-	st.iss.switched(t, end-now)
+	st.m.UseSpace(t)
+	st.m.Tracer().Emit(obs.EvTenantSwitch, uint64(t), false, 0, end-now)
 	p := &st.procs[t]
 	if p.stream == nil {
-		p.stream = p.spec.Workload.Stream(st.iss.env(t), st.target)
+		p.stream = p.spec.Workload.Stream(st.m, st.target)
 	}
-	if !workload.Drive(st.iss, p.stream, end, st.buf[:]) {
+	if !workload.Drive(st.m, p.stream, end, st.buf[:]) {
 		st.pk.clear(t)
 	}
-	st.iss.checkFloor(t)
+	st.arb.checkFloor(t)
 }

@@ -26,8 +26,8 @@ func (s *synth) Name() string { return s.name }
 
 func (s *synth) Run(m *sim.Machine, accesses uint64) { workload.Run(m, s, accesses) }
 
-func (s *synth) Stream(env workload.Env, budget uint64) workload.Stream {
-	r := env.Reserve(s.bytes)
+func (s *synth) Stream(m *sim.Machine, budget uint64) workload.Stream {
+	r := m.Reserve(s.bytes)
 	i := uint64(0)
 	return workload.Sweep(func() (uint64, bool) {
 		i++

@@ -59,8 +59,8 @@ func (r *Replay) Run(m *sim.Machine, accesses uint64) { workload.Run(m, r, acces
 // loop the trace until the access budget is consumed (a trace shorter
 // than the budget repeats, modelling the iterative structure of the
 // original applications), the budget checked before every access.
-func (r *Replay) Stream(env workload.Env, accesses uint64) workload.Stream {
-	region := env.Reserve(r.span * tier.BasePageSize)
+func (r *Replay) Stream(m *sim.Machine, accesses uint64) workload.Stream {
+	region := m.Reserve(r.span * tier.BasePageSize)
 	if len(r.recs) == 0 {
 		return workload.Seq()
 	}

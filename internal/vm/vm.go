@@ -493,23 +493,16 @@ type Region struct {
 // Bytes returns the region length in bytes.
 func (r Region) Bytes() uint64 { return r.Pages * tier.BasePageSize }
 
-// NextReservation is Reserve's layout rule: the region Reserve(bytes)
-// carves from a space whose high-water mark is next — the base aligned
-// up to 2MB so THP regions can map huge pages, the length rounded up to
-// whole base pages. The mark moves to the region's end. Drivers that
-// queue reservations ahead of the machine predict bases with it.
-func NextReservation(next, bytes uint64) Region {
-	if rem := next % tier.SubPages; rem != 0 {
-		next += tier.SubPages - rem
-	}
-	return Region{BaseVPN: next, Pages: (bytes + tier.BasePageSize - 1) / tier.BasePageSize}
-}
-
-// Reserve allocates a 2MB-aligned virtual range of at least bytes (see
-// NextReservation). No physical memory is committed until first touch.
+// Reserve allocates a 2MB-aligned virtual range of at least bytes. No
+// physical memory is committed until first touch.
 func (as *AddressSpace) Reserve(bytes uint64) Region {
-	r := NextReservation(as.nextVPN, bytes)
-	as.nextVPN = r.BaseVPN + r.Pages
+	pages := (bytes + tier.BasePageSize - 1) / tier.BasePageSize
+	// Align the base so THP regions can map huge pages.
+	if rem := as.nextVPN % tier.SubPages; rem != 0 {
+		as.nextVPN += tier.SubPages - rem
+	}
+	r := Region{BaseVPN: as.nextVPN, Pages: pages}
+	as.nextVPN += pages
 	need := int(as.nextVPN)
 	as.ensurePT(need)
 	if nb := (need + tier.SubPages - 1) / tier.SubPages; nb > len(as.hugeOK) {

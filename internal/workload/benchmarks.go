@@ -269,12 +269,12 @@ func buildBwaves(c *ctx) Stream {
 				break
 			}
 			if freePending {
-				c.env.Free(cur)
+				c.m.FreeRegion(cur)
 				cur = vm.Region{}
 				freePending = false
 			}
 			if cur.Pages == 0 {
-				cur = c.env.Reserve(shortPages * tier.BasePageSize)
+				cur = c.m.Reserve(shortPages * tier.BasePageSize)
 				curIdx, phaseWrite = 0, true
 			}
 			dst[n] = sim.Op{VPN: cur.BaseVPN + curIdx, Write: phaseWrite}

@@ -4,24 +4,7 @@ import (
 	"math"
 
 	"memtis/internal/sim"
-	"memtis/internal/vm"
 )
-
-// Env is what a stream acts on besides its accesses: the machine seed
-// its randomness derives from, and the reservations and frees it
-// applies to its own address space. A driver binds Reserve and Free to
-// the stream's space — directly on a plain machine, or by enqueueing
-// them on the owning lane of a sharded machine.
-type Env struct {
-	// Seed is the machine seed (sim.Config.Seed).
-	Seed int64
-	// Reserve carves a region out of the stream's address space, exactly
-	// like sim.Machine.Reserve.
-	Reserve func(bytes uint64) vm.Region
-	// Free unmaps a region of the stream's address space, exactly like
-	// sim.Machine.FreeRegion.
-	Free func(r vm.Region)
-}
 
 // Stream is one run of a workload in resumable form: a single ordered
 // stream of accesses, reservations and frees. A driver pulls accesses
@@ -35,9 +18,10 @@ type Stream interface {
 	// far — the count its budget and phase bounds are measured in, which
 	// includes accesses other agents (a scheduler's grow touches) issued
 	// to the same space. Reservations and frees due before the first
-	// access written are applied through the Env during the call; none is
-	// applied once an access has been written, so issuing dst[:n] right
-	// after the call keeps every op at its exact stream position.
+	// access written are applied to the machine's current space during
+	// the call; none is applied once an access has been written, so
+	// issuing dst[:n] right after the call keeps every op at its exact
+	// stream position.
 	Next(dst []sim.Op, done uint64) int
 }
 
@@ -46,49 +30,38 @@ type Stream interface {
 // single-tenant scenarios and the tenant sweep's loads.
 type Streamer interface {
 	sim.Workload
-	// Stream starts a run of the workload with the given access budget
-	// (the same budget Run takes) against env. It may apply the run's
-	// first reservations through env before returning.
-	Stream(env Env, budget uint64) Stream
-}
-
-// Target is where Drive issues a stream's accesses: the stream's
-// address space on some machine. *sim.Machine is a Target for its
-// current space.
-type Target interface {
-	// Accesses is the stream's address space's access count.
-	Accesses() uint64
-	// TotalAccesses is the machine-wide access count Drive's end bound
-	// is measured in.
-	TotalAccesses() uint64
-	// AccessBatch issues ops in order, as sim.Machine.AccessBatch does.
-	AccessBatch(ops []sim.Op)
+	// Stream starts a run of the workload on m with the given access
+	// budget (the same budget Run takes). The stream seeds its randomness
+	// from m.Cfg.Seed and reserves and frees through m.Reserve and
+	// m.FreeRegion, which act on whichever space is current when it
+	// pulls — the driver keeps that the stream's own. It may apply the
+	// run's first reservations before returning.
+	Stream(m *sim.Machine, budget uint64) Stream
 }
 
 // Drive is the one drive loop every workload runs under: it issues s's
-// accesses on t in maximal batches of up to len(buf), until the stream
-// ends (false) or t's machine-wide count reaches end (true, the stream
-// is suspended and may be driven again). Reservations and frees land
-// between batches at their exact stream position.
-func Drive(t Target, s Stream, end uint64, buf []sim.Op) bool {
+// accesses to m's current space in maximal batches of up to len(buf),
+// until the stream ends (false) or m's machine-wide count reaches end
+// (true, the stream is suspended and may be driven again). Reservations
+// and frees land between batches at their exact stream position.
+func Drive(m *sim.Machine, s Stream, end uint64, buf []sim.Op) bool {
 	for {
-		total := t.TotalAccesses()
+		total := m.TotalAccesses()
 		if total >= end {
 			return true
 		}
-		n := s.Next(buf[:min(uint64(len(buf)), end-total)], t.Accesses())
+		n := s.Next(buf[:min(uint64(len(buf)), end-total)], m.Accesses())
 		if n == 0 {
 			return false
 		}
-		t.AccessBatch(buf[:n])
+		m.AccessBatch(buf[:n])
 	}
 }
 
 // Run drives w for budget accesses on m's current address space: the
 // sim.Workload Run of every streaming workload.
 func Run(m *sim.Machine, w Streamer, budget uint64) {
-	s := w.Stream(Env{Seed: m.Cfg.Seed, Reserve: m.Reserve, Free: m.FreeRegion}, budget)
-	Drive(m, s, math.MaxUint64, make([]sim.Op, BatchSize))
+	Drive(m, w.Stream(m, budget), math.MaxUint64, make([]sim.Op, BatchSize))
 }
 
 // BatchSize is the drive batch: large enough to amortise the per-batch
@@ -140,7 +113,7 @@ func (p *sweep) Next(dst []sim.Op, done uint64) int {
 
 // Lazy returns a stream built when it is first pulled, from the space's
 // access count at that point. build may apply reservations and frees
-// through the stream's Env; a nil result issues nothing.
+// to the machine; a nil result issues nothing.
 func Lazy(build func(done uint64) Stream) Stream { return &lazy{build: build} }
 
 type lazy struct {
@@ -160,7 +133,7 @@ func (l *lazy) Next(dst []sim.Op, done uint64) int {
 
 // Seq returns a stream running ss one after another. A stream is
 // entered only once every access written before it has been issued, so
-// what its first pull applies through the Env lands in order.
+// what its first pull applies to the machine lands in order.
 func Seq(ss ...Stream) Stream { return &seq{ss: ss} }
 
 type seq struct{ ss []Stream }

@@ -112,11 +112,11 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) { Run(m, s, accesses) }
 // Stream implements Streamer: reserve every region, first-touch the
 // initialised ones page by page (budget checked before every access),
 // then draw the steady mix until the budget is exhausted.
-func (s *Synthetic) Stream(env Env, accesses uint64) Stream {
-	rng := rand.New(rand.NewSource(env.Seed ^ int64(len(s.spec.Name))<<7))
+func (s *Synthetic) Stream(m *sim.Machine, accesses uint64) Stream {
+	rng := rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(s.spec.Name))<<7))
 	regions := map[string]region{}
 	for _, rs := range s.spec.Regions {
-		r := env.Reserve(rs.Bytes)
+		r := m.Reserve(rs.Bytes)
 		regions[rs.Name] = region{r: r, pages: r.Pages}
 	}
 	var parts []Stream

@@ -94,10 +94,10 @@ func (w *W) Run(m *sim.Machine, accesses uint64) { Run(m, w, accesses) }
 // applied before Stream returns; an exhausted budget skips every
 // access but no reservation, so a zero budget leaves the model's
 // address space laid out and untouched.
-func (w *W) Stream(env Env, budget uint64) Stream {
+func (w *W) Stream(m *sim.Machine, budget uint64) Stream {
 	c := &ctx{
-		env:    env,
-		rng:    rand.New(rand.NewSource(env.Seed ^ int64(len(w.spec.Name)<<8))),
+		m:      m,
+		rng:    rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8))),
 		budget: budget,
 		spec:   w.spec,
 	}
@@ -164,10 +164,11 @@ func All() []*W {
 	return ws
 }
 
-// ctx carries build state shared by the generators: the stream's
-// environment and budget, and the initialisation phase queued so far.
+// ctx carries build state shared by the generators: the machine the
+// stream reserves and frees on, its budget, and the initialisation
+// phase queued so far.
 type ctx struct {
-	env    Env
+	m      *sim.Machine
 	rng    *rand.Rand
 	budget uint64
 	spec   Spec
@@ -181,7 +182,7 @@ type region struct {
 }
 
 func (c *ctx) reserve(bytes uint64) region {
-	r := c.env.Reserve(bytes)
+	r := c.m.Reserve(bytes)
 	return region{r: r, pages: r.Pages}
 }
 

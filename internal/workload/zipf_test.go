@@ -18,8 +18,7 @@ func TestZipfMatchesRandZipf(t *testing.T) {
 	defer func() { zipfBuilt = nil }()
 	var seen int
 	for _, w := range All() {
-		m := machineFor(w.Spec(), 1)
-		w.Stream(Env{Seed: 1, Reserve: m.Reserve, Free: m.FreeRegion}, 0)
+		w.Stream(machineFor(w.Spec(), 1), 0)
 		if len(cases) == seen {
 			t.Fatalf("%s built no Zipf sampler", w.Name())
 		}
