@@ -268,8 +268,9 @@ func (m *Monitor) Regions() int { return len(m.regions) }
 // region) are indistinguishable to the estimator, so a tied group that
 // straddles the decile boundary contributes its mean true volume per
 // slot taken — the score any order of the ties would get on average,
-// and one that never depends on map iteration order.
-func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
+// and one that never depends on map iteration order. regions is the
+// estimate's snapshot, sorted and disjoint as the monitor keeps them.
+func hotOverlap(regions []Region, truth map[uint64]uint64) float64 {
 	if len(truth) == 0 {
 		return 0
 	}
@@ -281,7 +282,7 @@ func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 	es := make([]pv, 0, len(truth))
 	for p, c := range truth {
 		vols = append(vols, float64(c))
-		es = append(es, pv{p, est[p]})
+		es = append(es, pv{p, pageEstimate(regions, p)})
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(vols)))
 	// Within a tie group, VPN order fixes the summation order.
@@ -317,9 +318,9 @@ func hotOverlap(est map[uint64]float64, truth map[uint64]uint64) float64 {
 	return capturedVol / idealVol
 }
 
-// estimateAt renders the snapshot covering time t (the latest snapshot
-// at or before t, else the first) as per-page frequency estimates.
-func estimateAt(snaps []Snapshot, t uint64) map[uint64]float64 {
+// estimateAt returns the regions of the snapshot covering time t (the
+// latest snapshot at or before t, else the first).
+func estimateAt(snaps []Snapshot, t uint64) []Region {
 	if len(snaps) == 0 {
 		return nil
 	}
@@ -331,19 +332,21 @@ func estimateAt(snaps []Snapshot, t uint64) map[uint64]float64 {
 			break
 		}
 	}
-	est := make(map[uint64]float64)
-	for _, r := range chosen.Regions {
-		if r.End <= r.Start {
-			continue
-		}
-		// Per-page frequency: region hits spread over the region span,
-		// so coarse regions blur spatially.
-		f := float64(r.NrAccesses) / float64(r.End-r.Start)
-		for p := r.Start; p < r.End; p++ {
-			est[p] += f
-		}
+	return chosen.Regions
+}
+
+// pageEstimate returns page p's frequency estimate under sorted,
+// disjoint regions: the hits of the region holding p spread over the
+// region's span, so coarse regions blur spatially. A page no region
+// holds estimates 0; so does every page of a region with End <= Start,
+// which the containment test skips.
+func pageEstimate(regions []Region, p uint64) float64 {
+	i := sort.Search(len(regions), func(i int) bool { return regions[i].End > p })
+	if i == len(regions) || p < regions[i].Start {
+		return 0
 	}
-	return est
+	r := regions[i]
+	return float64(r.NrAccesses) / float64(r.End-r.Start)
 }
 
 // Accuracy compares the monitor's view against a per-time-window ground

@@ -150,13 +150,12 @@ func TestAccuracyEmptyInputs(t *testing.T) {
 // straddling the top decile counts its mean true volume per slot.
 func TestHotOverlapTiesDeterministic(t *testing.T) {
 	truth := map[uint64]uint64{}
-	est := map[uint64]float64{}
 	var total float64
 	for p := uint64(0); p < 400; p++ {
 		truth[p] = 1 + (p*7919)%97
 		total += float64(truth[p])
-		est[p] = 0.5 // one region: every estimate tied
 	}
+	est := []Region{{Start: 0, End: 400, NrAccesses: 200}} // every estimate tied at 0.5
 	want := hotOverlap(est, truth)
 	for i := 0; i < 50; i++ {
 		if got := hotOverlap(est, truth); got != want {
@@ -175,5 +174,37 @@ func TestHotOverlapTiesDeterministic(t *testing.T) {
 	// The top decile takes 40 of the 400 tied slots: a tenth of the total.
 	if exp := total / 10 / ideal; math.Abs(want-exp) > 1e-12 {
 		t.Fatalf("tied score %v, want %v", want, exp)
+	}
+}
+
+// TestPageEstimateMatchesExpansion holds the binary-search lookup
+// against the naive expansion it replaced — each snapshot spread into
+// a per-page map — on every snapshot of an adaptive run, at every page
+// of the range and just past both ends.
+func TestPageEstimateMatchesExpansion(t *testing.T) {
+	const start, end = 100, 100 + 1<<12
+	m := NewMonitor(Config{SampleIntervalNS: 1000, MinRegions: 8, MaxRegions: 64, AggrSamples: 5, Seed: 4}, start, end)
+	rng := rand.New(rand.NewSource(4))
+	var now uint64
+	for i := 0; i < 20_000; i++ {
+		now += 50
+		m.Observe(start+rng.Uint64()%(end-start)/uint64(1+rng.Intn(8)), now)
+	}
+	m.Finish(now)
+	for k, snap := range m.Snapshots() {
+		est := make(map[uint64]float64)
+		for _, r := range snap.Regions {
+			if r.End <= r.Start {
+				continue
+			}
+			for p := r.Start; p < r.End; p++ {
+				est[p] += float64(r.NrAccesses) / float64(r.End-r.Start)
+			}
+		}
+		for p := uint64(start - 2); p < end+2; p++ {
+			if got := pageEstimate(snap.Regions, p); got != est[p] {
+				t.Fatalf("snapshot %d page %d: lookup %v, expansion %v", k, p, got, est[p])
+			}
+		}
 	}
 }

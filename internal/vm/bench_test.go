@@ -54,3 +54,26 @@ func BenchmarkForEachPageAllocs(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAudit times one full Audit of a 32MB space, mapped with
+// huge pages and with base pages. The conformance probes run Audit
+// every few thousand simulated accesses, so its cost is a share of the
+// scenario hunt's wall time; allocs/op stays flat in the page count.
+func BenchmarkAudit(b *testing.B) {
+	for _, thp := range []bool{true, false} {
+		name := "base"
+		if thp {
+			name = "huge"
+		}
+		b.Run(name, func(b *testing.B) {
+			as, _ := benchAS(b, thp)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := as.Audit(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -201,7 +201,7 @@ func TestWatchReachesOwnerSpace(t *testing.T) {
 	if a.pt[ra.BaseVPN]&pteSeen == 0 {
 		t.Fatal("Watch cleared the handle space's own slot at the same vpn")
 	}
-	if err := AuditShared(fast, capT, owners); err != nil {
+	if err := AuditSharedTiers([]*tier.Tier{fast, capT}, owners); err != nil {
 		t.Fatal(err)
 	}
 	b.Watch(pa)

@@ -1344,16 +1344,19 @@ func (p *Page) EnsureSubCount() {
 //   - no dead page is reachable through the page table;
 //   - every live page maps exactly its own VPN range (huge pages cover
 //     all 512 slots, base pages exactly one);
-//   - no physical frame backs two pages (no double-mapping);
+//   - no physical frame backs two pages (no double-mapping), and none
+//     lies beyond its tier's capacity;
 //   - per-tier allocated-frame counts equal the sum of live page sizes
 //     (no frame lost by an aborted transaction, none leaked).
 //
-// It is O(address space) with a map allocation per call: a test-time
-// invariant checker (the fault conformance suite runs it), not a
+// It is O(address space + tier capacity) and makes the same few slice
+// allocations per call however many pages are mapped (one bit per tier
+// frame, one counter per page record): a test-time invariant checker
+// (the conformance probes run it every few thousand accesses), not a
 // production path.
 func (as *AddressSpace) Audit() error {
-	owner := make(map[tier.PhysAddr]uint64)
-	units, err := as.auditMapped(owner)
+	a := newFrameAudit(as.tiers, []*AddressSpace{as})
+	units, err := as.auditMapped(&a)
 	if err != nil {
 		return err
 	}
@@ -1366,15 +1369,83 @@ func (as *AddressSpace) Audit() error {
 	return nil
 }
 
+// frameAudit is the scratch of one Audit or AuditSharedTiers call,
+// allocated per call so that AddressSpace carries no audit state. used
+// holds one bit per frame of each tier, set when a mapped page claims
+// the frame; slots counts the page-table slots mapping each record of
+// the space being walked, indexed by arena index.
+type frameAudit struct {
+	used   [][]uint64
+	slots  []uint32
+	spaces []*AddressSpace // every space the call walks, in walk order
+}
+
+func newFrameAudit(tiers []*tier.Tier, spaces []*AddressSpace) frameAudit {
+	a := frameAudit{used: make([][]uint64, len(tiers)), spaces: spaces}
+	for i, t := range tiers {
+		a.used[i] = make([]uint64, t.CapacityFrames()/64) // whole 2MB blocks
+	}
+	var recs uint32
+	for _, as := range spaces {
+		recs = max(recs, as.nAlloc)
+	}
+	a.slots = make([]uint32, recs)
+	return a
+}
+
+// claim marks pg's frames used. It fails when a frame lies beyond the
+// tier's capacity or an earlier page of the walk already claimed it.
+func (a *frameAudit) claim(pg *Page) error {
+	bm := a.used[pg.Tier]
+	end := uint64(pg.Frame) + pg.Units()
+	if capF := uint64(len(bm)) * 64; end > capF {
+		return fmt.Errorf("vm: page %d maps frames %d..%d beyond the %s tier's %d",
+			pg.VPN, pg.Frame, end-1, pg.Tier, capF)
+	}
+	for f := uint64(pg.Frame); f < end; f++ {
+		w, b := f/64, f%64
+		if bm[w]&(1<<b) != 0 {
+			pa := tier.PhysAddr{Tier: pg.Tier, Frame: tier.Frame(f)}
+			return fmt.Errorf("vm: frame %v double-mapped by pages %d and %d",
+				pa, a.firstMapper(pa), pg.VPN)
+		}
+		bm[w] |= 1 << b
+	}
+	return nil
+}
+
+// firstMapper names the page that claimed frame pa before the walk
+// found it claimed again: it re-walks the spaces in walk order and
+// returns the VPN of the first page covering pa. The walk stops at its
+// first double mapping, so exactly one page ahead of the failing slot
+// covers pa; every other cover sits at or after that slot. Only a
+// failing audit pays for this second walk, which is what spares the
+// audit a frame-owner table.
+func (a *frameAudit) firstMapper(pa tier.PhysAddr) uint64 {
+	for _, as := range a.spaces {
+		for _, e := range as.pt {
+			if e == 0 {
+				continue
+			}
+			if pg := as.pageAt(e); pg.Tier == pa.Tier && pa.Frame >= pg.Frame &&
+				uint64(pa.Frame-pg.Frame) < pg.Units() {
+				return pg.VPN
+			}
+		}
+	}
+	panic(fmt.Sprintf("vm: audit found frame %v claimed twice but no page covering it", pa))
+}
+
 // auditMapped walks one space's page table, checking the per-space
 // invariants (no dead or out-of-range mappings, every page owned by
-// this space, no frame double-mapped — including against frames the
-// shared owner map already holds from sibling spaces — and the
+// this space, no frame double-mapped — including against frames that
+// sibling spaces walked earlier in the same audit claimed — and the
 // incremental resident/fast unit counters exact) and returns the
 // mapped units per tier (indexed by chain position).
-func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, error) {
+func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 	units := make([]uint64, len(as.tiers))
-	mapped := make(map[*Page]uint64)
+	slots := a.slots[:as.nAlloc]
+	clear(slots)
 	for vpn, e := range as.pt {
 		if e == 0 {
 			continue
@@ -1410,7 +1481,7 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 			return nil, fmt.Errorf("vm: pte at vpn %d touched bit set but page %d subpage %d is clean",
 				vpn, pg.VPN, off)
 		}
-		if mapped[pg] == 0 {
+		if slots[pg.arIdx] == 0 {
 			// First sighting: account frames and check uniqueness.
 			if pg.Tier < 0 || int(pg.Tier) >= len(as.tiers) {
 				return nil, fmt.Errorf("vm: page %d on tier %v", pg.VPN, pg.Tier)
@@ -1422,16 +1493,11 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 				}
 			}
 			units[pg.Tier] += pg.Units()
-			for u := uint64(0); u < pg.Units(); u++ {
-				pa := tier.PhysAddr{Tier: pg.Tier, Frame: pg.Frame + tier.Frame(u)}
-				if prev, dup := owner[pa]; dup {
-					return nil, fmt.Errorf("vm: frame %v double-mapped by pages %d and %d",
-						pa, prev, pg.VPN)
-				}
-				owner[pa] = pg.VPN
+			if err := a.claim(pg); err != nil {
+				return nil, err
 			}
 		}
-		mapped[pg]++
+		slots[pg.arIdx]++
 		// A huge mapping's slots mirror its block entry's tier and seen
 		// bit; TouchFast reads either.
 		if pg.IsHuge() && (e^as.bt[vpn/tier.SubPages])&(pteTierMask|pteSeen) != 0 {
@@ -1439,8 +1505,11 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 				vpn, vpn/tier.SubPages)
 		}
 	}
-	for pg, n := range mapped {
-		if n != pg.Units() {
+	for i, n := range slots {
+		if n == 0 {
+			continue
+		}
+		if pg := as.pageAt(pte(i + 1)); uint64(n) != pg.Units() {
 			return nil, fmt.Errorf("vm: page %d maps %d of its %d slots", pg.VPN, n, pg.Units())
 		}
 	}
@@ -1471,30 +1540,22 @@ func (as *AddressSpace) auditMapped(owner map[tier.PhysAddr]uint64) ([]uint64, e
 	return units, nil
 }
 
-// AuditShared verifies the frame-accounting invariants of several
-// address spaces sharing one tier pair: each space individually clean,
-// no frame mapped by two spaces, and the tiers' allocated-frame counts
-// equal to the sum of all spaces' live mappings. This is the
-// multi-tenant Audit over the historical two-tier machine; deeper
-// chains use AuditSharedTiers.
-func AuditShared(fast, cap *tier.Tier, spaces []*AddressSpace) error {
-	return AuditSharedTiers([]*tier.Tier{fast, cap}, spaces)
-}
-
-// AuditSharedTiers is AuditShared over an N-deep tier chain: each
-// space individually clean, no frame mapped by two spaces, and every
-// tier's allocated-frame count equal to the sum of all spaces' live
-// mappings on it — no page lost across any hop.
+// AuditSharedTiers verifies the frame-accounting invariants of several
+// address spaces sharing one N-deep tier chain: each space individually
+// clean, no frame mapped by two spaces, and every tier's
+// allocated-frame count equal to the sum of all spaces' live mappings
+// on it — no page lost across any hop. With no spaces, every tier must
+// have no frame allocated.
 func AuditSharedTiers(tiers []*tier.Tier, spaces []*AddressSpace) error {
-	owner := make(map[tier.PhysAddr]uint64)
+	a := newFrameAudit(tiers, spaces)
 	units := make([]uint64, len(tiers))
 	for _, as := range spaces {
-		us, err := as.auditMapped(owner)
+		if len(as.tiers) != len(tiers) {
+			return fmt.Errorf("space %d: %d tiers in chain, audit expects %d", as.Tenant, len(as.tiers), len(tiers))
+		}
+		us, err := as.auditMapped(&a)
 		if err != nil {
 			return fmt.Errorf("space %d: %w", as.Tenant, err)
-		}
-		if len(us) != len(tiers) {
-			return fmt.Errorf("space %d: %d tiers in chain, audit expects %d", as.Tenant, len(us), len(tiers))
 		}
 		for i, u := range us {
 			units[i] += u
