@@ -2,11 +2,12 @@
 # `make race` is the short-budget race smoke over the concurrency
 # surface (parallel experiment runner, per-machine independence audit,
 # codec and sampler tests); `make digests` pins the simulated bytes of
-# the benchmark's four workloads.
+# the benchmark's four workloads; `make figpins` pins every byte
+# paperfigs writes at a reduced budget.
 
 GO ?= go
 
-.PHONY: check fmt vet build docs test benchmod digests race fuzz bench benchdry figures clean
+.PHONY: check fmt vet build docs test benchmod digests figpins race fuzz bench benchdry figures clean
 
 check: fmt vet build docs test benchmod
 
@@ -54,13 +55,35 @@ digests:
 		else echo "sim_digest $$w: got '$$got', want $$want"; fail=1; fi; \
 	done; exit $$fail
 
-# Race smoke: the parallel-runner determinism regression, the
-# per-machine shared-state audit, the codec/dist suites, and the
-# multi-tenant scheduler (whole package: the scheduler runs inline on
-# the caller's goroutine, with no goroutine of its own, which -race
-# checks), all with CI-sized budgets.
+# Pipeline pin: every paperfigs job at 200k accesses per run, once at
+# one worker and once at two, must write exactly the files and bytes
+# FIGPINS lists (about 10-20 s each on two cores). A change that moves
+# simulated bytes regenerates the list in the same diff: run
+# `paperfigs -accesses 200000 -quiet -out DIR`, then in DIR
+# `LC_ALL=C sha256sum $(LC_ALL=C ls) > FIGPINS`.
+FIGPINS = cmd/paperfigs/testdata/figpins.sha256
+figpins:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/paperfigs ./cmd/paperfigs && \
+	for p in 1 2; do \
+		d=$$tmp/out$$p; \
+		$$tmp/paperfigs -accesses 200000 -quiet -parallel $$p -out $$d > /dev/null || exit 1; \
+		if [ $$(ls $$d | wc -l) -ne $$(wc -l < $(FIGPINS)) ]; then \
+			echo "figpins -parallel $$p: files written differ from $(FIGPINS)"; exit 1; \
+		fi; \
+		(cd $$d && sha256sum --quiet -c $(CURDIR)/$(FIGPINS)) || \
+			{ echo "figpins -parallel $$p: bytes moved"; exit 1; }; \
+		echo "figpins -parallel $$p ok"; \
+	done
+
+# Race smoke: the parallel-runner determinism regressions (matrix and
+# every figure that simulates), the per-machine shared-state audit,
+# the codec/dist suites, and the multi-tenant scheduler (whole
+# package: the scheduler runs inline on the caller's goroutine, with
+# no goroutine of its own, which -race checks), all with CI-sized
+# budgets.
 race:
-	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism' ./internal/bench ./internal/sim
+	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestFiguresParallelMatchSequential' ./internal/bench ./internal/sim
 	$(GO) test -race -run 'TestSharedRunnerParallelDeterminism' ./internal/scenario
 	$(GO) test -race ./internal/trace ./internal/dist ./internal/obs ./internal/tenant
 

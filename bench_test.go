@@ -64,7 +64,10 @@ func BenchmarkTable1_Traits(b *testing.B) {
 func BenchmarkFig1_DAMON(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		res, _ := bench.Fig1(cfg)
+		res, _, err := bench.Sequential().Fig1(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(res[2].CPU, "fine_cpu")
 		b.ReportMetric(res[2].Accuracy, "fine_accuracy")
 		b.ReportMetric(res[0].CPU, "coarse_cpu")
@@ -74,7 +77,10 @@ func BenchmarkFig1_DAMON(b *testing.B) {
 func BenchmarkFig2_HeMemHotset(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		series, _ := bench.Fig2(cfg)
+		series, _, err := bench.Sequential().Fig2(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range series {
 			var maxHot uint64
 			for _, p := range s.Points {
@@ -91,7 +97,10 @@ func BenchmarkFig3_Utilization(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Accesses = 2_500_000
 	for i := 0; i < b.N; i++ {
-		data, t := bench.Fig3(cfg)
+		data, t, err := bench.Sequential().Fig3(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(data) != 2 || len(t.Rows) != 2 {
 			b.Fatal("fig3 incomplete")
 		}
@@ -101,7 +110,10 @@ func BenchmarkFig3_Utilization(b *testing.B) {
 func BenchmarkTable2_Workloads(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		t := bench.Table2(cfg)
+		t, err := bench.Sequential().Table2(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(t.Rows) != 8 {
 			b.Fatal("table 2 incomplete")
 		}
@@ -111,7 +123,10 @@ func BenchmarkTable2_Workloads(b *testing.B) {
 func BenchmarkTable3_OverAlloc(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		over, _ := bench.Table3(cfg)
+		over, _, err := bench.Sequential().Table3(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, v := range over {
 			if v == 0 {
 				b.Fatal("zero over-allocation")
@@ -123,7 +138,10 @@ func BenchmarkTable3_OverAlloc(b *testing.B) {
 func BenchmarkFig5_Main(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		m, _ := bench.Fig5(cfg, nil, nil, nil)
+		m, _, err := bench.Sequential().Fig5(context.Background(), cfg, nil, nil, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		reportMatrix(b, m, []string{"1:2", "1:8", "1:16"})
 	}
 }
@@ -150,7 +168,10 @@ func BenchmarkFig5_RunnerParallel8(b *testing.B)  { benchmarkFig5Runner(b, 8) }
 func BenchmarkFig6_Scalability(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		m, _ := bench.Fig6(cfg, []string{"tpp", "hemem", "memtis"})
+		m, _, err := bench.Sequential().Fig6(context.Background(), cfg, []string{"tpp", "hemem", "memtis"})
+		if err != nil {
+			b.Fatal(err)
+		}
 		small, _ := m.Get("graph500", "128GB", "memtis")
 		big, _ := m.Get("graph500", "690GB", "memtis")
 		b.ReportMetric(small, "memtis_128GB")
@@ -161,7 +182,10 @@ func BenchmarkFig6_Scalability(b *testing.B) {
 func BenchmarkFig7_2to1(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		m, _ := bench.Fig7(cfg)
+		m, _, err := bench.Sequential().Fig7(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var memtisWins int
 		for _, c := range m.Cells {
 			if c.Policy != "memtis" {
@@ -178,7 +202,10 @@ func BenchmarkFig7_2to1(b *testing.B) {
 func BenchmarkFig8_HeMemPlus(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		m, _ := bench.Fig8(cfg)
+		m, _, err := bench.Sequential().Fig8(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var wins, cells int
 		for _, c := range m.Cells {
 			if c.Policy != "memtis" {
@@ -196,7 +223,10 @@ func BenchmarkFig8_HeMemPlus(b *testing.B) {
 func BenchmarkFig9_Hotset(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		series, _ := bench.Fig9(cfg)
+		series, _, err := bench.Sequential().Fig9(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range series {
 			if s.Workload != "xsbench" || s.Ratio != "1:8" {
 				continue
@@ -220,7 +250,10 @@ func BenchmarkFig9_Hotset(b *testing.B) {
 func BenchmarkFig10_Ablation(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		rows, _ := bench.Fig10(cfg)
+		rows, _, err := bench.Sequential().Fig10(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range rows {
 			if r.Workload == "silo" {
 				b.ReportMetric(r.PerfFull/r.PerfVanilla, "silo_full_over_vanilla")
@@ -233,7 +266,10 @@ func BenchmarkFig11_SplitTimeline(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Accesses = 2_500_000
 	for i := 0; i < b.N; i++ {
-		series, _ := bench.Fig11(cfg)
+		series, _, err := bench.Sequential().Fig11(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, s := range series {
 			if s.Workload == "btree" && s.Policy == "memtis" {
 				b.ReportMetric(float64(s.Splits), "btree_splits")
@@ -247,7 +283,10 @@ func BenchmarkFig12_HitRatios(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Accesses = 2_500_000
 	for i := 0; i < b.N; i++ {
-		rows, _ := bench.Fig12(cfg)
+		rows, _, err := bench.Sequential().Fig12(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range rows {
 			if r.Workload == "silo" {
 				b.ReportMetric(r.EHR-r.RHRNS, "silo_eHR_minus_rHRNS")
@@ -261,7 +300,10 @@ func BenchmarkFig13_Sensitivity(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Accesses = 800_000 // 8 workloads x 2 params x 5 points x 2 runs
 	for i := 0; i < b.N; i++ {
-		m, _ := bench.Fig13(cfg)
+		m, _, err := bench.Sequential().Fig13(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		// Default-interval cells are 1.0 by construction; report the
 		// worst deviation at the extremes.
 		worst := 1.0
@@ -277,7 +319,10 @@ func BenchmarkFig13_Sensitivity(b *testing.B) {
 func BenchmarkFig14_CXL(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		m, _ := bench.Fig14(cfg)
+		m, _, err := bench.Sequential().Fig14(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var wins, cells int
 		for _, c := range m.Cells {
 			if c.Policy != "memtis" {
@@ -295,7 +340,10 @@ func BenchmarkFig14_CXL(b *testing.B) {
 func BenchmarkOverhead_Sampler(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		rows, _ := bench.Overhead(cfg)
+		rows, _, err := bench.Sequential().Overhead(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var sum float64
 		for _, r := range rows {
 			sum += r.AvgCPU

@@ -103,7 +103,7 @@ func main() {
 			fmt.Printf("  %-12s %6.1f paper-GB  %s\n", s.Name, s.PaperRSSGB, s.Description)
 		}
 		fmt.Println("policies:")
-		for _, p := range append(append([]string{}, bench.Policies...), "memtis-ns", "memtis-vanilla", "static", "all-fast", "all-capacity") {
+		for _, p := range bench.AllPolicies {
 			fmt.Printf("  %s\n", p)
 		}
 		return

@@ -2,10 +2,12 @@
 // evaluation section (see DESIGN.md §3 for the experiment index) and
 // writes both aligned-text and CSV outputs into a results directory.
 //
-// The matrix-shaped experiments (fig5, fig6, fig7, fig8, fig14) fan
-// their cells out to a worker pool with deterministic per-cell seeds
-// (DESIGN.md §4 "Reproducibility & parallelism"): -parallel changes
-// wall-clock time only, never a single output byte.
+// Every job that simulates fans its runs out to one worker pool as
+// cells, each with a seed fixed by -seed alone (DESIGN.md §4
+// "Reproducibility & parallelism"): -parallel changes wall-clock time
+// only, never a single output byte. Every job shows the progress line
+// and, on Ctrl-C, reports how many of its cells finished. An unknown
+// -only name exits 2 before anything runs.
 //
 // Usage:
 //
@@ -40,7 +42,7 @@ func main() {
 		only     = flag.String("only", "", "comma-separated subset (fig1,fig2,fig3,fig5,fig6,fig7,fig8,fig9,fig10,fig11,fig12,fig13,fig14,table1,table2,table3,overhead,tenantsweep,faultsweep,depthsweep)")
 		accesses = flag.Uint64("accesses", 2_000_000, "access budget per run")
 		seed     = flag.Int64("seed", 42, "RNG seed")
-		parallel = flag.Int("parallel", 0, "worker pool size for matrix experiments (0 = GOMAXPROCS, 1 = sequential)")
+		parallel = flag.Int("parallel", 0, "worker pool size for every job that simulates (0 = GOMAXPROCS, 1 = sequential)")
 		quiet    = flag.Bool("quiet", false, "suppress the per-cell progress line")
 		scens    = flag.String("scenarios", "", "comma-separated scenario spec files: adds a \"scenarios\" job running each through the Figure 5 policy/ratio matrix (additive; paper figures are unaffected)")
 	)
@@ -58,37 +60,22 @@ func main() {
 		runner.Progress = progressLine
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, f := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(f)] = true
-		}
-	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-
 	type job struct {
 		name string
 		run  func() (bench.Table, error)
 	}
-	seqTable := func(f func() bench.Table) func() (bench.Table, error) {
-		return func() (bench.Table, error) { return f(), nil }
-	}
 	jobs := []job{
-		{"table1", seqTable(func() bench.Table { return bench.Table1() })},
-		{"fig1", seqTable(func() bench.Table { _, t := bench.Fig1(cfg); return t })},
-		{"fig2", seqTable(func() bench.Table {
-			series, t := bench.Fig2(cfg)
+		{"table1", func() (bench.Table, error) { return bench.Table1(), nil }},
+		{"fig1", func() (bench.Table, error) { return tableOf(runner.Fig1(ctx, cfg)) }},
+		{"fig2", func() (bench.Table, error) {
+			series, t, err := runner.Fig2(ctx, cfg)
 			for _, s := range series {
 				writeSeries(*out, fmt.Sprintf("fig2_%s.csv", s.Workload), s.Points, s.FastBytes)
 			}
-			return t
-		})},
-		{"fig3", seqTable(func() bench.Table {
-			data, t := bench.Fig3(cfg)
+			return t, err
+		}},
+		{"fig3", func() (bench.Table, error) {
+			data, t, err := runner.Fig3(ctx, cfg)
 			for wname, samples := range data {
 				var b strings.Builder
 				b.WriteString("access_count,utilization\n")
@@ -97,10 +84,10 @@ func main() {
 				}
 				mustWrite(filepath.Join(*out, fmt.Sprintf("fig3_%s.csv", wname)), b.String())
 			}
-			return t
-		})},
-		{"table2", seqTable(func() bench.Table { return bench.Table2(cfg) })},
-		{"table3", seqTable(func() bench.Table { _, t := bench.Table3(cfg); return t })},
+			return t, err
+		}},
+		{"table2", func() (bench.Table, error) { return runner.Table2(ctx, cfg) }},
+		{"table3", func() (bench.Table, error) { return tableOf(runner.Table3(ctx, cfg)) }},
 		{"fig5", func() (bench.Table, error) {
 			m, t, err := runner.Fig5(ctx, cfg, nil, nil, nil)
 			if err != nil {
@@ -131,8 +118,11 @@ func main() {
 			}
 			return t, err
 		}},
-		{"fig9", seqTable(func() bench.Table {
-			series, t := bench.Fig9(cfg)
+		{"fig9", func() (bench.Table, error) {
+			series, t, err := runner.Fig9(ctx, cfg)
+			if err != nil {
+				return bench.Table{}, err
+			}
 			var plots strings.Builder
 			for _, s := range series {
 				name := fmt.Sprintf("fig9_%s_%s.csv", s.Workload, strings.ReplaceAll(s.Ratio, ":", "to"))
@@ -141,11 +131,14 @@ func main() {
 				plots.WriteByte('\n')
 			}
 			mustWrite(filepath.Join(*out, "fig9.plot.txt"), plots.String())
-			return t
-		})},
-		{"fig10", seqTable(func() bench.Table { _, t := bench.Fig10(cfg); return t })},
-		{"fig11", seqTable(func() bench.Table {
-			series, t := bench.Fig11(cfg)
+			return t, nil
+		}},
+		{"fig10", func() (bench.Table, error) { return tableOf(runner.Fig10(ctx, cfg)) }},
+		{"fig11", func() (bench.Table, error) {
+			series, t, err := runner.Fig11(ctx, cfg)
+			if err != nil {
+				return bench.Table{}, err
+			}
 			var plots strings.Builder
 			byWorkload := map[string][]render.Series{}
 			var order []string
@@ -169,10 +162,10 @@ func main() {
 				plots.WriteByte('\n')
 			}
 			mustWrite(filepath.Join(*out, "fig11.plot.txt"), plots.String())
-			return t
-		})},
-		{"fig12", seqTable(func() bench.Table { _, t := bench.Fig12(cfg); return t })},
-		{"fig13", seqTable(func() bench.Table { _, t := bench.Fig13(cfg); return t })},
+			return t, nil
+		}},
+		{"fig12", func() (bench.Table, error) { return tableOf(runner.Fig12(ctx, cfg)) }},
+		{"fig13", func() (bench.Table, error) { return tableOf(runner.Fig13(ctx, cfg)) }},
 		{"fig14", func() (bench.Table, error) {
 			m, t, err := runner.Fig14(ctx, cfg)
 			if err == nil {
@@ -180,7 +173,7 @@ func main() {
 			}
 			return t, err
 		}},
-		{"overhead", seqTable(func() bench.Table { _, t := bench.Overhead(cfg); return t })},
+		{"overhead", func() (bench.Table, error) { return tableOf(runner.Overhead(ctx, cfg)) }},
 		{"scenarios", func() (bench.Table, error) {
 			// Additive: declarative scenario specs (-scenarios) through
 			// the Figure 5 policy/ratio matrix. Never selected unless the
@@ -257,9 +250,23 @@ func main() {
 		}},
 	}
 
+	names := make([]string, len(jobs))
+	for i, j := range jobs {
+		names[i] = j.name
+	}
+	want, err := parseOnly(*only, names)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperfigs:", err)
+		os.Exit(2)
+	}
+
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		fatal(err)
+	}
+
 	var summary strings.Builder
 	for _, j := range jobs {
-		if !sel(j.name) {
+		if want != nil && !want[j.name] {
 			continue
 		}
 		if j.name == "scenarios" && *scens == "" {
@@ -293,6 +300,39 @@ func main() {
 	if ctx.Err() != nil {
 		os.Exit(130) // interrupted: partial results on disk
 	}
+}
+
+// tableOf keeps a figure's table and error, dropping its data.
+func tableOf[T any](_ T, t bench.Table, err error) (bench.Table, error) { return t, err }
+
+// parseOnly turns the -only flag into the set of jobs to run: nil, for
+// an empty flag, selects every job. Each comma-separated name must be
+// one of names; an unknown name, or a list naming no job at all, is an
+// error that lists the known jobs.
+func parseOnly(only string, names []string) (map[string]bool, error) {
+	if only == "" {
+		return nil, nil
+	}
+	known := make(map[string]bool, len(names))
+	for _, n := range names {
+		known[n] = true
+	}
+	want := map[string]bool{}
+	var unknown []string
+	for _, f := range strings.Split(only, ",") {
+		switch f = strings.TrimSpace(f); {
+		case f == "":
+		case known[f]:
+			want[f] = true
+		default:
+			unknown = append(unknown, f)
+		}
+	}
+	if len(unknown) > 0 || len(want) == 0 {
+		return nil, fmt.Errorf("-only %q: unknown job(s) %q; known jobs: %s",
+			only, unknown, strings.Join(names, ","))
+	}
+	return want, nil
 }
 
 // progressLine redraws one stderr status line per finished cell:

@@ -49,13 +49,15 @@ type Config struct {
 	RecordNS uint64    // time-series sampling (0 = off)
 
 	// Trace attaches an event tracer to single runs (RunOne,
-	// RunBaseline, RunAllFast). Matrix runners ignore it — a tracer
+	// RunBaseline, RunAllFast). Runner methods ignore it — a tracer
 	// serves exactly one machine, so sharing one across parallel cells
 	// would interleave streams; set EventDir instead.
 	Trace *obs.Tracer
-	// EventDir, when non-empty, makes RunMatrix write one JSONL event
-	// trace per cell into this directory (created if missing), named
-	// <workload>_<ratio>_<policy>.events.jsonl with ':' spelled "to".
+	// EventDir, when non-empty, makes every Runner cell whose output is
+	// a sim.Result (the matrix runners, the sweeps, Figures 2, 5-10, 13
+	// and 14) write one JSONL event trace into this directory (created
+	// if missing), named <workload>_<ratio>_<policy>.events.jsonl with
+	// ':' spelled "to".
 	EventDir string
 
 	// Faults is the fault-injection schedule applied to every machine
@@ -144,29 +146,25 @@ func KnownPolicy(name string) bool {
 	return false
 }
 
-// MachineFor builds the machine configuration for a workload at a
-// tiering ratio. The capacity tier always holds the full resident set
-// plus head-room — as in the paper's testbed, only the fast tier is the
-// constrained resource. polName adjustments: HeMem's configured fast
-// tier is reduced by its over-allocation (Table 3 accounting, §6.1);
-// "hemem+" skips the reduction (§6.2.9).
-func MachineFor(spec workload.Spec, r Ratio, polName string, cfg Config) sim.Config {
-	rss := spec.RSSBytes()
-	fast := uint64(float64(rss) * r.FastFrac)
-	if polName == "hemem" {
-		over := spec.SmallBytes()
-		if over < fast/2 {
-			fast -= over
-		} else {
-			fast /= 2
-		}
-	}
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
+// minTier is the smallest tier the harness builds: two huge frames.
+const minTier = 2 * tier.HugePageSize
+
+// fastTier sizes a ratio's fast tier: r.FastFrac of the resident set,
+// floored at minTier.
+func fastTier(rss uint64, r Ratio) uint64 {
+	return max(uint64(float64(rss)*r.FastFrac), minTier)
+}
+
+// capTier sizes a tier that holds a whole resident set: the set plus a
+// quarter, plus 16 huge frames of head-room.
+func capTier(rss uint64) uint64 { return rss + rss/4 + 16*tier.HugePageSize }
+
+// machine is the sim.Config every harness run builds: the given fast
+// and capacity tier sizes, THP on, and cfg's machine-wide settings.
+func machine(cfg Config, fast, capacity uint64) sim.Config {
 	return sim.Config{
 		FastBytes: fast,
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
+		CapBytes:  capacity,
 		CapKind:   cfg.CapKind,
 		THP:       true,
 		Threads:   cfg.Threads,
@@ -180,6 +178,35 @@ func MachineFor(spec workload.Spec, r Ratio, polName string, cfg Config) sim.Con
 	}
 }
 
+// baselineMachine is the all-capacity normalisation machine: a token
+// fast tier and the whole resident set on the capacity tier. Like
+// every reference run, it records no series.
+func baselineMachine(cfg Config, rss uint64) sim.Config {
+	cfg.RecordNS = 0
+	return machine(cfg, minTier, capTier(rss))
+}
+
+// MachineFor builds the machine configuration for a workload at a
+// tiering ratio. The capacity tier always holds the full resident set
+// plus head-room — as in the paper's testbed, only the fast tier is the
+// constrained resource. polName adjustments: HeMem's configured fast
+// tier is reduced by its over-allocation (Table 3 accounting, §6.1);
+// "hemem+" skips the reduction (§6.2.9).
+func MachineFor(spec workload.Spec, r Ratio, polName string, cfg Config) sim.Config {
+	rss := spec.RSSBytes()
+	fast := fastTier(rss, r)
+	if polName == "hemem" {
+		over := spec.SmallBytes()
+		if over < fast/2 {
+			fast -= over
+		} else {
+			fast /= 2
+		}
+		fast = max(fast, minTier)
+	}
+	return machine(cfg, fast, capTier(rss))
+}
+
 // RunOne executes one (workload, policy, ratio) cell.
 func RunOne(wname, polName string, r Ratio, cfg Config) sim.Result {
 	w := workload.MustNew(wname)
@@ -191,20 +218,7 @@ func RunOne(wname, polName string, r Ratio, cfg Config) sim.Result {
 // figure normalises against.
 func RunBaseline(wname string, cfg Config) sim.Result {
 	w := workload.MustNew(wname)
-	rss := w.Spec().RSSBytes()
-	mc := sim.Config{
-		FastBytes: tier.HugePageSize * 2, // minimal, unused
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	mc := baselineMachine(cfg, w.Spec().RSSBytes())
 	return sim.Run(mc, NewPolicy("all-capacity"), w, cfg.Accesses)
 }
 
@@ -212,20 +226,9 @@ func RunBaseline(wname string, cfg Config) sim.Result {
 // resident set) with or without THP (Figure 7's dashed lines).
 func RunAllFast(wname string, thp bool, cfg Config) sim.Result {
 	w := workload.MustNew(wname)
-	rss := w.Spec().RSSBytes()
-	mc := sim.Config{
-		FastBytes: rss + rss/4 + 16*tier.HugePageSize,
-		CapBytes:  tier.HugePageSize * 2,
-		CapKind:   cfg.CapKind,
-		THP:       thp,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	cfg.RecordNS = 0 // a reference run records no series
+	mc := machine(cfg, capTier(w.Spec().RSSBytes()), minTier)
+	mc.THP = thp
 	return sim.Run(mc, NewPolicy("all-fast"), w, cfg.Accesses)
 }
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -176,7 +177,10 @@ func TestShapeFig2HeMemHotSetMismatch(t *testing.T) {
 		t.Skip("integration")
 	}
 	cfg := shortCfg()
-	series, _ := Fig2(cfg)
+	series, _, err := Parallel(0).Fig2(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range series {
 		if s.Workload != "pagerank" {
 			continue
@@ -200,7 +204,10 @@ func TestShapeFig3UtilizationContrast(t *testing.T) {
 	}
 	cfg := shortCfg()
 	cfg.Accesses = 2_500_000 // utilization needs enough samples per page
-	data, _ := Fig3(cfg)
+	data, _, err := Parallel(0).Fig3(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lib := hotUtilizations(data["liblinear"])
 	silo := hotUtilizations(data["silo"])
 	if len(lib) == 0 || len(silo) == 0 {
@@ -221,7 +228,10 @@ func TestShapeFig1CPUTradeoff(t *testing.T) {
 		t.Skip("integration")
 	}
 	cfg := shortCfg()
-	res, _ := Fig1(cfg)
+	res, _, err := Parallel(0).Fig1(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res) != 3 {
 		t.Fatal("expected 3 DAMON configs")
 	}

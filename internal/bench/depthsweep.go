@@ -11,8 +11,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 
 	"memtis/internal/sim"
 	"memtis/internal/tier"
@@ -54,17 +52,7 @@ func depthCoord(rt Ratio, depth int, admission string, ratePpm uint32) string {
 // what keeps the sweep's reference plane comparable to every other
 // experiment in the harness.
 func TopologyForDepth(rss uint64, r Ratio, depth int, capKind tier.Kind) (*tier.Topology, error) {
-	fast := uint64(float64(rss) * r.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	last := rss + rss/4 + 16*tier.HugePageSize
-	mid := func(b uint64) uint64 {
-		if b < tier.HugePageSize*2 {
-			return tier.HugePageSize * 2
-		}
-		return b
-	}
+	fast, last := fastTier(rss, r), capTier(rss)
 	t := &tier.Topology{}
 	switch depth {
 	case 2:
@@ -72,14 +60,14 @@ func TopologyForDepth(rss uint64, r Ratio, depth int, capKind tier.Kind) (*tier.
 	case 3:
 		t.Tiers = []tier.Config{
 			{Name: "DRAM", Kind: tier.DRAM, Bytes: fast},
-			{Name: "CXL", Kind: tier.CXL, Bytes: mid(rss / 2)},
+			{Name: "CXL", Kind: tier.CXL, Bytes: max(rss/2, minTier)},
 			{Name: capKind.String(), Kind: capKind, Bytes: last},
 		}
 	case 4:
 		t.Tiers = []tier.Config{
 			{Name: "DRAM", Kind: tier.DRAM, Bytes: fast},
-			{Name: "CXL", Kind: tier.CXL, Bytes: mid(rss / 2)},
-			{Name: capKind.String(), Kind: capKind, Bytes: mid(rss)},
+			{Name: "CXL", Kind: tier.CXL, Bytes: max(rss/2, minTier)},
+			{Name: capKind.String(), Kind: capKind, Bytes: max(rss, minTier)},
 			{Name: "Far", Kind: tier.Far, Bytes: last},
 		}
 	default:
@@ -112,20 +100,9 @@ func (r *Runner) DepthSweep(ctx context.Context, cfg Config, wname string, rt Ra
 		rates = DepthSweepRates
 	}
 	rss := workload.MustNew(wname).Spec().RSSBytes()
-	type cell struct {
-		depth int
-		adm   string
-		rate  uint32
-	}
-	var cells []cell
-	for _, d := range depths {
-		for _, a := range admissions {
-			if _, err := tier.ParseAdmission(a); err != nil {
-				return nil, err
-			}
-			for _, rate := range rates {
-				cells = append(cells, cell{d, a, rate})
-			}
+	for _, a := range admissions {
+		if _, err := tier.ParseAdmission(a); err != nil {
+			return nil, err
 		}
 	}
 	for _, d := range depths {
@@ -133,67 +110,23 @@ func (r *Runner) DepthSweep(ctx context.Context, cfg Config, wname string, rt Ra
 			return nil, err
 		}
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
+	var cells []simCell
+	for _, d := range depths {
+		for _, a := range admissions {
+			for _, rate := range rates {
+				coord := depthCoord(rt, d, a, rate)
+				for _, p := range pols {
+					cells = append(cells, simCell{wname, coord, p, func(c Config) sim.Result {
+						c.Faults.MigrateFailPpm = rate
+						c.Topology, _ = TopologyForDepth(rss, rt, d, cfg.CapKind)
+						c.Admission, _ = tier.ParseAdmission(a)
+						return RunOne(wname, p, rt, c)
+					}})
+				}
+			}
 		}
 	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	results := make([]sim.Result, len(cells)*len(pols))
-	var tasks []cellTask
-	for ci, c := range cells {
-		for pi, p := range pols {
-			slot := ci*len(pols) + pi
-			coord := depthCoord(rt, c.depth, c.adm, c.rate)
-			tasks = append(tasks, cellTask{
-				label: fmt.Sprintf("%s/%s/%s", wname, coord, p),
-				run: func() uint64 {
-					ccfg := CellConfig(cfg, wname, coord, p)
-					ccfg.Faults.MigrateFailPpm = c.rate
-					ccfg.Topology, _ = TopologyForDepth(rss, rt, c.depth, cfg.CapKind)
-					ccfg.Admission, _ = tier.ParseAdmission(c.adm)
-					closeTrace, err := cellTrace(cfg.EventDir, wname, coord, p, &ccfg)
-					if err != nil {
-						fail(err)
-						return 0
-					}
-					results[slot] = RunOne(wname, p, rt, ccfg)
-					if err := closeTrace(); err != nil {
-						fail(err)
-					}
-					return results[slot].AppNS
-				},
-			})
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for ci, c := range cells {
-		for pi, p := range pols {
-			res := results[ci*len(pols)+pi]
-			base := results[pi] // cells[0]: the reference plane
-			m.Cells = append(m.Cells, Cell{
-				Workload: wname, Ratio: depthCoord(rt, c.depth, c.adm, c.rate), Policy: p,
-				Value: Norm(res, base), Result: res,
-			})
-		}
-	}
-	return m, nil
+	return r.runSweep(ctx, cfg, cells, len(pols))
 }
 
 // DepthSweepTable renders a depth sweep as a (depth, admission, rate)

@@ -8,8 +8,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 
 	"memtis/internal/sim"
 )
@@ -43,65 +41,17 @@ func (r *Runner) FaultSweep(ctx context.Context, cfg Config, wname string, rt Ra
 	if rates[0] != 0 {
 		rates = append([]uint32{0}, rates...)
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
+	var cells []simCell
+	for _, rate := range rates {
+		coord := faultCoord(rt, rate)
+		for _, p := range pols {
+			cells = append(cells, simCell{wname, coord, p, func(c Config) sim.Result {
+				c.Faults.MigrateFailPpm = rate
+				return RunOne(wname, p, rt, c)
+			}})
 		}
 	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	results := make([]sim.Result, len(rates)*len(pols))
-	var tasks []cellTask
-	for fi, rate := range rates {
-		for pi, p := range pols {
-			slot := fi*len(pols) + pi
-			coord := faultCoord(rt, rate)
-			tasks = append(tasks, cellTask{
-				label: fmt.Sprintf("%s/%s/%s", wname, coord, p),
-				run: func() uint64 {
-					ccfg := CellConfig(cfg, wname, coord, p)
-					ccfg.Faults.MigrateFailPpm = rate
-					closeTrace, err := cellTrace(cfg.EventDir, wname, coord, p, &ccfg)
-					if err != nil {
-						fail(err)
-						return 0
-					}
-					results[slot] = RunOne(wname, p, rt, ccfg)
-					if err := closeTrace(); err != nil {
-						fail(err)
-					}
-					return results[slot].AppNS
-				},
-			})
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for fi, rate := range rates {
-		for pi, p := range pols {
-			res := results[fi*len(pols)+pi]
-			base := results[pi] // rates[0] == 0: the fault-free row
-			m.Cells = append(m.Cells, Cell{
-				Workload: wname, Ratio: faultCoord(rt, rate), Policy: p,
-				Value: Norm(res, base), Result: res,
-			})
-		}
-	}
-	return m, nil
+	return r.runSweep(ctx, cfg, cells, len(pols))
 }
 
 // FaultSweepTable renders a fault sweep as a rate x policy table (the

@@ -12,14 +12,8 @@ import (
 
 // Fig5 runs the headline comparison: every workload x ratio x system,
 // normalised to the all-capacity-tier (THP) run, plus the geomean row.
-// Sequential convenience wrapper over Runner.Fig5.
-func Fig5(cfg Config, workloads []string, ratios []Ratio, pols []string) (*Matrix, Table) {
-	m, t, _ := Sequential().Fig5(context.Background(), cfg, workloads, ratios, pols)
-	return m, t
-}
-
-// Fig5 is the headline comparison run through the worker pool: the full
-// cell matrix plus baselines fan out; rows assemble in plot order.
+// The full cell matrix plus baselines fan out; rows assemble in plot
+// order.
 func (r *Runner) Fig5(ctx context.Context, cfg Config, workloads []string, ratios []Ratio, pols []string) (*Matrix, Table, error) {
 	if workloads == nil {
 		workloads = workloadNames()
@@ -40,13 +34,7 @@ func (r *Runner) Fig5(ctx context.Context, cfg Config, workloads []string, ratio
 
 // Fig6 is the Graph500 scalability sweep: paper RSS 128GB to 690GB with
 // the fast tier fixed at 64GB. A tighter scale (1GB = 2MB) keeps the
-// large points tractable. Sequential wrapper over Runner.Fig6.
-func Fig6(cfg Config, pols []string) (*Matrix, Table) {
-	m, t, _ := Sequential().Fig6(context.Background(), cfg, pols)
-	return m, t
-}
-
-// Fig6 fans the per-size baseline and policy runs out to the pool.
+// large points tractable. Each size's baseline and policy runs fan out.
 func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, Table, error) {
 	if pols == nil {
 		pols = Policies
@@ -54,54 +42,35 @@ func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, 
 	const scale = 2 << 20 // bytes per paper-GB for this figure
 	sizes := []float64{128, 192, 336, 690}
 	const fastGB = 64
-	mkCfg := func(rssGB float64, fast uint64, seed int64) sim.Config {
-		rss := uint64(rssGB * scale)
-		return sim.Config{
-			FastBytes: fast,
-			CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-			CapKind:   cfg.CapKind,
-			THP:       true,
-			Threads:   cfg.Threads,
-			Seed:      seed,
-		}
-	}
-	bases := make([]sim.Result, len(sizes))
-	results := make([]sim.Result, len(sizes)*len(pols))
-	var tasks []cellTask
-	for si, gb := range sizes {
+	var cells []simCell
+	for _, gb := range sizes {
 		label := fmt.Sprintf("%.0fGB", gb)
+		rss := uint64(gb * scale)
 		// Access budget grows with footprint so init stays a fraction.
-		acc := cfg.Accesses + uint64(gb*scale)/tier.BasePageSize*3
-		tasks = append(tasks, cellTask{
-			label: "graph500/" + label + "/baseline",
-			run: func() uint64 {
-				w, _ := workload.NewScaled("graph500", gb*scale/workload.BytesPerPaperGB)
-				seed := CellSeed(cfg.Seed, "graph500", label, "all-capacity")
-				bases[si] = sim.Run(mkCfg(gb, tier.HugePageSize*2, seed), NewPolicy("all-capacity"), w, acc)
-				return bases[si].AppNS
-			},
-		})
-		for pi, p := range pols {
-			slot := si*len(pols) + pi
-			tasks = append(tasks, cellTask{
-				label: "graph500/" + label + "/" + p,
-				run: func() uint64 {
-					w, _ := workload.NewScaled("graph500", gb*scale/workload.BytesPerPaperGB)
-					fast := uint64(fastGB * scale)
-					if p == "hemem" {
-						over := w.Spec().SmallBytes()
-						if over < fast/2 {
-							fast -= over
-						}
+		acc := cfg.Accesses + rss/tier.BasePageSize*3
+		load := func() *workload.W {
+			w, _ := workload.NewScaled("graph500", gb*scale/workload.BytesPerPaperGB)
+			return w
+		}
+		cells = append(cells, simCell{"graph500", label, "all-capacity", func(c Config) sim.Result {
+			return sim.Run(baselineMachine(c, rss), NewPolicy("all-capacity"), load(), acc)
+		}})
+		for _, p := range pols {
+			cells = append(cells, simCell{"graph500", label, p, func(c Config) sim.Result {
+				w := load()
+				fast := uint64(fastGB * scale)
+				if p == "hemem" {
+					over := w.Spec().SmallBytes()
+					if over < fast/2 {
+						fast -= over
 					}
-					seed := CellSeed(cfg.Seed, "graph500", label, p)
-					results[slot] = sim.Run(mkCfg(gb, fast, seed), NewPolicy(p), w, acc)
-					return results[slot].AppNS
-				},
-			})
+				}
+				return sim.Run(machine(c, fast, capTier(rss)), NewPolicy(p), w, acc)
+			}})
 		}
 	}
-	if err := r.do(ctx, tasks); err != nil {
+	results, err := r.runSims(ctx, cfg, cellSeeds, cells)
+	if err != nil {
 		return nil, Table{}, err
 	}
 	m := &Matrix{}
@@ -109,11 +78,12 @@ func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, 
 		Title:  "Figure 6: Graph500 under varying RSS (fast tier fixed 64GB-equivalent)",
 		Header: append([]string{"rss_gb"}, pols...),
 	}
+	per := 1 + len(pols)
 	for si, gb := range sizes {
 		row := []interface{}{fmt.Sprintf("%.0f", gb)}
 		for pi, p := range pols {
-			res := results[si*len(pols)+pi]
-			v := Norm(res, bases[si])
+			res := results[si*per+1+pi]
+			v := Norm(res, results[si*per])
 			m.Cells = append(m.Cells, Cell{Workload: "graph500", Ratio: fmt.Sprintf("%.0fGB", gb), Policy: p, Value: v, Result: res})
 			row = append(row, v)
 		}
@@ -122,47 +92,33 @@ func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, 
 	return m, t, nil
 }
 
-// Fig7 is the 2:1 configuration (Meta's production target): MEMTIS vs
-// TPP with all-DRAM (with and without THP) references. Sequential
-// wrapper over Runner.Fig7.
-func Fig7(cfg Config) (*Matrix, Table) {
-	m, t, _ := Sequential().Fig7(context.Background(), cfg)
-	return m, t
+// runOneCell is RunOne as a cell.
+func runOneCell(wname string, rt Ratio, p string) simCell {
+	return simCell{wname, rt.Name, p, func(c Config) sim.Result { return RunOne(wname, p, rt, c) }}
 }
 
-// Fig7 fans each workload's five runs (baseline, two all-DRAM
-// references, TPP, MEMTIS) out to the pool.
+// baselineCell is RunBaseline as a cell.
+func baselineCell(wname string) simCell {
+	return simCell{wname, "baseline", "all-capacity", func(c Config) sim.Result { return RunBaseline(wname, c) }}
+}
+
+// Fig7 is the 2:1 configuration (Meta's production target): MEMTIS vs
+// TPP with all-DRAM (with and without THP) references. Each workload's
+// five runs (baseline, two all-DRAM references, TPP, MEMTIS) fan out.
 func (r *Runner) Fig7(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	workloads := workloadNames()
 	pols := []string{"tpp", "memtis"}
-	type f7row struct {
-		base, dramTHP, dramNoTHP sim.Result
-		pol                      [2]sim.Result
-	}
-	rows := make([]f7row, len(workloads))
-	var tasks []cellTask
-	for wi, wname := range workloads {
-		tasks = append(tasks,
-			cellTask{label: wname + "/2:1/baseline", run: func() uint64 {
-				rows[wi].base = RunBaseline(wname, CellConfig(cfg, wname, "baseline", "all-capacity"))
-				return rows[wi].base.AppNS
-			}},
-			cellTask{label: wname + "/2:1/all-dram-thp", run: func() uint64 {
-				rows[wi].dramTHP = RunAllFast(wname, true, CellConfig(cfg, wname, "2:1", "all-dram-thp"))
-				return rows[wi].dramTHP.AppNS
-			}},
-			cellTask{label: wname + "/2:1/all-dram-nothp", run: func() uint64 {
-				rows[wi].dramNoTHP = RunAllFast(wname, false, CellConfig(cfg, wname, "2:1", "all-dram-nothp"))
-				return rows[wi].dramNoTHP.AppNS
-			}})
-		for pi, p := range pols {
-			tasks = append(tasks, cellTask{label: wname + "/2:1/" + p, run: func() uint64 {
-				rows[wi].pol[pi] = RunOne(wname, p, Ratio2to1, CellConfig(cfg, wname, "2:1", p))
-				return rows[wi].pol[pi].AppNS
-			}})
+	var cells []simCell
+	for _, wname := range workloads {
+		cells = append(cells, baselineCell(wname),
+			simCell{wname, "2:1", "all-dram-thp", func(c Config) sim.Result { return RunAllFast(wname, true, c) }},
+			simCell{wname, "2:1", "all-dram-nothp", func(c Config) sim.Result { return RunAllFast(wname, false, c) }})
+		for _, p := range pols {
+			cells = append(cells, runOneCell(wname, Ratio2to1, p))
 		}
 	}
-	if err := r.do(ctx, tasks); err != nil {
+	res, err := r.runSims(ctx, cfg, cellSeeds, cells)
+	if err != nil {
 		return nil, Table{}, err
 	}
 	m := &Matrix{}
@@ -170,33 +126,26 @@ func (r *Runner) Fig7(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 		Title:  "Figure 7: 2:1 configuration",
 		Header: []string{"workload", "alldram_thp", "alldram_nothp", "tpp", "memtis"},
 	}
+	per := 3 + len(pols)
 	for wi, wname := range workloads {
-		dramTHP := Norm(rows[wi].dramTHP, rows[wi].base)
-		dramNoTHP := Norm(rows[wi].dramNoTHP, rows[wi].base)
-		row := []interface{}{wname, dramTHP, dramNoTHP}
+		row := res[wi*per : (wi+1)*per]
+		dramTHP, dramNoTHP := Norm(row[1], row[0]), Norm(row[2], row[0])
+		trow := []interface{}{wname, dramTHP, dramNoTHP}
 		for pi, p := range pols {
-			res := rows[wi].pol[pi]
-			v := Norm(res, rows[wi].base)
-			m.Cells = append(m.Cells, Cell{Workload: wname, Ratio: "2:1", Policy: p, Value: v, Result: res})
-			row = append(row, v)
+			v := Norm(row[3+pi], row[0])
+			m.Cells = append(m.Cells, Cell{Workload: wname, Ratio: "2:1", Policy: p, Value: v, Result: row[3+pi]})
+			trow = append(trow, v)
 		}
 		m.Cells = append(m.Cells,
 			Cell{Workload: wname, Ratio: "2:1", Policy: "all-dram-thp", Value: dramTHP},
 			Cell{Workload: wname, Ratio: "2:1", Policy: "all-dram-nothp", Value: dramNoTHP})
-		t.AddRow(row...)
+		t.AddRow(trow...)
 	}
 	return m, t, nil
 }
 
 // Fig8 compares MEMTIS against HeMem and HeMem+ with 16 application
 // threads (no CPU contention for HeMem's spinning sampler) under 1:2.
-// Sequential wrapper over Runner.Fig8.
-func Fig8(cfg Config) (*Matrix, Table) {
-	m, t, _ := Sequential().Fig8(context.Background(), cfg)
-	return m, t
-}
-
-// Fig8 fans the 16-thread HeMem comparison out to the pool.
 func (r *Runner) Fig8(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	cfg.Threads = 16
 	workloads := workloadNames()
@@ -229,40 +178,47 @@ type Fig9Series struct {
 }
 
 // Fig9 records MEMTIS's hot-set tracking for four workloads under 1:2
-// and 1:8: the identified hot set should hug the fast tier size.
-func Fig9(cfg Config) ([]Fig9Series, Table) {
+// and 1:8: the identified hot set should hug the fast tier size. Every
+// run keeps cfg.Seed.
+func (r *Runner) Fig9(ctx context.Context, cfg Config) ([]Fig9Series, Table, error) {
 	cfg.RecordNS = recordPeriod(cfg)
+	ratios := []Ratio{Ratio1to2, Ratio1to8}
+	var cells []simCell
+	for _, wname := range []string{"pagerank", "xsbench", "liblinear", "603.bwaves"} {
+		for _, rt := range ratios {
+			cells = append(cells, runOneCell(wname, rt, "memtis"))
+		}
+	}
+	res, err := r.runSims(ctx, cfg, baseSeed, cells)
+	if err != nil {
+		return nil, Table{}, err
+	}
 	var out []Fig9Series
 	t := Table{
 		Title:  "Figure 9: hot/warm/cold identified by MEMTIS",
 		Header: []string{"workload", "ratio", "fast_mb", "hot_mean_mb", "hot_final_mb"},
 	}
-	for _, wname := range []string{"pagerank", "xsbench", "liblinear", "603.bwaves"} {
-		for _, r := range []Ratio{Ratio1to2, Ratio1to8} {
-			w := workload.MustNew(wname)
-			mc := MachineFor(w.Spec(), r, "memtis", cfg)
-			res := sim.Run(mc, NewPolicy("memtis"), w, cfg.Accesses)
-			s := Fig9Series{Workload: wname, Ratio: r.Name, FastBytes: mc.FastBytes, Points: res.Series}
-			out = append(out, s)
-			var sum, final uint64
-			var n int
-			// Skip the allocation warm-up third.
-			for i, p := range res.Series {
-				if i < len(res.Series)/3 {
-					continue
-				}
-				sum += p.HotBytes
-				final = p.HotBytes
-				n++
+	for i, c := range cells {
+		fast := MachineFor(workload.MustNew(c.workload).Spec(), ratios[i%len(ratios)], "memtis", cfg).FastBytes
+		out = append(out, Fig9Series{Workload: c.workload, Ratio: c.ratio, FastBytes: fast, Points: res[i].Series})
+		var sum, final uint64
+		var n int
+		// Skip the allocation warm-up third.
+		for j, p := range res[i].Series {
+			if j < len(res[i].Series)/3 {
+				continue
 			}
-			meanHot := uint64(0)
-			if n > 0 {
-				meanHot = sum / uint64(n)
-			}
-			t.AddRow(wname, r.Name, mb(mc.FastBytes), mb(meanHot), mb(final))
+			sum += p.HotBytes
+			final = p.HotBytes
+			n++
 		}
+		meanHot := uint64(0)
+		if n > 0 {
+			meanHot = sum / uint64(n)
+		}
+		t.AddRow(c.workload, c.ratio, mb(fast), mb(meanHot), mb(final))
 	}
-	return out, t
+	return out, t, nil
 }
 
 // Fig10Row is one workload's ablation outcome.
@@ -278,18 +234,27 @@ type Fig10Row struct {
 
 // Fig10 is the warm-set and split ablation under 1:8: performance and
 // migration traffic for vanilla (no split, no warm set), +split, and
-// +split+warm (full MEMTIS).
-func Fig10(cfg Config) ([]Fig10Row, Table) {
+// +split+warm (full MEMTIS). Every run keeps cfg.Seed.
+func (r *Runner) Fig10(ctx context.Context, cfg Config) ([]Fig10Row, Table, error) {
+	workloads := workloadNames()
+	var cells []simCell
+	for _, wname := range workloads {
+		cells = append(cells, baselineCell(wname),
+			runOneCell(wname, Ratio1to8, "memtis-vanilla"),
+			runOneCell(wname, Ratio1to8, "memtis-nowarm"),
+			runOneCell(wname, Ratio1to8, "memtis"))
+	}
+	res, err := r.runSims(ctx, cfg, baseSeed, cells)
+	if err != nil {
+		return nil, Table{}, err
+	}
 	t := Table{
 		Title:  "Figure 10: impact of warm set and huge page split (1:8)",
 		Header: []string{"workload", "perf_vanilla", "perf_split", "perf_full", "traffic_vanilla_mb", "traffic_split_mb", "traffic_full_mb"},
 	}
 	var out []Fig10Row
-	for _, wname := range workloadNames() {
-		base := RunBaseline(wname, cfg)
-		rv := RunOne(wname, "memtis-vanilla", Ratio1to8, cfg)
-		rs := RunOne(wname, "memtis-nowarm", Ratio1to8, cfg)
-		rf := RunOne(wname, "memtis", Ratio1to8, cfg)
+	for wi, wname := range workloads {
+		base, rv, rs, rf := res[4*wi], res[4*wi+1], res[4*wi+2], res[4*wi+3]
 		row := Fig10Row{
 			Workload:       wname,
 			PerfVanilla:    Norm(rv, base),
@@ -303,7 +268,7 @@ func Fig10(cfg Config) ([]Fig10Row, Table) {
 		t.AddRow(wname, row.PerfVanilla, row.PerfSplit, row.PerfFull,
 			mb(row.TrafficVanilla), mb(row.TrafficSplit), mb(row.TrafficFull))
 	}
-	return out, t
+	return out, t, nil
 }
 
 // Fig11Series is a throughput-over-time trace for the split timeline.
@@ -317,32 +282,42 @@ type Fig11Series struct {
 
 // Fig11 records Silo and Btree throughput over time under 1:8 for
 // MEMTIS, MEMTIS-NS and the best fault-based baseline: the split kicks
-// in mid-run and lifts throughput; for Btree it also cuts RSS.
-func Fig11(cfg Config) ([]Fig11Series, Table) {
+// in mid-run and lifts throughput; for Btree it also cuts RSS. Every
+// run keeps cfg.Seed.
+func (r *Runner) Fig11(ctx context.Context, cfg Config) ([]Fig11Series, Table, error) {
 	cfg.RecordNS = recordPeriod(cfg)
+	cfg.Trace = nil // see Config.Trace
 	var out []Fig11Series
+	for _, wname := range []string{"silo", "btree"} {
+		for _, p := range []string{"tiering-0.8", "memtis-ns", "memtis"} {
+			out = append(out, Fig11Series{Workload: wname, Policy: p})
+		}
+	}
+	tasks := make([]cellTask, len(out))
+	for i := range out {
+		s := &out[i]
+		tasks[i] = cellTask{label: s.Workload + "/1:8/" + s.Policy, run: func() uint64 {
+			w := workload.MustNew(s.Workload)
+			pol := NewPolicy(s.Policy)
+			res := sim.Run(MachineFor(w.Spec(), Ratio1to8, s.Policy, cfg), pol, w, cfg.Accesses)
+			if mp, ok := pol.(*memtis.Policy); ok {
+				s.Splits = mp.Splits()
+			}
+			s.Points, s.RSSFinal = res.Series, res.RSSFinal
+			return res.AppNS
+		}}
+	}
+	if err := r.do(ctx, tasks); err != nil {
+		return nil, Table{}, err
+	}
 	t := Table{
 		Title:  "Figure 11: performance over time with and without split (1:8)",
 		Header: []string{"workload", "policy", "tail_tput_Maccess_s", "rss_final_mb", "splits"},
 	}
-	for _, wname := range []string{"silo", "btree"} {
-		for _, p := range []string{"tiering-0.8", "memtis-ns", "memtis"} {
-			w := workload.MustNew(wname)
-			mc := MachineFor(w.Spec(), Ratio1to8, p, cfg)
-			pol := NewPolicy(p)
-			m := sim.NewMachine(mc, pol)
-			w.Run(m, cfg.Accesses)
-			res := m.Finish(wname)
-			var splits uint64
-			if mp, ok := pol.(*memtis.Policy); ok {
-				splits = mp.Splits()
-			}
-			s := Fig11Series{Workload: wname, Policy: p, Points: res.Series, RSSFinal: res.RSSFinal, Splits: splits}
-			out = append(out, s)
-			t.AddRow(wname, p, tailTput(res.Series)/1e6, mb(res.RSSFinal), splits)
-		}
+	for _, s := range out {
+		t.AddRow(s.Workload, s.Policy, tailTput(s.Points)/1e6, mb(s.RSSFinal), s.Splits)
 	}
-	return out, t
+	return out, t, nil
 }
 
 // tailTput averages the last-quarter windowed throughput of a series.
@@ -373,95 +348,107 @@ type Fig12Row struct {
 
 // Fig12 compares eHR, rHR and rHR-NS under 1:8. Workloads with skewed,
 // low-utilization huge pages (Silo, Btree) show a large eHR-rHRNS gap
-// that splitting closes.
-func Fig12(cfg Config) ([]Fig12Row, Table) {
+// that splitting closes. Each workload's full and split-disabled runs
+// are two cells; every run keeps cfg.Seed.
+func (r *Runner) Fig12(ctx context.Context, cfg Config) ([]Fig12Row, Table, error) {
+	cfg.Trace = nil // see Config.Trace
+	workloads := workloadNames()
+	out := make([]Fig12Row, len(workloads))
+	var tasks []cellTask
+	for i, wname := range workloads {
+		out[i].Workload = wname
+		row := &out[i]
+		run := func(split bool) uint64 {
+			w := workload.MustNew(wname)
+			pol := memtis.New(memtis.Config{SplitDisabled: !split})
+			m := sim.NewMachine(MachineFor(w.Spec(), Ratio1to8, "memtis", cfg), pol)
+			w.Run(m, cfg.Accesses)
+			if split {
+				row.RHR = pol.RHR()
+			} else {
+				row.EHR, row.RHRNS = pol.EHR(), pol.RHR()
+			}
+			return m.Now()
+		}
+		tasks = append(tasks,
+			cellTask{label: wname + "/1:8/memtis", run: func() uint64 { return run(true) }},
+			cellTask{label: wname + "/1:8/memtis-ns", run: func() uint64 { return run(false) }})
+	}
+	if err := r.do(ctx, tasks); err != nil {
+		return nil, Table{}, err
+	}
 	t := Table{
 		Title:  "Figure 12: fast tier hit ratios (1:8)",
 		Header: []string{"workload", "eHR", "rHR", "rHR-NS"},
 	}
-	var out []Fig12Row
-	for _, wname := range workloadNames() {
-		w1 := workload.MustNew(wname)
-		mc := MachineFor(w1.Spec(), Ratio1to8, "memtis", cfg)
-		polFull := memtis.New(memtis.Config{})
-		m1 := sim.NewMachine(mc, polFull)
-		w1.Run(m1, cfg.Accesses)
-
-		w2 := workload.MustNew(wname)
-		polNS := memtis.New(memtis.Config{SplitDisabled: true})
-		m2 := sim.NewMachine(mc, polNS)
-		w2.Run(m2, cfg.Accesses)
-
-		r := Fig12Row{Workload: wname, EHR: polNS.EHR(), RHR: polFull.RHR(), RHRNS: polNS.RHR()}
-		out = append(out, r)
-		t.AddRow(wname, r.EHR, r.RHR, r.RHRNS)
+	for _, row := range out {
+		t.AddRow(row.Workload, row.EHR, row.RHR, row.RHRNS)
 	}
-	return out, t
+	return out, t, nil
 }
 
 // Fig13 is the sensitivity study: threshold-adaptation and cooling
 // intervals swept from 0.1x to 10x their defaults under 2:1, normalised
-// to the default setting.
-func Fig13(cfg Config) (*Matrix, Table) {
+// to the default setting. Every run keeps cfg.Seed.
+func (r *Runner) Fig13(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	muls := []float64{0.1, 0.5, 1, 2, 10}
+	workloads := workloadNames()
+	var cells []simCell
+	for _, wname := range workloads {
+		fastUnits := MachineFor(workload.MustNew(wname).Spec(), Ratio2to1, "memtis", cfg).FastBytes / tier.BasePageSize
+		defAdapt := max(fastUnits/2, 512)
+		defCool := defAdapt * 4
+		runWith := func(adapt, cool uint64) func(Config) sim.Result {
+			return func(c Config) sim.Result {
+				w := workload.MustNew(wname)
+				pol := memtis.New(memtis.Config{AdaptEvery: adapt, CoolEvery: cool})
+				return sim.Run(MachineFor(w.Spec(), Ratio2to1, "memtis", c), pol, w, c.Accesses)
+			}
+		}
+		cells = append(cells, simCell{wname, "2:1", "memtis", runWith(defAdapt, defCool)})
+		for _, mul := range muls {
+			a := max(uint64(float64(defAdapt)*mul), 1)
+			c := max(uint64(float64(defCool)*mul), 1)
+			cells = append(cells,
+				simCell{wname, fmt.Sprintf("adapt-%gx", mul), "memtis", runWith(a, defCool)},
+				simCell{wname, fmt.Sprintf("cool-%gx", mul), "memtis", runWith(defAdapt, c)})
+		}
+	}
+	res, err := r.runSims(ctx, cfg, baseSeed, cells)
+	if err != nil {
+		return nil, Table{}, err
+	}
 	m := &Matrix{}
 	t := Table{
 		Title:  "Figure 13: sensitivity to adaptation and cooling intervals (2:1)",
 		Header: []string{"workload", "param", "0.1x", "0.5x", "1x", "2x", "10x"},
 	}
-	for _, wname := range workloadNames() {
-		w := workload.MustNew(wname)
-		fastUnits := MachineFor(w.Spec(), Ratio2to1, "memtis", cfg).FastBytes / tier.BasePageSize
-		defAdapt := fastUnits / 2
-		if defAdapt < 512 {
-			defAdapt = 512
-		}
-		defCool := defAdapt * 4
-		runWith := func(adapt, cool uint64) float64 {
-			ww := workload.MustNew(wname)
-			mc := MachineFor(ww.Spec(), Ratio2to1, "memtis", cfg)
-			pol := memtis.New(memtis.Config{AdaptEvery: adapt, CoolEvery: cool})
-			res := sim.Run(mc, pol, ww, cfg.Accesses)
-			return res.Throughput
-		}
-		ref := runWith(defAdapt, defCool)
+	per := 1 + 2*len(muls)
+	for wi, wname := range workloads {
+		ref := res[wi*per].Throughput
 		rowA := []interface{}{wname, "adapt"}
 		rowC := []interface{}{wname, "cool"}
-		for _, mul := range muls {
-			a := uint64(float64(defAdapt) * mul)
-			if a < 1 {
-				a = 1
-			}
-			c := uint64(float64(defCool) * mul)
-			if c < 1 {
-				c = 1
-			}
+		for mi := range muls {
+			ca, cc := cells[wi*per+1+2*mi], cells[wi*per+2+2*mi]
 			va, vc := 0.0, 0.0
 			if ref > 0 {
-				va = runWith(a, defCool) / ref
-				vc = runWith(defAdapt, c) / ref
+				va = res[wi*per+1+2*mi].Throughput / ref
+				vc = res[wi*per+2+2*mi].Throughput / ref
 			}
 			m.Cells = append(m.Cells,
-				Cell{Workload: wname, Ratio: fmt.Sprintf("adapt-%gx", mul), Policy: "memtis", Value: va},
-				Cell{Workload: wname, Ratio: fmt.Sprintf("cool-%gx", mul), Policy: "memtis", Value: vc})
+				Cell{Workload: wname, Ratio: ca.ratio, Policy: "memtis", Value: va},
+				Cell{Workload: wname, Ratio: cc.ratio, Policy: "memtis", Value: vc})
 			rowA = append(rowA, va)
 			rowC = append(rowC, vc)
 		}
 		t.AddRow(rowA...)
 		t.AddRow(rowC...)
 	}
-	return m, t
+	return m, t, nil
 }
 
 // Fig14 repeats the comparison with emulated CXL memory (177ns) as the
-// capacity tier: MEMTIS vs TPP across the three ratios. Sequential
-// wrapper over Runner.Fig14.
-func Fig14(cfg Config) (*Matrix, Table) {
-	m, t, _ := Sequential().Fig14(context.Background(), cfg)
-	return m, t
-}
-
-// Fig14 fans the CXL-capacity-tier comparison out to the pool.
+// capacity tier: MEMTIS vs TPP across the three ratios.
 func (r *Runner) Fig14(ctx context.Context, cfg Config) (*Matrix, Table, error) {
 	cfg.CapKind = tier.CXL
 	workloads := workloadNames()

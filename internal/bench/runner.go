@@ -1,19 +1,22 @@
-// The parallel experiment runner: fans the (workload, ratio, policy)
-// cells of an experiment matrix out to a bounded worker pool, one
+// The parallel experiment runner: fans the cells of every experiment
+// that simulates (the (workload, ratio, policy) matrices, the sweeps
+// and each figure's runs) out to a bounded worker pool, one
 // independent simulated machine per cell, and assembles results in
 // deterministic plot order regardless of completion order.
 //
 // Determinism across worker counts rests on two invariants:
 //
-//  1. Every cell derives its own RNG seed from (Config.Seed, workload,
-//     ratio, policy) via CellSeed — no cell's stream depends on how
-//     many cells ran before it, so scheduling cannot perturb results.
+//  1. Every cell's RNG seed is fixed by Config.Seed and its own
+//     coordinates: matrix cells derive it via CellSeed, and the
+//     figures whose loops predate the runner use Config.Seed itself.
+//     No cell's stream depends on how many cells ran before it, so
+//     scheduling cannot perturb results.
 //  2. A cell runs on a private Machine, Policy and Workload instance;
 //     no package in the simulator holds mutable global state (see
 //     TestMachinesAreIndependent in internal/sim).
 //
-// The determinism regression tests in runner_test.go assert that an
-// 8-worker run is cell-for-cell identical to a sequential one.
+// The determinism regression tests in runner_test.go assert that
+// multi-worker runs are cell-for-cell identical to sequential ones.
 package bench
 
 import (
@@ -196,7 +199,7 @@ func (r *Runner) do(ctx context.Context, tasks []cellTask) error {
 
 // cellTrace attaches a per-cell JSONL tracer to ccfg when dir is
 // non-empty, returning a flush-and-close func. It always clears
-// ccfg.Trace first: matrix cells never share a caller-supplied tracer
+// ccfg.Trace first: runner cells never share a caller-supplied tracer
 // (parallel cells would interleave one stream).
 func cellTrace(dir, workload, ratio, polName string, ccfg *Config) (func() error, error) {
 	ccfg.Trace = nil
@@ -227,6 +230,127 @@ func fileSafe(s string) string {
 	return strings.ReplaceAll(s, "/", "-")
 }
 
+// simCell is one cell whose whole output is a sim.Result. Its
+// coordinates label its progress line, name its event trace and key
+// its derived seed.
+type simCell struct {
+	workload, ratio, policy string
+	run                     func(Config) sim.Result
+}
+
+// The seed choices of runSims.
+const (
+	cellSeeds = true  // each cell runs on CellConfig(cfg, its coordinates)
+	baseSeed  = false // every cell runs on cfg.Seed itself
+)
+
+// runSims fans cells out on the pool and returns their results in cell
+// order. Each cell's seed follows derive (cellSeeds or baseSeed); it
+// gets its own JSONL trace under cfg.EventDir when that is set, and
+// never cfg.Trace. The first trace-I/O failure fails the whole
+// fan-out: a requested trace that could not be written invalidates the
+// results.
+func (r *Runner) runSims(ctx context.Context, cfg Config, derive bool, cells []simCell) ([]sim.Result, error) {
+	if cfg.EventDir != "" {
+		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	var (
+		failMu sync.Mutex
+		failed error
+	)
+	fail := func(err error) {
+		failMu.Lock()
+		if failed == nil {
+			failed = err
+		}
+		failMu.Unlock()
+	}
+	results := make([]sim.Result, len(cells))
+	tasks := make([]cellTask, len(cells))
+	for i, c := range cells {
+		tasks[i] = cellTask{
+			label: c.workload + "/" + c.ratio + "/" + c.policy,
+			run: func() uint64 {
+				ccfg := cfg
+				if derive {
+					ccfg = CellConfig(cfg, c.workload, c.ratio, c.policy)
+				}
+				closeTrace, err := cellTrace(cfg.EventDir, c.workload, c.ratio, c.policy, &ccfg)
+				if err != nil {
+					fail(err)
+					return 0
+				}
+				results[i] = c.run(ccfg)
+				if err := closeTrace(); err != nil {
+					fail(err)
+				}
+				return results[i].AppNS
+			},
+		}
+	}
+	if err := r.do(ctx, tasks); err != nil {
+		return nil, err
+	}
+	if failed != nil {
+		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
+	}
+	return results, nil
+}
+
+// runSweep runs a sweep's cells, given row by row with one cell per
+// policy in each row, and normalises every cell to the same policy's
+// cell in the first row: the sweep's reference plane.
+func (r *Runner) runSweep(ctx context.Context, cfg Config, cells []simCell, npols int) (*Matrix, error) {
+	res, err := r.runSims(ctx, cfg, cellSeeds, cells)
+	if err != nil {
+		return nil, err
+	}
+	m := &Matrix{}
+	for i, c := range cells {
+		m.Cells = append(m.Cells, Cell{
+			Workload: c.workload, Ratio: c.ratio, Policy: c.policy,
+			Value: Norm(res[i], res[i%npols]), Result: res[i],
+		})
+	}
+	return m, nil
+}
+
+// normMatrix runs each named load's all-capacity baseline and its
+// (ratio x policy) cells, then normalises every cell to its load's
+// baseline, assembling the Matrix in plot order (loads outer, ratios,
+// then policies). RunMatrix and RunScenarioMatrix differ only in how a
+// load runs: base and run get the load's index.
+func (r *Runner) normMatrix(ctx context.Context, cfg Config, loads []string, ratios []Ratio, pols []string,
+	base func(load int, c Config) sim.Result, run func(load int, rt Ratio, p string, c Config) sim.Result) (*Matrix, error) {
+	var cells []simCell
+	for li, name := range loads {
+		cells = append(cells, simCell{name, "baseline", "all-capacity", func(c Config) sim.Result { return base(li, c) }})
+		for _, rt := range ratios {
+			for _, p := range pols {
+				cells = append(cells, simCell{name, rt.Name, p, func(c Config) sim.Result { return run(li, rt, p, c) }})
+			}
+		}
+	}
+	res, err := r.runSims(ctx, cfg, cellSeeds, cells)
+	if err != nil {
+		return nil, err
+	}
+	m := &Matrix{}
+	per := 1 + len(ratios)*len(pols)
+	for i, c := range cells {
+		if i%per == 0 {
+			continue // the load's baseline
+		}
+		m.Cells = append(m.Cells, Cell{
+			Workload: c.workload, Ratio: c.ratio, Policy: c.policy,
+			Value: Norm(res[i], res[i-i%per]), Result: res[i],
+		})
+	}
+	return m, nil
+}
+
 // RunMatrix executes the (workload x ratio x policy) matrix plus the
 // per-workload all-capacity baselines every figure normalises against,
 // and assembles the normalised Matrix in plot order (workloads outer,
@@ -242,91 +366,9 @@ func (r *Runner) RunMatrix(ctx context.Context, cfg Config, workloads []string, 
 	if pols == nil {
 		pols = Policies
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	// First trace-I/O failure across cells; the matrix is invalid when a
-	// requested trace could not be written.
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	bases := make([]sim.Result, len(workloads))
-	results := make([]sim.Result, len(workloads)*len(ratios)*len(pols))
-	var tasks []cellTask
-	for wi, wname := range workloads {
-		tasks = append(tasks, cellTask{
-			label: wname + "/baseline",
-			run: func() uint64 {
-				ccfg := CellConfig(cfg, wname, "baseline", "all-capacity")
-				closeTrace, err := cellTrace(cfg.EventDir, wname, "baseline", "all-capacity", &ccfg)
-				if err != nil {
-					fail(err)
-					return 0
-				}
-				bases[wi] = RunBaseline(wname, ccfg)
-				if err := closeTrace(); err != nil {
-					fail(err)
-				}
-				return bases[wi].AppNS
-			},
-		})
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				slot := (wi*len(ratios)+ri)*len(pols) + pi
-				tasks = append(tasks, cellTask{
-					label: fmt.Sprintf("%s/%s/%s", wname, rt.Name, p),
-					run: func() uint64 {
-						ccfg := CellConfig(cfg, wname, rt.Name, p)
-						closeTrace, err := cellTrace(cfg.EventDir, wname, rt.Name, p, &ccfg)
-						if err != nil {
-							fail(err)
-							return 0
-						}
-						results[slot] = RunOne(wname, p, rt, ccfg)
-						if err := closeTrace(); err != nil {
-							fail(err)
-						}
-						return results[slot].AppNS
-					},
-				})
-			}
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for wi, wname := range workloads {
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				res := results[(wi*len(ratios)+ri)*len(pols)+pi]
-				m.Cells = append(m.Cells, Cell{
-					Workload: wname, Ratio: rt.Name, Policy: p,
-					Value: Norm(res, bases[wi]), Result: res,
-				})
-			}
-		}
-	}
-	return m, nil
-}
-
-// RunAll runs the full Figure 5 matrix — every Table 2 workload, every
-// main ratio, every Figure 5 system — the heaviest standard fan-out.
-func (r *Runner) RunAll(ctx context.Context, cfg Config) (*Matrix, error) {
-	return r.RunMatrix(ctx, cfg, nil, nil, nil)
+	return r.normMatrix(ctx, cfg, workloads, ratios, pols,
+		func(i int, c Config) sim.Result { return RunBaseline(workloads[i], c) },
+		func(i int, rt Ratio, p string, c Config) sim.Result { return RunOne(workloads[i], p, rt, c) })
 }
 
 // MatrixTable renders a matrix as a (workload, ratio) x policy table

@@ -259,16 +259,16 @@ func TestRunnerProgress(t *testing.T) {
 	}
 }
 
-// TestRunAllShape: the full default fan-out covers every Table 2
-// workload, main ratio and Figure 5 policy. Budget kept tiny — this
-// checks shape, not performance.
+// TestRunAllShape: the full default fan-out (RunMatrix with nil
+// slices) covers every Table 2 workload, main ratio and Figure 5
+// policy. Budget kept tiny — this checks shape, not performance.
 func TestRunAllShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
 	cfg := DefaultConfig()
 	cfg.Accesses = 60_000
-	m, err := Parallel(0).RunAll(context.Background(), cfg)
+	m, err := Parallel(0).RunMatrix(context.Background(), cfg, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,5 +307,52 @@ func TestKnownPolicyMatchesNewPolicy(t *testing.T) {
 			}()
 			NewPolicy(name)
 		}()
+	}
+}
+
+// TestFiguresParallelMatchSequential: every figure that simulates,
+// run at a small budget on one worker and on four, returns equal data
+// and renders the same table. CI runs it under -race (make race).
+func TestFiguresParallelMatchSequential(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Accesses = 30_000 // Fig 1 still runs its 3M-access floor
+	ctx := context.Background()
+	figs := []struct {
+		name string
+		run  func(*Runner) (any, Table, error)
+	}{
+		{"fig1", func(r *Runner) (any, Table, error) { return r.Fig1(ctx, cfg) }},
+		{"fig2", func(r *Runner) (any, Table, error) { return r.Fig2(ctx, cfg) }},
+		{"fig3", func(r *Runner) (any, Table, error) { return r.Fig3(ctx, cfg) }},
+		{"table2", func(r *Runner) (any, Table, error) {
+			tb, err := r.Table2(ctx, cfg)
+			return nil, tb, err
+		}},
+		{"table3", func(r *Runner) (any, Table, error) { return r.Table3(ctx, cfg) }},
+		{"fig7", func(r *Runner) (any, Table, error) { return r.Fig7(ctx, cfg) }},
+		{"fig9", func(r *Runner) (any, Table, error) { return r.Fig9(ctx, cfg) }},
+		{"fig10", func(r *Runner) (any, Table, error) { return r.Fig10(ctx, cfg) }},
+		{"fig11", func(r *Runner) (any, Table, error) { return r.Fig11(ctx, cfg) }},
+		{"fig12", func(r *Runner) (any, Table, error) { return r.Fig12(ctx, cfg) }},
+		{"fig13", func(r *Runner) (any, Table, error) { return r.Fig13(ctx, cfg) }},
+		{"overhead", func(r *Runner) (any, Table, error) { return r.Overhead(ctx, cfg) }},
+	}
+	for _, f := range figs {
+		t.Run(f.name, func(t *testing.T) {
+			seqData, seqTab, err := f.run(Sequential())
+			if err != nil {
+				t.Fatal(err)
+			}
+			parData, parTab, err := f.run(Parallel(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seqData, parData) {
+				t.Errorf("data differs:\nsequential %+v\nparallel   %+v", seqData, parData)
+			}
+			if s, p := seqTab.String(), parTab.String(); s != p {
+				t.Errorf("table differs:\nsequential\n%s\nparallel\n%s", s, p)
+			}
+		})
 	}
 }

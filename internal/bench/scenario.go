@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"memtis/internal/scenario"
 	"memtis/internal/sim"
@@ -27,28 +26,16 @@ import (
 // so HeMem runs without MachineFor's fast-tier reduction.)
 func ScenarioMachine(sc *scenario.Runner, r Ratio, cfg Config) sim.Config {
 	rss := sc.RSSBytes()
-	fast := uint64(float64(rss) * r.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	faults := cfg.Faults
+	return machine(scenarioFaults(sc, cfg), fastTier(rss, r), capTier(rss))
+}
+
+// scenarioFaults applies a scenario's own fault plan, which overrides
+// the harness config's schedule.
+func scenarioFaults(sc *scenario.Runner, cfg Config) Config {
 	if fc := sc.FaultConfig(); fc.Enabled() {
-		faults = fc
+		cfg.Faults = fc
 	}
-	return sim.Config{
-		FastBytes: fast,
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		RecordNS:  cfg.RecordNS,
-		Trace:     cfg.Trace,
-		Faults:    faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	return cfg
 }
 
 // RunScenario executes one (scenario, policy, ratio) cell.
@@ -60,24 +47,7 @@ func RunScenario(sc *scenario.Runner, polName string, r Ratio, cfg Config) sim.R
 // RunScenarioBaseline executes the scenario's all-capacity-tier
 // normalisation run (the RunBaseline analogue).
 func RunScenarioBaseline(sc *scenario.Runner, cfg Config) sim.Result {
-	rss := sc.RSSBytes()
-	faults := cfg.Faults
-	if fc := sc.FaultConfig(); fc.Enabled() {
-		faults = fc
-	}
-	mc := sim.Config{
-		FastBytes: tier.HugePageSize * 2, // minimal, unused
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		Trace:     cfg.Trace,
-		Faults:    faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
+	mc := baselineMachine(scenarioFaults(sc, cfg), sc.RSSBytes())
 	return sim.Run(mc, NewPolicy("all-capacity"), sc, cfg.Accesses)
 }
 
@@ -95,86 +65,13 @@ func (r *Runner) RunScenarioMatrix(ctx context.Context, cfg Config, scs []*scena
 	if pols == nil {
 		pols = Policies
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
-		}
+	names := make([]string, len(scs))
+	for i, sc := range scs {
+		names[i] = sc.Name()
 	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
-	bases := make([]sim.Result, len(scs))
-	results := make([]sim.Result, len(scs)*len(ratios)*len(pols))
-	var tasks []cellTask
-	for si, sc := range scs {
-		si, sc := si, sc
-		sname := sc.Name()
-		tasks = append(tasks, cellTask{
-			label: sname + "/baseline",
-			run: func() uint64 {
-				ccfg := CellConfig(cfg, sname, "baseline", "all-capacity")
-				closeTrace, err := cellTrace(cfg.EventDir, sname, "baseline", "all-capacity", &ccfg)
-				if err != nil {
-					fail(err)
-					return 0
-				}
-				bases[si] = RunScenarioBaseline(sc, ccfg)
-				if err := closeTrace(); err != nil {
-					fail(err)
-				}
-				return bases[si].AppNS
-			},
-		})
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				rt, p := rt, p
-				slot := (si*len(ratios)+ri)*len(pols) + pi
-				tasks = append(tasks, cellTask{
-					label: fmt.Sprintf("%s/%s/%s", sname, rt.Name, p),
-					run: func() uint64 {
-						ccfg := CellConfig(cfg, sname, rt.Name, p)
-						closeTrace, err := cellTrace(cfg.EventDir, sname, rt.Name, p, &ccfg)
-						if err != nil {
-							fail(err)
-							return 0
-						}
-						results[slot] = RunScenario(sc, p, rt, ccfg)
-						if err := closeTrace(); err != nil {
-							fail(err)
-						}
-						return results[slot].AppNS
-					},
-				})
-			}
-		}
-	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for si, sc := range scs {
-		for ri, rt := range ratios {
-			for pi, p := range pols {
-				res := results[(si*len(ratios)+ri)*len(pols)+pi]
-				m.Cells = append(m.Cells, Cell{
-					Workload: sc.Name(), Ratio: rt.Name, Policy: p,
-					Value: Norm(res, bases[si]), Result: res,
-				})
-			}
-		}
-	}
-	return m, nil
+	return r.normMatrix(ctx, cfg, names, ratios, pols,
+		func(i int, c Config) sim.Result { return RunScenarioBaseline(scs[i], c) },
+		func(i int, rt Ratio, p string, c Config) sim.Result { return RunScenario(scs[i], p, rt, c) })
 }
 
 // HuntParams derives the (policy, ratio) a hunt iteration pairs with

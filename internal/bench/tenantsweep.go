@@ -8,8 +8,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"os"
-	"sync"
 
 	"memtis/internal/fastmod"
 	"memtis/internal/sim"
@@ -172,25 +170,7 @@ func tenantSweepBytes(n int) uint64 {
 // sized from the mix's combined footprint exactly like MachineFor,
 // driven by the tenant scheduler to the full access budget.
 func RunTenants(tn *tenant.Runner, rss uint64, polName string, rt Ratio, cfg Config) sim.Result {
-	fast := uint64(float64(rss) * rt.FastFrac)
-	if fast < tier.HugePageSize*2 {
-		fast = tier.HugePageSize * 2
-	}
-	mc := sim.Config{
-		FastBytes: fast,
-		CapBytes:  rss + rss/4 + 16*tier.HugePageSize,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		RecordNS:  cfg.RecordNS,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
-	}
-	return sim.Run(mc, NewPolicy(polName), tn, cfg.Accesses)
+	return sim.Run(machine(cfg, fastTier(rss, rt), capTier(rss)), NewPolicy(polName), tn, cfg.Accesses)
 }
 
 // TenantSweep runs every policy at every tenant point on one tiering
@@ -208,78 +188,23 @@ func (r *Runner) TenantSweep(ctx context.Context, cfg Config, rt Ratio, pols []s
 	if points[0].Tenants != 1 {
 		points = append([]TenantPoint{{Tenants: 1, Skew: "flat"}}, points...)
 	}
-	if cfg.EventDir != "" {
-		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
-			return nil, err
-		}
-	}
-	var (
-		failMu sync.Mutex
-		failed error
-	)
-	fail := func(err error) {
-		failMu.Lock()
-		if failed == nil {
-			failed = err
-		}
-		failMu.Unlock()
-	}
 	// One immutable runner per point, shared by that point's policy
 	// cells (all run state is per-Run).
-	runners := make([]*tenant.Runner, len(points))
-	rsses := make([]uint64, len(points))
-	for i, pt := range points {
+	var cells []simCell
+	for _, pt := range points {
 		tc, rss := TenantMix(pt, tenantSweepBytes(pt.Tenants))
 		tn, err := tenant.New(tc)
 		if err != nil {
 			return nil, fmt.Errorf("bench: tenant sweep point %+v: %w", pt, err)
 		}
-		runners[i], rsses[i] = tn, rss
-	}
-	const wname = "tenants"
-	results := make([]sim.Result, len(points)*len(pols))
-	var tasks []cellTask
-	for ti, pt := range points {
-		for pi, p := range pols {
-			ti, pi, p := ti, pi, p
-			slot := ti*len(pols) + pi
-			coord := tenantCoord(rt, pt)
-			tasks = append(tasks, cellTask{
-				label: fmt.Sprintf("%s/%s/%s", wname, coord, p),
-				run: func() uint64 {
-					ccfg := CellConfig(cfg, wname, coord, p)
-					closeTrace, err := cellTrace(cfg.EventDir, wname, coord, p, &ccfg)
-					if err != nil {
-						fail(err)
-						return 0
-					}
-					results[slot] = RunTenants(runners[ti], rsses[ti], p, rt, ccfg)
-					if err := closeTrace(); err != nil {
-						fail(err)
-					}
-					return results[slot].AppNS
-				},
-			})
+		coord := tenantCoord(rt, pt)
+		for _, p := range pols {
+			cells = append(cells, simCell{"tenants", coord, p, func(c Config) sim.Result {
+				return RunTenants(tn, rss, p, rt, c)
+			}})
 		}
 	}
-	if err := r.do(ctx, tasks); err != nil {
-		return nil, err
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("bench: writing event traces: %w", failed)
-	}
-	m := &Matrix{}
-	for ti, pt := range points {
-		for pi, p := range pols {
-			res := results[ti*len(pols)+pi]
-			base := results[pi] // points[0].Tenants == 1: the reference row
-			m.Cells = append(m.Cells, Cell{
-				Workload: wname, Ratio: tenantCoord(rt, pt), Policy: p,
-				Value: Norm(res, base), Result: res,
-			})
-		}
-	}
-	return m, nil
+	return r.runSweep(ctx, cfg, cells, len(pols))
 }
 
 // TenantSweepTable renders a tenant sweep as a point x policy table
