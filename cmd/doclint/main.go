@@ -6,11 +6,12 @@
 // function and method must carry its own doc comment. With -md it
 // instead lints markdown documentation: every relative link must
 // resolve to an existing file, every #fragment must match a heading
-// anchor (GitHub slug rules) in the target document, and every code
+// anchor (GitHub slug rules) in the target document, every code
 // reference to a package under ./internal must name a symbol that
-// exists (see staleRefs). Both modes are wired into `make check` via the
-// docs target, so an undocumented export, a dead doc link or a stale
-// code reference fails CI.
+// exists (see staleRefs), and every code span opening with a flag must
+// name one a command declares (see staleFlags). Both modes are wired
+// into `make check` via the docs target, so an undocumented export, a
+// dead doc link or a stale code reference fails CI.
 //
 // Usage:
 //
@@ -28,6 +29,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -254,10 +256,15 @@ func lintMarkdown(args []string) int {
 		fmt.Fprintln(os.Stderr, "doclint:", err)
 		return 2
 	}
+	flags, err := declaredFlags(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "doclint:", err)
+		return 2
+	}
 	exit := 0
 	anchorCache := map[string]map[string]bool{}
 	for _, f := range files {
-		for _, msg := range lintMarkdownFile(f, anchorCache, syms) {
+		for _, msg := range lintMarkdownFile(f, anchorCache, syms, flags) {
 			fmt.Fprintln(os.Stderr, "doclint:", msg)
 			exit = 1
 		}
@@ -266,8 +273,9 @@ func lintMarkdown(args []string) int {
 }
 
 // lintMarkdownFile checks one document's links, using (and filling)
-// the per-target anchor cache, and its code references against syms.
-func lintMarkdownFile(path string, anchors map[string]map[string]bool, syms map[string]map[string]bool) []string {
+// the per-target anchor cache, its code references against syms and
+// its flag spans against flags.
+func lintMarkdownFile(path string, anchors map[string]map[string]bool, syms map[string]map[string]bool, flags map[string]bool) []string {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return []string{err.Error()}
@@ -276,6 +284,9 @@ func lintMarkdownFile(path string, anchors map[string]map[string]bool, syms map[
 	for ln, line := range strippedLines(string(data)) {
 		for _, ref := range staleRefs(line, syms) {
 			msgs = append(msgs, fmt.Sprintf("%s:%d: code reference %q names no symbol under internal/", path, ln+1, ref))
+		}
+		for _, ref := range staleFlags(line, flags) {
+			msgs = append(msgs, fmt.Sprintf("%s:%d: flag %q is declared by no command and passed by no Makefile rule", path, ln+1, ref))
 		}
 		for _, m := range mdLink.FindAllStringSubmatch(line, -1) {
 			target := m[1]
@@ -351,6 +362,86 @@ func staleRefs(line string, syms map[string]map[string]bool) []string {
 		}
 	}
 	return out
+}
+
+// flagSpan matches a code span that opens with a flag, as in
+// `-parallel` or `-mover BYTES/WINDOW`.
+var flagSpan = regexp.MustCompile(`^-([a-z][a-z0-9-]*)(?:[ =]|$)`)
+
+// staleFlags returns the flag spans on one line whose flag is not in
+// flags.
+func staleFlags(line string, flags map[string]bool) []string {
+	var out []string
+	for _, span := range codeSpan.FindAllString(line, -1) {
+		if m := flagSpan.FindStringSubmatch(strings.Trim(span, "`")); m != nil && !flags[m[1]] {
+			out = append(out, "-"+m[1])
+		}
+	}
+	return out
+}
+
+// flagFunc matches the flag package's flag-defining functions and
+// FlagSet methods (String, IntVar, Var, Func, ...).
+var flagFunc = regexp.MustCompile(`^(Bool|Duration|Float64|Int|Int64|String|Text|Uint|Uint64)?Var$|^(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Func|BoolFunc)$`)
+
+// makeGoFlags matches a Makefile go-toolchain invocation and the flags
+// right after its subcommand, as in `$(GO) test -race -run`.
+var makeGoFlags = regexp.MustCompile(`\$\(GO\) \w+((?: -[\w-]+(?:=\S*)?)+)`)
+
+// declaredFlags returns the flag names a doc may cite: the flags the
+// commands under root/cmd and root/benchmark declare (flag.X, fs.X or
+// flag.Var, named by the call's first string literal) and the
+// go-toolchain flags root/Makefile passes.
+func declaredFlags(root string) (map[string]bool, error) {
+	set := map[string]bool{}
+	addDecls := func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || !flagFunc.MatchString(sel.Sel.Name) {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); !ok || (x.Name != "flag" && x.Name != "fs") {
+				return true
+			}
+			for _, a := range call.Args {
+				if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						set[name] = true
+					}
+					break
+				}
+			}
+			return true
+		})
+		return nil
+	}
+	for _, dir := range []string{"cmd", "benchmark"} {
+		if err := filepath.WalkDir(filepath.Join(root, dir), addDecls); err != nil {
+			return nil, err
+		}
+	}
+	mk, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range makeGoFlags.FindAllStringSubmatch(string(mk), -1) {
+		for _, tok := range strings.Fields(m[1]) {
+			name, _, _ := strings.Cut(tok[1:], "=")
+			set[name] = true
+		}
+	}
+	return set, nil
 }
 
 func hasPrefixed(set map[string]bool, prefix string) bool {

@@ -48,10 +48,10 @@ const (
 // Background work cost model (ns); scaled by the same residual
 // time-compression factor as package vm's costs (see DESIGN.md §4).
 const (
-	coolPageScanNS  = 4       // apply one page's pending cooling + histogram fixup
-	coolSubScanNS   = 1       // halve one subpage counter
-	listScanPageNS  = 2       // sweep/scan visit of one page
-	migBandwidthBPS = 8 << 30 // background migration copy bandwidth (~one core of kmigrated)
+	coolPageScanNS = 4       // apply one page's pending cooling + histogram fixup
+	coolSubScanNS  = 1       // halve one subpage counter
+	listScanPageNS = 2       // sweep/scan visit of one page
+	kmigratedBPS   = 8 << 30 // background migration copy bandwidth (~one core of kmigrated)
 )
 
 // Config tunes the policy. Zero values take scaled paper defaults; see
@@ -104,7 +104,7 @@ type Config struct {
 	CoolSweepPages int
 }
 
-func (c *Config) fillDefaults(fastUnits, rssHintUnits uint64) {
+func (c *Config) fillDefaults(fastUnits uint64) {
 	if c.Alpha == 0 {
 		c.Alpha = 0.9
 	}
@@ -141,7 +141,6 @@ func (c *Config) fillDefaults(fastUnits, rssHintUnits uint64) {
 	if c.CoolSweepPages == 0 {
 		c.CoolSweepPages = 256
 	}
-	_ = rssHintUnits
 }
 
 // blockState tracks one aligned 2MB block of base pages for collapse
@@ -289,8 +288,7 @@ func (p *Policy) Name() string {
 func (p *Policy) Attach(m *sim.Machine) {
 	p.m = m
 	fastUnits := m.Fast.CapacityFrames()
-	rssHint := m.Cap.CapacityFrames()
-	p.cfg.fillDefaults(fastUnits, rssHint)
+	p.cfg.fillDefaults(fastUnits)
 	p.smp = pebs.NewSampler(p.cfg.Sampler)
 	p.trace = m.Cfg.Trace
 	p.smp.Trace = m.Cfg.Trace
@@ -969,7 +967,7 @@ func (p *Policy) Tick(now uint64) {
 		p.hybridScan()
 	}
 	p.coolSweep()
-	budget := uint64(float64(p.cfg.KmigratedPeriodNS) / 1e9 * migBandwidthBPS)
+	budget := uint64(float64(p.cfg.KmigratedPeriodNS) / 1e9 * kmigratedBPS)
 	if budget < 2*tier.HugePageSize {
 		// kmigrated always finishes at least one huge-page operation
 		// per wake, even if that overruns a very short period.
@@ -1060,19 +1058,8 @@ func (p *Policy) splitOne(pg *vm.Page) {
 }
 
 // freeTarget is the fast-tier free-space threshold in frames: the
-// configured fraction with a floor of two huge frames (capped at a
-// quarter of the tier) so THP allocations can always be absorbed.
-func (p *Policy) freeTarget() uint64 {
-	f := uint64(float64(p.m.Fast.CapacityFrames()) * p.cfg.FreeSpaceTarget)
-	floor := uint64(2 * tier.SubPages)
-	if cap4 := p.m.Fast.CapacityFrames() / 4; floor > cap4 {
-		floor = cap4
-	}
-	if f < floor {
-		f = floor
-	}
-	return f
-}
+// baselines' headroom rule at the configured fraction.
+func (p *Policy) freeTarget() uint64 { return policy.Headroom(p.m, p.cfg.FreeSpaceTarget) }
 
 // promoteList drains one promotion queue. validFlag is the queue's
 // membership flag; allowWarmVictims selects whether reclaim may demote
@@ -1117,11 +1104,10 @@ func (p *Policy) promoteList(list *[]*vm.Page, validFlag uint32, allowWarmVictim
 	return budget
 }
 
-// migrate moves one page transactionally with bounded retries on
-// fault-aborted copies, charging kmigrated for the successful copy and
-// for every wasted attempt plus backoff. With faults disabled this is
-// exactly the old single-shot Migrate: no retries, no extra cost. On
-// success the fast-tier list membership follows the page's new tier.
+// migrate moves one page through the shared transactional copy
+// (policy.Transact), charging kmigrated for the successful copy and
+// for every wasted attempt plus backoff. On success the fast-tier list
+// membership follows the page's new tier.
 //
 // All of kmigrated's moves are background work, so when an admission
 // policy is configured the gate scores each as async, and when the
@@ -1138,24 +1124,17 @@ func (p *Policy) migrate(pg *vm.Page, dst tier.ID) bool {
 		}
 		return true
 	}
-	fp := p.m.Faults()
-	for attempt := 0; ; attempt++ {
-		ns, st := p.m.AS.MigrateTx(pg, dst)
-		p.backgroundNS += ns
-		if st == vm.MigrateOK {
-			if pg.Tier == tier.FastTier {
-				p.fastListAdd(pg)
-			} else {
-				p.fastListRemove(pg, pg.Bin)
-			}
-			return true
-		}
-		if st != vm.MigrateAborted || attempt >= fp.MaxRetries() {
-			return false
-		}
-		p.backgroundNS += fp.RetryBackoffNS(attempt)
-		p.trace.Emit(obs.EvMigrateRetry, pg.VPN, pg.IsHuge(), pg.Bytes(), uint64(attempt+1))
+	ns, st, _ := policy.Transact(p.m, pg, dst)
+	p.backgroundNS += ns
+	if st != vm.MigrateOK {
+		return false
 	}
+	if pg.Tier == tier.FastTier {
+		p.fastListAdd(pg)
+	} else {
+		p.fastListRemove(pg, pg.Bin)
+	}
+	return true
 }
 
 // popDemo pops the next demotion victim from the per-bin fast-tier
@@ -1335,27 +1314,3 @@ func (p *Policy) tryCollapse() {
 // the sample-count schedule. Benchmarks and equivalence tests use it to
 // measure and compare cooling events in isolation.
 func (p *Policy) DebugForceCool() { p.cool() }
-
-// DebugBaseHist exposes the emulated base-page histogram and its
-// thresholds for diagnostics and tests.
-func (p *Policy) DebugBaseHist() (bins [histogram.Bins]uint64, th histogram.Thresholds) {
-	for i := 0; i < histogram.Bins; i++ {
-		bins[i] = p.baseHist.Bin(i)
-	}
-	return bins, p.bth
-}
-
-// DebugSplitStats exposes split pipeline counters for diagnostics.
-func (p *Policy) DebugSplitStats() (queued, executed uint64, queueLen int) {
-	return deref(p.dbgQueued), deref(p.splits), len(p.splitQueue)
-}
-
-// DebugSplitSupply exposes candidate-supply counters for diagnostics.
-func (p *Policy) DebugSplitSupply() (bucketed, nsSum, windows uint64) {
-	return deref(p.dbgBucketed), deref(p.dbgNs), deref(p.dbgWindows)
-}
-
-// DebugSplitRejects exposes per-gate rejection counters.
-func (p *Policy) DebugSplitRejects() (seen, rejCount, rejUtil, rejU uint64) {
-	return deref(p.dbgSeen), deref(p.dbgRejCount), deref(p.dbgRejUtil), deref(p.dbgRejU)
-}

@@ -35,25 +35,11 @@ const (
 	SyncExtraNS = 2_000 // extra critical-path bookkeeping for in-fault migration
 )
 
-// AdmissionFunc vetoes a migration before any copy work is charged.
-// pg is the page about to move, dst its destination and sync whether
-// the move is on the application's critical path. Returning false
-// rejects the migration (counted under migrate_*_rejected_admission).
-type AdmissionFunc func(pg *vm.Page, dst tier.ID, sync bool) bool
-
 // Base carries the plumbing every baseline shares: machine binding, a
 // page registry in fault order, and background CPU accounting.
 type Base struct {
 	M    *sim.Machine
 	BgNS uint64
-
-	// Admit, when set, overrides the default admission control applied
-	// by MigrateSync/MigrateAsync. The default admits everything except
-	// async migrations during bandwidth-throttle windows (copying at
-	// 1/Nth speed wastes daemon budget on work that gets cheaper when
-	// the window closes); sync migrations always pass because the
-	// faulting thread is already stalled.
-	Admit AdmissionFunc
 
 	Registry []*vm.Page
 
@@ -198,14 +184,14 @@ func (b *Base) Gate() *AdmissionGate {
 	return b.ag
 }
 
-// admit applies admission control, in precedence order: the caller's
-// Admit hook when set, then the machine's configured tier.Admission
-// policy through the gate, then the default described on the Admit
-// field (deny async during throttle windows).
+// admit applies admission control: the machine's configured
+// tier.Admission policy through the gate when one is installed, else
+// the default, which admits everything except async migrations during
+// bandwidth-throttle windows (copying at 1/Nth speed wastes daemon
+// budget on work that gets cheaper when the window closes); sync
+// migrations always pass because the faulting thread is already
+// stalled.
 func (b *Base) admit(pg *vm.Page, dst tier.ID, sync bool) bool {
-	if b.Admit != nil {
-		return b.Admit(pg, dst, sync)
-	}
 	if g := b.Gate(); g.Installed() {
 		return g.Allow(pg, dst, sync)
 	}
@@ -215,24 +201,26 @@ func (b *Base) admit(pg *vm.Page, dst tier.ID, sync bool) bool {
 	return true
 }
 
-// migrateTx drives one transactional migration, retrying aborted
-// copies up to the fault plan's bound with exponential virtual-time
-// backoff. The returned ns includes wasted copy work and backoff for
-// every aborted attempt — with faults disabled aborts never occur and
-// the cost equals the plain migration cost. The final status is
-// MigrateAborted only after the retry budget is exhausted.
-func (b *Base) migrateTx(pg *vm.Page, dst tier.ID) (uint64, vm.MigrateStatus) {
-	fp := b.M.Faults()
-	var total uint64
+// Transact drives one inline transactional migration on m, retrying
+// aborted copies up to the fault plan's bound with exponential
+// virtual-time backoff. It is the one retry loop: every policy's
+// inline page migration goes through it (the background mover retries
+// per task instead). The returned ns includes wasted copy work and
+// backoff for every aborted attempt — with faults disabled aborts
+// never occur and the cost equals the plain migration cost. The final
+// status is MigrateAborted only after the retry budget is exhausted;
+// retries counts the attempts repeated on the way.
+func Transact(m *sim.Machine, pg *vm.Page, dst tier.ID) (ns uint64, st vm.MigrateStatus, retries uint64) {
+	fp := m.Faults()
 	for attempt := 0; ; attempt++ {
-		ns, st := b.M.AS.MigrateTx(pg, dst)
-		total += ns
-		if st != vm.MigrateAborted || attempt >= fp.MaxRetries() {
-			return total, st
+		cns, cst := m.AS.MigrateTx(pg, dst)
+		ns += cns
+		if cst != vm.MigrateAborted || attempt >= fp.MaxRetries() {
+			return ns, cst, retries
 		}
-		total += fp.RetryBackoffNS(attempt)
-		*b.mig().retries++
-		b.Trace().Emit(obs.EvMigrateRetry, pg.VPN, pg.IsHuge(), pg.Bytes(), uint64(attempt+1))
+		ns += fp.RetryBackoffNS(attempt)
+		retries++
+		m.Tracer().Emit(obs.EvMigrateRetry, pg.VPN, pg.IsHuge(), pg.Bytes(), retries)
 	}
 }
 
@@ -252,7 +240,8 @@ func (b *Base) MigrateSync(pg *vm.Page, dst tier.ID) (uint64, bool) {
 		*mc.syncRejRate++
 		return 0, false
 	}
-	ns, st := b.migrateTx(pg, dst)
+	ns, st, retries := Transact(b.M, pg, dst)
+	*mc.retries += retries
 	switch st {
 	case vm.MigrateNoSpace:
 		*mc.syncRejSpace++
@@ -262,7 +251,7 @@ func (b *Base) MigrateSync(pg *vm.Page, dst tier.ID) (uint64, bool) {
 		return ns, false
 	case vm.MigrateDenied:
 		// The QoS arbiter vetoed the move below the policy — same
-		// observable outcome as a rejected admission hook.
+		// observable outcome as a rejected admission.
 		*mc.syncRejAdm++
 		return 0, false
 	}
@@ -289,7 +278,8 @@ func (b *Base) MigrateAsync(pg *vm.Page, dst tier.ID) bool {
 		*mc.asyncBytes += pg.Bytes()
 		return true
 	}
-	ns, st := b.migrateTx(pg, dst)
+	ns, st, retries := Transact(b.M, pg, dst)
+	*mc.retries += retries
 	b.BgNS += ns
 	if st != vm.MigrateOK {
 		*mc.asyncRej++
@@ -311,20 +301,51 @@ func (b *Base) FastReserveFrames(frac float64) uint64 {
 	return uint64(float64(b.M.Fast.CapacityFrames()) * frac)
 }
 
-// HeadroomFrames is FastReserveFrames with a floor of two huge frames
-// (capped at a quarter of the tier), so that policies keeping
+// Headroom is frac of m's fast tier in frames, with a floor of two huge
+// frames (capped at a quarter of the tier), so that policies keeping
 // allocation head-room can actually absorb a 2MB THP fault — kernel
 // watermarks are absolute, not purely proportional.
-func (b *Base) HeadroomFrames(frac float64) uint64 {
-	f := b.FastReserveFrames(frac)
-	floor := uint64(2 * tier.SubPages)
-	if cap4 := b.M.Fast.CapacityFrames() / 4; floor > cap4 {
-		floor = cap4
+func Headroom(m *sim.Machine, frac float64) uint64 {
+	capacity := m.Fast.CapacityFrames()
+	floor := min(uint64(2*tier.SubPages), capacity/4)
+	return max(uint64(float64(capacity)*frac), floor)
+}
+
+// HeadroomFrames is Headroom on the policy's machine.
+func (b *Base) HeadroomFrames(frac float64) uint64 { return Headroom(b.M, frac) }
+
+// demoteClock ages the fast tier's LRU clock-style from *hand until frac
+// of head-room is free: a page whose accessed bit is set gets a second
+// chance (the bit is cleared and the page watched), any other fast-tier
+// page is demoted one hop. One call scans max(len(Registry)/div, 64)
+// slots and charges 25ns each, unless the registry empties first.
+func (b *Base) demoteClock(hand *int, frac float64, div int) {
+	reserve := b.HeadroomFrames(frac)
+	if b.M.Fast.FreeFrames() >= reserve || len(b.Registry) == 0 {
+		return
 	}
-	if f < floor {
-		f = floor
+	scan := max(len(b.Registry)/div, 64)
+	for i := 0; i < scan && b.M.Fast.FreeFrames() < reserve; i++ {
+		if *hand >= len(b.Registry) {
+			*hand = 0
+			b.Compact()
+			if len(b.Registry) == 0 {
+				return
+			}
+		}
+		pg := b.Registry[*hand]
+		*hand++
+		if pg.Dead() || pg.Tier != tier.FastTier {
+			continue
+		}
+		if pg.PFlags&flagAccessed != 0 {
+			pg.PFlags &^= flagAccessed
+			b.M.AS.Watch(pg)
+			continue
+		}
+		b.MigrateAsync(pg, b.M.DemoteTarget(pg.Tier))
 	}
-	return f
+	b.BgNS += uint64(scan) * 25
 }
 
 // Rearmer re-arms hint faults round-robin over the registry at a fixed

@@ -69,12 +69,14 @@ func (t *Tiering08) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	return stall
 }
 
-// Tick implements sim.Policy.
+// Tick implements sim.Policy: re-arm hint faults, adapt the
+// promotion threshold, then keep head-room free for allocations and
+// promotions by recency.
 func (t *Tiering08) Tick(now uint64) {
 	n := t.rearmer.Advance(&t.Base, now)
 	t.BgNS += uint64(n) * ScanPageNS
 	t.adapt(now)
-	t.demote()
+	t.demoteClock(&t.hand, t.reserve, 4)
 }
 
 // adapt moves the re-fault threshold to track the promotion-rate
@@ -98,38 +100,4 @@ func (t *Tiering08) adapt(now uint64) {
 		t.threshG = t.Counters().Gauge("thresh_ns")
 	}
 	*t.threshG = t.threshNS
-}
-
-// demote keeps head-room free for allocations and promotions, evicting
-// fast-tier pages whose accessed bit is clear (recency) clock-style.
-func (t *Tiering08) demote() {
-	reserve := t.HeadroomFrames(t.reserve)
-	if t.M.Fast.FreeFrames() >= reserve || len(t.Registry) == 0 {
-		return
-	}
-	scan := len(t.Registry) / 4
-	if scan < 64 {
-		scan = 64
-	}
-	for i := 0; i < scan && t.M.Fast.FreeFrames() < reserve; i++ {
-		if t.hand >= len(t.Registry) {
-			t.hand = 0
-			t.Compact()
-			if len(t.Registry) == 0 {
-				return
-			}
-		}
-		pg := t.Registry[t.hand]
-		t.hand++
-		if pg.Dead() || pg.Tier != tier.FastTier {
-			continue
-		}
-		if pg.PFlags&flagAccessed != 0 {
-			pg.PFlags &^= flagAccessed // second chance
-			t.M.AS.Watch(pg)
-			continue
-		}
-		t.MigrateAsync(pg, t.M.DemoteTarget(pg.Tier))
-	}
-	t.BgNS += uint64(scan) * 25
 }

@@ -59,43 +59,10 @@ func (t *TPP) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	return stall
 }
 
-// Tick implements sim.Policy.
+// Tick implements sim.Policy: re-arm hint faults, then age the fast
+// tier's LRU until the allocation head-room is restored.
 func (t *TPP) Tick(now uint64) {
 	n := t.rearmer.Advance(&t.Base, now)
 	t.BgNS += uint64(n) * ScanPageNS
-	t.demote()
-}
-
-// demote ages the fast tier's LRU clock-style, demoting pages whose
-// accessed bit is clear until the allocation head-room is restored.
-func (t *TPP) demote() {
-	reserve := t.HeadroomFrames(t.reserve)
-	if t.M.Fast.FreeFrames() >= reserve || len(t.Registry) == 0 {
-		return
-	}
-	scan := len(t.Registry) / 3
-	if scan < 64 {
-		scan = 64
-	}
-	for i := 0; i < scan && t.M.Fast.FreeFrames() < reserve; i++ {
-		if t.hand >= len(t.Registry) {
-			t.hand = 0
-			t.Compact()
-			if len(t.Registry) == 0 {
-				return
-			}
-		}
-		pg := t.Registry[t.hand]
-		t.hand++
-		if pg.Dead() || pg.Tier != tier.FastTier {
-			continue
-		}
-		if pg.PFlags&flagAccessed != 0 {
-			pg.PFlags &^= flagAccessed
-			t.M.AS.Watch(pg)
-			continue
-		}
-		t.MigrateAsync(pg, t.M.DemoteTarget(pg.Tier))
-	}
-	t.BgNS += uint64(scan) * 25
+	t.demoteClock(&t.hand, t.reserve, 3)
 }

@@ -356,8 +356,7 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 		g.Counter("abort_ns")
 	}
 	if cfg.Mover.Enabled() {
-		m.mover = vm.NewMover(cfg.Mover, m.faults)
-		m.mover.AttachMetrics(m.reg.Group("mover"))
+		m.mover = vm.NewMover(cfg.Mover, m.faults, m.reg.Group("mover"))
 	}
 	for i, t := range tiers {
 		m.loadNS[i] = t.AccessNS(false)

@@ -10,8 +10,8 @@ import (
 // cells come from the machine registry, so they flow through counter
 // snapshots, CSV export and the conformance probes for free.
 type tenantCells struct {
-	promoDenied   *uint64 // promotions_denied: arbiter or Admit vetoes toward Fast
-	demoDenied    *uint64 // demotions_denied: floor or Admit vetoes away from Fast
+	promoDenied   *uint64 // promotions_denied: share vetoes toward Fast
+	demoDenied    *uint64 // demotions_denied: floor vetoes away from Fast
 	floorViol     *uint64 // floor_violations: warmed floor dips not explained by frees
 	contendedProm *uint64 // contended_promotions: units promoted while Fast was contended
 	accesses      *uint64 // accesses: final per-tenant access count
@@ -31,9 +31,8 @@ type tenantCells struct {
 // shares. Liveness flows in through addLive/removeLive at the stream
 // positions the scheduler flips it.
 type arbiter struct {
-	m     *sim.Machine
-	specs []Spec // per tenant, space order
-	live  []bool // mirrors the scheduler's tenant liveness
+	m    *sim.Machine
+	live []bool // mirrors the scheduler's tenant liveness
 
 	weights []uint64 // per-tenant share weight (>= 1)
 	sumW    uint64   // Σ weights over live tenants
@@ -65,7 +64,6 @@ func newArbiter(m *sim.Machine, specs []Spec, names []string) *arbiter {
 	n := len(specs)
 	a := &arbiter{
 		m:                 m,
-		specs:             specs,
 		live:              make([]bool, n),
 		weights:           make([]uint64, n),
 		floors:            make([]uint64, n),
@@ -126,14 +124,6 @@ func (a *arbiter) effFloor(i int) uint64 {
 func (a *arbiter) veto(pg *vm.Page, dst tier.ID, units uint64) bool {
 	i := int(pg.Owner)
 	c := &a.cells[i]
-	if adm := a.specs[i].Admit; adm != nil && !adm(pg, dst, false) {
-		if dst == tier.FastTier {
-			*c.promoDenied++
-		} else {
-			*c.demoDenied++
-		}
-		return false
-	}
 	fu := a.m.Space(i).FastUnits()
 	if dst != tier.FastTier {
 		// Demotion: never push a tenant below its effective floor.

@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"memtis/internal/obs"
-	"memtis/internal/policy"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -53,11 +52,6 @@ type Spec struct {
 	// single-tenant scenario runners; instances may be shared across
 	// tenants (all run state lives in each stream).
 	Workload workload.Streamer
-	// Admit, when set, is this tenant's admission hook, layered below
-	// the policy's own AdmissionFunc: it is consulted (with
-	// sync=false — the arbiter cannot tell) before floor and share
-	// arbitration, and a false return vetoes the migration.
-	Admit policy.AdmissionFunc
 
 	// SpawnFrac > 0 delays the tenant's first slice until that
 	// fraction of the budget has elapsed; 0 spawns at start.

@@ -21,16 +21,13 @@ import (
 // sweep matrices enumerate depth, so the bound is deliberately tight.
 const MaxTiers = 8
 
-// Default per-hop migration copy costs in nanoseconds. These mirror the
-// historical flat migration charges of the two-tier VM (vm.MigrateBaseNS
-// and vm.MigrateHugeNS), so a default hop costs exactly what a two-tier
-// migration always has.
+// Default per-hop migration copy costs in nanoseconds: the two-tier
+// VM's migration charges (vm.MigrateBaseNS and vm.MigrateHugeNS are
+// these), so a default hop costs exactly what a two-tier migration
+// always has.
 const (
 	DefaultHopBaseNS = 3_000
 	DefaultHopHugeNS = 250_000
-	// DefaultHopBandwidthBPS is the default migration bandwidth of one
-	// hop (8 GiB/s, the paper's inter-tier copy bandwidth ballpark).
-	DefaultHopBandwidthBPS = 8 << 30
 )
 
 // Validation bounds for topology fields; specs beyond these are almost
@@ -42,18 +39,12 @@ const (
 	MaxHopCostNS = 1_000_000_000
 	// MaxTierBytes bounds one tier's capacity (1 PiB).
 	MaxTierBytes = 1 << 50
-	// MaxBandwidthBPS bounds hop migration bandwidth (1 TiB/s).
-	MaxBandwidthBPS = 1 << 40
 )
 
 // HopConfig describes the migration link between two adjacent tiers
 // (hop i joins tier i and tier i+1). Zero fields take the defaults
 // above, so the zero HopConfig is the historical two-tier cost model.
 type HopConfig struct {
-	// BandwidthBPS is the migration bandwidth of the hop in bytes per
-	// second; the background mover derives its per-window budget from
-	// the narrowest hop when not configured explicitly.
-	BandwidthBPS uint64
 	// BaseCostNS is the copy cost of migrating one 4KB page across the
 	// hop (0 = DefaultHopBaseNS).
 	BaseCostNS uint64
@@ -63,9 +54,6 @@ type HopConfig struct {
 }
 
 func (h *HopConfig) fillDefaults() {
-	if h.BandwidthBPS == 0 {
-		h.BandwidthBPS = DefaultHopBandwidthBPS
-	}
 	if h.BaseCostNS == 0 {
 		h.BaseCostNS = DefaultHopBaseNS
 	}
@@ -88,7 +76,7 @@ func (t *Topology) Depth() int { return len(t.Tiers) }
 
 // Validate rejects topologies the simulator cannot build: wrong depth,
 // hop-count mismatch, sub-huge-page tiers, or fields beyond the
-// documented bounds. Zero latency/cost/bandwidth fields are legal
+// documented bounds. Zero latency/cost fields are legal
 // ("use the default") and not checked here.
 func (t *Topology) Validate() error {
 	if len(t.Tiers) < 2 || len(t.Tiers) > MaxTiers {
@@ -117,9 +105,6 @@ func (t *Topology) Validate() error {
 		}
 	}
 	for i, h := range t.Hops {
-		if h.BandwidthBPS > MaxBandwidthBPS {
-			return fmt.Errorf("tier: hop %d bandwidth %d exceeds %d", i, h.BandwidthBPS, uint64(MaxBandwidthBPS))
-		}
 		if h.BaseCostNS > MaxHopCostNS || h.HugeCostNS > MaxHopCostNS {
 			return fmt.Errorf("tier: hop %d cost %d/%d exceeds %dns",
 				i, h.BaseCostNS, h.HugeCostNS, uint64(MaxHopCostNS))
@@ -181,21 +166,6 @@ func (t *Topology) HopCosts() (baseNS, hugeNS []uint64) {
 	return baseNS, hugeNS
 }
 
-// MinHopBandwidthBPS returns the narrowest hop's migration bandwidth,
-// the bottleneck the background mover budgets against by default.
-func (t *Topology) MinHopBandwidthBPS() uint64 {
-	min := uint64(0)
-	for _, h := range t.hops() {
-		if min == 0 || h.BandwidthBPS < min {
-			min = h.BandwidthBPS
-		}
-	}
-	if min == 0 {
-		min = DefaultHopBandwidthBPS
-	}
-	return min
-}
-
 // kindNames maps spec tokens to kinds; keep in sync with Kind.
 var kindNames = map[string]Kind{
 	"dram": DRAM,
@@ -229,13 +199,12 @@ func kindToken(k Kind) string {
 // suffixes (omitted: the kind's default profile). A hop attribute block
 // may follow any ">" separator:
 //
-//	>[bw=BYTES,base=DUR,huge=DUR]
+//	>[base=DUR,huge=DUR]
 //
-// setting the hop's migration bandwidth (bytes/second) and per-page
-// copy costs; omitted attributes keep the defaults, which reproduce the
-// historical two-tier migration charges. Example:
+// setting the hop's per-page copy costs; omitted attributes keep the
+// defaults, which reproduce the two-tier migration charges. Example:
 //
-//	dram:256m>[bw=16g]cxl:1g>nvm:4g:300ns/400ns
+//	dram:256m>[huge=400us]cxl:1g>nvm:4g:300ns/400ns
 //
 // The empty string is an error; use a nil *Topology for "default".
 func ParseTopologySpec(s string) (*Topology, error) {
@@ -332,8 +301,6 @@ func parseHopAttrs(s string, h *HopConfig) error {
 		}
 		var err error
 		switch key {
-		case "bw":
-			h.BandwidthBPS, err = parseBytes(val)
 		case "base":
 			h.BaseCostNS, err = parseDuration(val)
 		case "huge":
@@ -346,10 +313,6 @@ func parseHopAttrs(s string, h *HopConfig) error {
 		}
 		if err == nil {
 			switch key {
-			case "bw":
-				if h.BandwidthBPS == 0 {
-					return fmt.Errorf("tier: topology hop bandwidth must be positive")
-				}
 			case "base":
 				if h.BaseCostNS == 0 {
 					return fmt.Errorf("tier: topology hop base cost must be positive")
@@ -413,9 +376,6 @@ func (t *Topology) String() string {
 			if t.Hops != nil {
 				if h := t.Hops[i-1]; h != (HopConfig{}) {
 					var attrs []string
-					if h.BandwidthBPS > 0 {
-						attrs = append(attrs, "bw="+fmtBytes(h.BandwidthBPS))
-					}
 					if h.BaseCostNS > 0 {
 						attrs = append(attrs, "base="+fmtDuration(h.BaseCostNS))
 					}

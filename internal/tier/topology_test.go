@@ -37,10 +37,6 @@ func TestTopologyValidate(t *testing.T) {
 		{"latency bound", Topology{Tiers: []Config{
 			{Kind: DRAM, Bytes: 1 << 30, LoadNS: MaxLatencyNS + 1, StoreNS: 10},
 			{Kind: NVM, Bytes: 1 << 30}}}},
-		{"hop bw bound", Topology{
-			Tiers: []Config{{Kind: DRAM, Bytes: 1 << 30}, {Kind: NVM, Bytes: 1 << 30}},
-			Hops:  []HopConfig{{BandwidthBPS: MaxBandwidthBPS + 1}},
-		}},
 		{"hop cost bound", Topology{
 			Tiers: []Config{{Kind: DRAM, Bytes: 1 << 30}, {Kind: NVM, Bytes: 1 << 30}},
 			Hops:  []HopConfig{{BaseCostNS: MaxHopCostNS + 1}},
@@ -74,9 +70,6 @@ func TestDefaultTopologyMatchesLegacy(t *testing.T) {
 		t.Fatalf("default hop costs %v/%v, want [%d]/[%d]",
 			base, huge, DefaultHopBaseNS, DefaultHopHugeNS)
 	}
-	if bw := topo.MinHopBandwidthBPS(); bw != DefaultHopBandwidthBPS {
-		t.Fatalf("default hop bandwidth %d, want %d", bw, uint64(DefaultHopBandwidthBPS))
-	}
 	tiers, err := topo.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +80,7 @@ func TestDefaultTopologyMatchesLegacy(t *testing.T) {
 }
 
 func TestParseTopologySpec(t *testing.T) {
-	topo, err := ParseTopologySpec("dram:256m>[bw=16g]cxl:1g>nvm:4g:300ns/400ns")
+	topo, err := ParseTopologySpec("dram:256m>[huge=400us]cxl:1g>nvm:4g:300ns/400ns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +93,7 @@ func TestParseTopologySpec(t *testing.T) {
 	if topo.Tiers[2].LoadNS != 300 || topo.Tiers[2].StoreNS != 400 {
 		t.Fatalf("deep tier latency %d/%d, want 300/400", topo.Tiers[2].LoadNS, topo.Tiers[2].StoreNS)
 	}
-	if len(topo.Hops) != 2 || topo.Hops[0].BandwidthBPS != 16<<30 || topo.Hops[1] != (HopConfig{}) {
+	if len(topo.Hops) != 2 || topo.Hops[0] != (HopConfig{HugeCostNS: 400_000}) || topo.Hops[1] != (HopConfig{}) {
 		t.Fatalf("hops %+v", topo.Hops)
 	}
 
@@ -116,8 +109,8 @@ func TestParseTopologySpec(t *testing.T) {
 	for _, bad := range []string{
 		"", "dram:256m", "dram:256m>flash:1g", "dram:0>nvm:1g",
 		"dram:256m>nvm:1g:300ns", "dram:256m>nvm:1g:0ns/0ns",
-		"dram:256m>[bw=0]nvm:1g", "dram:256m>[speed=9]nvm:1g",
-		"dram:256m>[bw=1gnvm:1g", "dram:256m>nvm:1k",
+		"dram:256m>[base=0]nvm:1g", "dram:256m>[speed=9]nvm:1g",
+		"dram:256m>[bw=16g]nvm:1g", "dram:256m>[base=1usnvm:1g", "dram:256m>nvm:1k",
 		"dram:256m>nvm:1g>nvm:1g>nvm:1g>nvm:1g>nvm:1g>nvm:1g>nvm:1g>nvm:1g",
 	} {
 		if _, err := ParseTopologySpec(bad); err == nil {
@@ -146,9 +139,6 @@ func randomTopology(rng *rand.Rand) *Topology {
 		topo.Hops = make([]HopConfig, depth-1)
 		for i := range topo.Hops {
 			h := &topo.Hops[i]
-			if rng.Intn(2) == 0 {
-				h.BandwidthBPS = 1 + uint64(rng.Intn(1<<30))
-			}
 			if rng.Intn(2) == 0 {
 				h.BaseCostNS = 1 + uint64(rng.Intn(MaxHopCostNS))
 			}
@@ -192,8 +182,8 @@ func TestTopologyStringRoundTrip(t *testing.T) {
 // validates, and the canonical String form round-trips exactly.
 func FuzzTopologySpec(f *testing.F) {
 	f.Add("dram:256m>nvm:1g")
-	f.Add("dram:256m>[bw=16g]cxl:1g>nvm:4g:300ns/400ns")
-	f.Add("dram:64m:80ns/90ns>[bw=8g,base=3us,huge=250us]far:1t")
+	f.Add("dram:256m>[huge=400us]cxl:1g>nvm:4g:300ns/400ns")
+	f.Add("dram:64m:80ns/90ns>[base=3us,huge=250us]far:1t")
 	f.Add("dram:2m>cxl:2m>nvm:2m>far:2m")
 	f.Add(">>>")
 	f.Add("dram:256m>[]nvm:1g")

@@ -25,27 +25,6 @@ type moverTask struct {
 	attempts int
 }
 
-// MoverStats aggregates the mover's lifetime accounting. GrantedBytes
-// only ever grows by whole-window budget grants and MovedBytes +
-// WastedBytes only ever shrink the same token pool, so
-// MovedBytes+WastedBytes <= GrantedBytes is the budget invariant the
-// conformance suite asserts.
-type MoverStats struct {
-	Enqueued     uint64 // tasks accepted into the queue
-	RejectedFull uint64 // enqueues refused by the queue bound
-	Moved        uint64 // tasks whose migration committed
-	MovedBytes   uint64 // bytes committed
-	WastedBytes  uint64 // bytes consumed by aborted copies
-	GrantedBytes uint64 // budget granted (post-burst-cap)
-	Stale        uint64 // tasks dropped: page dead, moved or already home
-	NoSpace      uint64 // tasks dropped: destination tier full
-	Denied       uint64 // tasks dropped: QoS arbitration veto
-	Aborted      uint64 // copy aborts observed (tasks may retry)
-	Dropped      uint64 // tasks dropped after exhausting retries
-	Deferred     uint64 // Advance calls deferred by a throttle window
-	SpentNS      uint64 // virtual time spent copying (daemon work)
-}
-
 // Mover executes queued page migrations against a windowed bandwidth
 // budget. A nil *Mover is valid: every method is the disabled case, so
 // the policy helpers need no guards.
@@ -61,56 +40,48 @@ type Mover struct {
 	lastNS  uint64 // clock at last accrual
 	accNS   uint64 // sub-window remainder carried between accruals
 
-	stats MoverStats
-
-	// Registered counter cells (nil when no registry was attached).
+	// Outcome counters, registered cells under "mover/". granted_bytes
+	// only grows by whole-window grants clipped at the burst cap, and
+	// moved_bytes + wasted_bytes only shrink the same token pool, so
+	// moved_bytes + wasted_bytes <= granted_bytes is the budget
+	// invariant the conformance suite asserts.
 	ctrMoved, ctrMovedBytes, ctrGranted, ctrWasted *uint64
 	ctrEnq, ctrRejFull, ctrStale, ctrNoSpace       *uint64
 	ctrDenied, ctrAborted, ctrDropped, ctrDeferred *uint64
 	gQueueLen                                      *uint64
 }
 
-// NewMover builds a mover from cfg, returning nil for a disabled
-// config. faults may be nil; when set, Advance defers work inside
-// bandwidth-throttle windows (the mover competes with foreground
-// migration for the same throttled link).
-func NewMover(cfg tier.MoverConfig, faults *tier.FaultPlan) *Mover {
+// NewMover builds a mover from cfg, returning nil — and registering
+// nothing — for a disabled config. Its counters are registered under
+// g: enqueued, rejected_full, moved_pages, moved_bytes, wasted_bytes,
+// granted_bytes, stale_dropped, no_space, denied, aborted, dropped,
+// deferred_throttle and the queue_len gauge. faults may be nil; when
+// set, Advance defers work inside bandwidth-throttle windows (the
+// mover competes with foreground migration for the same throttled
+// link).
+func NewMover(cfg tier.MoverConfig, faults *tier.FaultPlan, g obs.Group) *Mover {
 	if !cfg.Enabled() {
 		return nil
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Mover{cfg: cfg.FillDefaults(), faults: faults}
-}
-
-// AttachMetrics registers the mover's counters under g ("mover/..."):
-// enqueued, rejected_full, moved_pages, moved_bytes, wasted_bytes,
-// granted_bytes, stale_dropped, no_space, denied, aborted, dropped,
-// deferred_throttle and the queue_len gauge. Call once per machine;
-// a mover without metrics still works.
-func (mv *Mover) AttachMetrics(g obs.Group) {
-	if mv == nil {
-		return
-	}
-	mv.ctrEnq = g.Counter("enqueued")
-	mv.ctrRejFull = g.Counter("rejected_full")
-	mv.ctrMoved = g.Counter("moved_pages")
-	mv.ctrMovedBytes = g.Counter("moved_bytes")
-	mv.ctrWasted = g.Counter("wasted_bytes")
-	mv.ctrGranted = g.Counter("granted_bytes")
-	mv.ctrStale = g.Counter("stale_dropped")
-	mv.ctrNoSpace = g.Counter("no_space")
-	mv.ctrDenied = g.Counter("denied")
-	mv.ctrAborted = g.Counter("aborted")
-	mv.ctrDropped = g.Counter("dropped")
-	mv.ctrDeferred = g.Counter("deferred_throttle")
-	mv.gQueueLen = g.Gauge("queue_len")
-}
-
-func bump(c *uint64, n uint64) {
-	if c != nil {
-		*c += n
+	return &Mover{
+		cfg:           cfg.FillDefaults(),
+		faults:        faults,
+		ctrEnq:        g.Counter("enqueued"),
+		ctrRejFull:    g.Counter("rejected_full"),
+		ctrMoved:      g.Counter("moved_pages"),
+		ctrMovedBytes: g.Counter("moved_bytes"),
+		ctrWasted:     g.Counter("wasted_bytes"),
+		ctrGranted:    g.Counter("granted_bytes"),
+		ctrStale:      g.Counter("stale_dropped"),
+		ctrNoSpace:    g.Counter("no_space"),
+		ctrDenied:     g.Counter("denied"),
+		ctrAborted:    g.Counter("aborted"),
+		ctrDropped:    g.Counter("dropped"),
+		ctrDeferred:   g.Counter("deferred_throttle"),
+		gQueueLen:     g.Gauge("queue_len"),
 	}
 }
 
@@ -123,22 +94,6 @@ func (mv *Mover) QueueLen() int {
 		return 0
 	}
 	return len(mv.queue) - mv.head
-}
-
-// Stats returns a snapshot of the mover's lifetime accounting.
-func (mv *Mover) Stats() MoverStats {
-	if mv == nil {
-		return MoverStats{}
-	}
-	return mv.stats
-}
-
-// Config returns the effective (default-filled) configuration.
-func (mv *Mover) Config() tier.MoverConfig {
-	if mv == nil {
-		return tier.MoverConfig{}
-	}
-	return mv.cfg
 }
 
 // Enqueue queues a migration of p to dst through space as (the handle
@@ -154,21 +109,13 @@ func (mv *Mover) Enqueue(as *AddressSpace, p *Page, dst tier.ID) bool {
 		return true // nothing to do; treat as accepted and settled
 	}
 	if mv.QueueLen() >= mv.cfg.QueueCap {
-		mv.stats.RejectedFull++
-		bump(mv.ctrRejFull, 1)
+		*mv.ctrRejFull++
 		return false
 	}
 	mv.queue = append(mv.queue, moverTask{pg: p, as: as, src: p.Tier, dst: dst})
-	mv.stats.Enqueued++
-	bump(mv.ctrEnq, 1)
-	mv.updateQueueGauge()
+	*mv.ctrEnq++
+	*mv.gQueueLen = uint64(mv.QueueLen())
 	return true
-}
-
-func (mv *Mover) updateQueueGauge() {
-	if mv.gQueueLen != nil {
-		*mv.gQueueLen = uint64(mv.QueueLen())
-	}
 }
 
 // burstCap bounds the unspent token pool: two windows of budget, but
@@ -211,16 +158,15 @@ func (mv *Mover) accrue(now uint64) {
 }
 
 // grant adds budget, clipping at the burst cap; only the clipped
-// amount counts as granted so MovedBytes+WastedBytes <= GrantedBytes
-// stays exact.
+// amount counts as granted so moved_bytes + wasted_bytes <=
+// granted_bytes stays exact.
 func (mv *Mover) grant(bytes uint64) {
 	room := mv.burstCap() - mv.tokens
 	if bytes > room {
 		bytes = room
 	}
 	mv.tokens += bytes
-	mv.stats.GrantedBytes += bytes
-	bump(mv.ctrGranted, bytes)
+	*mv.ctrGranted += bytes
 }
 
 // Advance runs the mover up to virtual time now: accrues budget,
@@ -240,15 +186,13 @@ func (mv *Mover) Advance(now uint64) (spentNS uint64) {
 		// The link is throttled: hold queued work for the window's end
 		// rather than paying the inflated copy cost (budget keeps
 		// accruing, bounded by the burst cap).
-		mv.stats.Deferred++
-		bump(mv.ctrDeferred, 1)
+		*mv.ctrDeferred++
 		return 0
 	}
 	for mv.head < len(mv.queue) {
 		t := &mv.queue[mv.head]
 		if t.pg.dead || t.pg.Tier != t.src || t.pg.Tier == t.dst {
-			mv.stats.Stale++
-			bump(mv.ctrStale, 1)
+			*mv.ctrStale++
 			mv.head++
 			continue
 		}
@@ -261,32 +205,25 @@ func (mv *Mover) Advance(now uint64) (spentNS uint64) {
 		switch st {
 		case MigrateOK:
 			mv.tokens -= bytes
-			mv.stats.Moved++
-			mv.stats.MovedBytes += bytes
-			bump(mv.ctrMoved, 1)
-			bump(mv.ctrMovedBytes, bytes)
+			*mv.ctrMoved++
+			*mv.ctrMovedBytes += bytes
 			mv.head++
 		case MigrateAborted:
 			// The wasted copy consumed real bandwidth; charge it to the
 			// budget and retry within the fault plan's bound.
 			mv.tokens -= bytes
-			mv.stats.WastedBytes += bytes
-			mv.stats.Aborted++
-			bump(mv.ctrWasted, bytes)
-			bump(mv.ctrAborted, 1)
+			*mv.ctrWasted += bytes
+			*mv.ctrAborted++
 			t.attempts++
 			if t.attempts > mv.faults.MaxRetries() {
-				mv.stats.Dropped++
-				bump(mv.ctrDropped, 1)
+				*mv.ctrDropped++
 				mv.head++
 			}
 		case MigrateNoSpace:
-			mv.stats.NoSpace++
-			bump(mv.ctrNoSpace, 1)
+			*mv.ctrNoSpace++
 			mv.head++
 		case MigrateDenied:
-			mv.stats.Denied++
-			bump(mv.ctrDenied, 1)
+			*mv.ctrDenied++
 			mv.head++
 		}
 	}
@@ -296,7 +233,6 @@ func (mv *Mover) Advance(now uint64) (spentNS uint64) {
 		mv.queue = mv.queue[:n]
 		mv.head = 0
 	}
-	mv.stats.SpentNS += spentNS
-	mv.updateQueueGauge()
+	*mv.gQueueLen = uint64(mv.QueueLen())
 	return spentNS
 }

@@ -39,8 +39,8 @@ const (
 
 	BaseFaultNS   = 1_500 / costScale
 	HugeFaultNS   = 8_000 / costScale
-	MigrateBaseNS = 3_000
-	MigrateHugeNS = 250_000
+	MigrateBaseNS = tier.DefaultHopBaseNS
+	MigrateHugeNS = tier.DefaultHopHugeNS
 	ShootdownNS   = 4_000
 	SplitFixedNS  = 12_000
 	CollapseNS    = 270_000
@@ -287,8 +287,7 @@ type AddressSpace struct {
 	// tiers[0] == Fast and tiers[len-1] == Cap.
 	tiers []*tier.Tier
 	// hopBase/hopHuge are the per-hop migration copy costs
-	// (len(tiers)-1 entries); nil means the historical flat
-	// MigrateBaseNS/MigrateHugeNS charge per hop.
+	// (len(tiers)-1 entries).
 	hopBase []uint64
 	hopHuge []uint64
 
@@ -391,13 +390,13 @@ type AddressSpace struct {
 
 // NewAddressSpace creates an address space over the two tiers.
 func NewAddressSpace(fast, cap *tier.Tier, thp bool) *AddressSpace {
-	return &AddressSpace{Fast: fast, Cap: cap, tiers: []*tier.Tier{fast, cap}, THP: thp}
+	return NewAddressSpaceTiers([]*tier.Tier{fast, cap}, nil, thp)
 }
 
 // NewAddressSpaceTiers creates an address space over an N-deep tier
-// chain (fastest first; at least two tiers). topo, when non-nil,
-// supplies the per-hop migration cost model; nil keeps the historical
-// flat per-hop charge.
+// chain (fastest first; at least two tiers). topo supplies the per-hop
+// migration cost model; nil charges every hop the default
+// MigrateBaseNS/MigrateHugeNS.
 func NewAddressSpaceTiers(tiers []*tier.Tier, topo *tier.Topology, thp bool) *AddressSpace {
 	if len(tiers) < 2 {
 		panic("vm: address space needs at least two tiers")
@@ -411,12 +410,13 @@ func NewAddressSpaceTiers(tiers []*tier.Tier, topo *tier.Topology, thp bool) *Ad
 		tiers: tiers,
 		THP:   thp,
 	}
-	if topo != nil {
-		if topo.Depth() != len(tiers) {
-			panic("vm: topology depth does not match tier chain")
-		}
-		as.hopBase, as.hopHuge = topo.HopCosts()
+	if topo == nil {
+		topo = &tier.Topology{Tiers: make([]tier.Config, len(tiers))}
 	}
+	if topo.Depth() != len(tiers) {
+		panic("vm: topology depth does not match tier chain")
+	}
+	as.hopBase, as.hopHuge = topo.HopCosts()
 	return as
 }
 
@@ -434,22 +434,14 @@ func (as *AddressSpace) LastTier() tier.ID { return tier.ID(len(as.tiers) - 1) }
 // hop crossed (adjacent tiers cross one). It is the unthrottled cost;
 // MigrateTx applies the fault plan's window factor on top.
 func (as *AddressSpace) HopCostNS(src, dst tier.ID, huge bool) uint64 {
-	lo, hi := src, dst
-	if lo > hi {
-		lo, hi = hi, lo
+	lo, hi := min(src, dst), max(src, dst)
+	hops := as.hopBase
+	if huge {
+		hops = as.hopHuge
 	}
 	var ns uint64
-	for h := lo; h < hi; h++ {
-		switch {
-		case as.hopBase == nil && huge:
-			ns += MigrateHugeNS
-		case as.hopBase == nil:
-			ns += MigrateBaseNS
-		case huge:
-			ns += as.hopHuge[h]
-		default:
-			ns += as.hopBase[h]
-		}
+	for _, c := range hops[lo:hi] {
+		ns += c
 	}
 	return ns
 }
