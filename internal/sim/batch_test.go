@@ -2,11 +2,15 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"memtis/internal/obs"
+	"memtis/internal/pebs"
 	"memtis/internal/tier"
+	"memtis/internal/vm"
 )
 
 // TestAccessBatchMatchesSequential pins the AccessBatch contract: the
@@ -78,5 +82,94 @@ func TestAccessBatchMatchesSequential(t *testing.T) {
 	}
 	if seq.ticks == 0 || seq.series == 0 {
 		t.Fatalf("run too short to cross tick/sample boundaries: %+v", seq)
+	}
+}
+
+// snapshotPolicy declares the bypass with no sampler (FastSampled), so
+// AccessBatch's steady-state loop runs, and at every tick records what
+// a policy can read of the access counts: every space's, then the
+// current space's through Accesses.
+type snapshotPolicy struct {
+	countingPolicy
+	snaps []uint64
+}
+
+func (p *snapshotPolicy) SampleGate() *pebs.Sampler { return nil }
+
+func (p *snapshotPolicy) Tick(now uint64) {
+	p.countingPolicy.Tick(now)
+	for i := 0; i < p.m.NumSpaces(); i++ {
+		p.snaps = append(p.snaps, p.m.SpaceAccesses(i))
+	}
+	p.snaps = append(p.snaps, p.m.Accesses())
+}
+
+// TestAccessBatchMatchesSequentialMultiSpace is the multi-space sibling
+// of TestAccessBatchMatchesSequential: three spaces, UseSpace between
+// uneven batches, and a policy reading per-space counts at every tick.
+// AccessBatch credits the current space with a run of accesses at once,
+// where it flushes its counters; the credit must land before every
+// tick, or a mid-batch tick reads stale counts.
+func TestAccessBatchMatchesSequentialMultiSpace(t *testing.T) {
+	type outcome struct {
+		now, total uint64
+		perSpace   [3]uint64
+		ticks      int
+	}
+	run := func(batched bool) ([]uint64, outcome) {
+		cfg := testCfg()
+		cfg.TickNS = 20_000
+		pol := &snapshotPolicy{countingPolicy: countingPolicy{place: tier.NoTier}}
+		m := NewMachine(cfg, pol)
+		var regions [3]vm.Region
+		for i, bytes := range []uint64{2 << 20, 1 << 20, 2 << 20} {
+			if i > 0 {
+				m.UseSpace(m.AddSpace(fmt.Sprintf("s%d", i)))
+			}
+			regions[i] = m.Reserve(bytes)
+		}
+		rng := rand.New(rand.NewSource(7))
+		ops := make([]Op, 700)
+		for step := 0; step < 80; step++ {
+			sp := rng.Intn(len(regions))
+			m.UseSpace(sp)
+			r := regions[sp]
+			n := 1 + rng.Intn(len(ops))
+			for i := range ops[:n] {
+				ops[i] = Op{VPN: r.BaseVPN + rng.Uint64()%r.Pages, Write: rng.Intn(8) == 0}
+			}
+			if batched {
+				m.AccessBatch(ops[:n])
+			} else {
+				for _, op := range ops[:n] {
+					m.Access(op.VPN, op.Write)
+				}
+			}
+		}
+		o := outcome{now: m.Now(), total: m.TotalAccesses(), ticks: pol.ticks}
+		for i := range o.perSpace {
+			o.perSpace[i] = m.SpaceAccesses(i)
+		}
+		return pol.snaps, o
+	}
+	seqSnaps, seq := run(false)
+	batSnaps, bat := run(true)
+	if seq.ticks < 100 {
+		t.Fatalf("only %d ticks: too few to land inside batches", seq.ticks)
+	}
+	if seq.perSpace[0]+seq.perSpace[1]+seq.perSpace[2] != seq.total {
+		t.Fatalf("per-space counts %v do not sum to the total %d", seq.perSpace, seq.total)
+	}
+	if !slices.Equal(seqSnaps, batSnaps) {
+		// Each tick records four words: three spaces, then Accesses.
+		for i := range min(len(seqSnaps), len(batSnaps)) {
+			if seqSnaps[i] != batSnaps[i] {
+				t.Fatalf("tick %d, word %d: sequential %d, batched %d", i/4, i%4, seqSnaps[i], batSnaps[i])
+			}
+		}
+		t.Fatalf("batched run recorded %d snapshot words, sequential %d", len(batSnaps), len(seqSnaps))
+	}
+	if seq != bat {
+		t.Fatalf("state diverged: sequential %+v vs batched %+v", seq, bat)
 	}
 }

@@ -775,7 +775,10 @@ func (m *Machine) AccessBatch(ops []Op) {
 			// struct every op. cur/curTag/multi cannot change mid-batch
 			// (scheduling is a batch boundary); the counters are
 			// flushed back before anything that can observe them —
-			// tick/record delivery and the Access fallback below.
+			// tick/record delivery and the Access fallback below. The
+			// current space's access count is credited at the same
+			// flushes, with the accesses since the last one
+			// (acc - m.accesses), not once per access.
 			cur, tag, smp, tl, multi := m.cur, m.curTag, m.gate, m.TLB, m.multi
 			ldp, stp := &m.loadNS, &m.storeNS
 			now, acc, fh := m.now, m.accesses, m.fastHits
@@ -805,11 +808,11 @@ func (m *Machine) AccessBatch(ops []Op) {
 				}
 				now += cost
 				acc++
-				if multi {
-					m.spaceAcc[m.curID]++
-				}
 				i++
 				if now >= stop {
+					if multi {
+						m.spaceAcc[m.curID] += acc - m.accesses
+					}
 					m.now, m.accesses, m.fastHits = now, acc, fh
 					if now >= m.nextTick {
 						m.deliverTicks()
@@ -825,6 +828,9 @@ func (m *Machine) AccessBatch(ops []Op) {
 						stop = m.nextRecord
 					}
 				}
+			}
+			if multi {
+				m.spaceAcc[m.curID] += acc - m.accesses
 			}
 			m.now, m.accesses, m.fastHits = now, acc, fh
 		}

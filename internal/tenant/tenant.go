@@ -103,13 +103,15 @@ const (
 	// DefaultSlice is the scheduler quantum in accesses — roughly
 	// half a millisecond of simulated time at typical access costs,
 	// comparable to an OS scheduler's minimum granularity. Smaller
-	// quanta interleave tenants more finely but cold-start the
-	// (simulated) TLB and the host caches on every switch; 8k keeps
-	// the 64-tenant per-access cost within ~1.1x of single-tenant.
+	// quanta interleave tenants more finely but switch page tables,
+	// cold in the host caches, more often. A switch does not flush the
+	// simulated TLB: translations carry the space tag
+	// (sim.SpaceTagShift), so tenants only compete for its capacity.
 	DefaultSlice = 8192
 	// MinSlice is the floor AutoSlice scales down to for very large
-	// mixes: below ~256 accesses the per-switch TLB cold-start
-	// dominates the slice itself.
+	// mixes: below ~256 accesses the per-switch cost dominates the
+	// slice itself, and the tenants run since the last slice have
+	// evicted most of the incoming tenant's translations.
 	MinSlice  = 256
 	maxWeight = 1_000_000
 	// shareSlackUnits is the arbiter's burst allowance above a

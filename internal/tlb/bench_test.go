@@ -2,10 +2,14 @@
 // memory access, so its hit path is the tightest inner loop in the
 // repository after the machine core itself. Benchmarked per path —
 // resident hits, capacity misses, and huge-page hits — so a regression
-// in one shows up undiluted by the others.
+// in one shows up undiluted by the others, plus the multi-tenant mix
+// that spreads lookups over every set.
 package tlb
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // benchVPNs precomputes a probe sequence so RNG cost stays out of the
 // measured loop. stride spaces consecutive probes; span bounds the
@@ -56,5 +60,29 @@ func BenchmarkAccessHugeHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tl.Access(vpns[i&(len(vpns)-1)], true)
+	}
+}
+
+// BenchmarkAccessTagged probes Zipf-skewed pages of 64 address spaces
+// through their space-tagged VPNs (space << 40, as sim.SpaceTagShift
+// tags them), the pattern of a many-tenant run: every set sees lookups,
+// so the sets' cache footprint shows, which the three single-space
+// benchmarks above keep cache-resident.
+func BenchmarkAccessTagged(b *testing.B) {
+	const spaces, pages = 64, 1 << 12
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, pages-1)
+	vpns := make([]uint64, 1<<16)
+	for i := range vpns {
+		vpns[i] = uint64(rng.Intn(spaces))<<40 | zipf.Uint64()
+	}
+	tl := New(Config{})
+	for _, v := range vpns {
+		tl.Access(v, false)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tl.Access(vpns[i&(len(vpns)-1)], false)
 	}
 }

@@ -21,32 +21,28 @@ const (
 
 const ways = 8 // associativity of each sub-TLB
 
-// entry is one TLB entry: its tag and its LRU stamp, adjacent so the
-// hit path's stamp update lands in the cache line the tag compare just
-// pulled (split tag/stamp arrays cost a second line on every probe,
-// measurable when many tenants spread lookups across all sets). Tag 0
-// is reserved as "invalid" (virtual page numbers are stored +1).
-// Stamps are 64-bit: a 32-bit stamp wraps after 2^32 lookups — a few
-// minutes of a sweep run — and silently turns the freshest entries
-// into eviction victims.
-type entry struct {
-	tag, used uint64
-}
-
-// set is one associativity set.
+// set is one associativity set: its valid tags in recency order, most
+// recent first, with zero (invalid) tags filling the tail. Eight 8-byte
+// tags make the set exactly one 64-byte cache line, so a probe pulls
+// one line however many tenants spread their lookups across the sets.
+// Tag 0 is reserved as "invalid" (virtual page numbers are stored +1).
+//
+// Recency order is the LRU state: a hit moves its tag to the front, a
+// miss shifts every tag back one slot and drops the last, which is the
+// least recently used tag of a full set and an invalid tag otherwise.
+// That is the hit/miss sequence of true LRU over per-entry stamps with
+// the empty slots filled first, at half the footprint, and with no
+// clock to wrap.
 type set struct {
-	e [ways]entry
+	tag [ways]uint64
 }
 
 // subTLB is an 8-way set-associative TLB with true-LRU replacement
-// within each set. The lookup counter doubles as the LRU clock: both
-// advance by exactly one per probe, so keeping two counters would be
-// redundant work on the hottest path of the simulator.
+// within each set.
 type subTLB struct {
 	sets    []set
-	mask    uint64 // nSets-1 when nSets is a power of two, else 0
 	nSets   uint64
-	fm      fastmod.M // exact reciprocal remainder for non-power-of-two nSets
+	fm      fastmod.M // vpn % nSets: a mask for powers of two, else an exact reciprocal
 	walkNS  uint64    // page-walk cost charged on a miss
 	lookups uint64
 	misses  uint64
@@ -56,76 +52,71 @@ type subTLB struct {
 // exactly: the set count is entries/ways rounded UP, never down.
 // (Rounding down silently modelled a 1024-entry TLB when 1536 was
 // configured: 1536/8 = 192 sets truncated to the 128-set power of two.)
-// Power-of-two set counts index with a mask; other counts use an exact
-// fastmod so the hot path never executes a hardware divide.
+// Set indexing goes through fastmod, so the hot path never executes a
+// hardware divide: space-tagged VPNs carry the tenant tag in the high
+// bits, so any 32-bit-only shortcut would fall through to a divide on
+// every multi-tenant lookup.
 func newSubTLB(entries int, walkNS uint64) subTLB {
 	nSets := (entries + ways - 1) / ways
 	if nSets < 1 {
 		nSets = 1
 	}
-	t := subTLB{sets: make([]set, nSets), nSets: uint64(nSets), walkNS: walkNS}
-	if nSets&(nSets-1) == 0 {
-		t.mask = uint64(nSets - 1)
-	} else {
-		// Exact 128-bit reciprocal remainder (internal/fastmod). The
-		// historical 32-bit Lemire multiplier was only valid for
-		// vpn < 2^32, which multi-tenant machines break: space-tagged
-		// VPNs carry the tenant tag in the high bits, so every tagged
-		// lookup fell through to a hardware divide on the hot path.
-		t.fm = fastmod.New(uint64(nSets))
+	return subTLB{
+		sets:   make([]set, nSets),
+		nSets:  uint64(nSets),
+		fm:     fastmod.New(uint64(nSets)),
+		walkNS: walkNS,
 	}
-	return t
 }
 
 // index maps vpn to its set. Keeping vpn%nSets semantics (rather than a
 // hash) preserves the low-bit set indexing of real TLBs: consecutive
 // pages land in consecutive sets.
 func (t *subTLB) index(vpn uint64) uint64 {
-	if t.mask != 0 {
-		return vpn & t.mask
-	}
 	return t.fm.Mod(vpn)
 }
 
 // lookup probes for vpn, inserting it on a miss, and returns the
-// page-walk cost charged (0 on a hit). The hit path scans tags only
-// and is small enough to inline into the simulator's access loop; LRU
-// victim selection lives in the outlined miss path, so the common case
-// does half the comparisons and pays no call.
+// page-walk cost charged (0 on a hit). One pass searches and shifts:
+// vpn's tag takes the front slot, and every tag ahead of the match
+// moves back one slot into the gap, so on a miss all of them move and
+// the last drops out. The shift is a loop, not a copy: over at most
+// seven words a copy compiles to a runtime.memmove call that costs
+// more than it moves, and a search loop ahead of the shift would add a
+// second hard-to-predict exit.
 func (t *subTLB) lookup(vpn uint64) uint64 {
 	t.lookups++
-	stamp := t.lookups
 	s := &t.sets[t.index(vpn)]
 	tag := vpn + 1
-	for i := 0; i < ways; i++ {
-		if s.e[i].tag == tag {
-			s.e[i].used = stamp
+	prev := s.tag[0]
+	if prev == tag {
+		return 0
+	}
+	s.tag[0] = tag
+	for i := 1; i < ways; i++ {
+		cur := s.tag[i]
+		s.tag[i] = prev
+		if cur == tag {
 			return 0
 		}
+		prev = cur
 	}
-	return t.miss(s, tag, stamp)
-}
-
-// miss replaces the set's LRU entry with tag and charges the walk.
-func (t *subTLB) miss(s *set, tag, stamp uint64) uint64 {
 	t.misses++
-	victim := 0
-	for i := 1; i < ways; i++ {
-		if s.e[i].used < s.e[victim].used {
-			victim = i
-		}
-	}
-	s.e[victim] = entry{tag: tag, used: stamp}
 	return t.walkNS
 }
 
-// invalidate drops vpn if present (TLB shootdown of one mapping).
+// invalidate drops vpn if present (TLB shootdown of one mapping): the
+// less recent tags close the gap and the tail slot becomes invalid, so
+// the set keeps its valid tags first.
 func (t *subTLB) invalidate(vpn uint64) {
 	s := &t.sets[t.index(vpn)]
 	tag := vpn + 1
 	for i := 0; i < ways; i++ {
-		if s.e[i].tag == tag {
-			s.e[i] = entry{}
+		if s.tag[i] == tag {
+			for ; i < ways-1; i++ {
+				s.tag[i] = s.tag[i+1]
+			}
+			s.tag[ways-1] = 0
 			return
 		}
 	}

@@ -157,9 +157,11 @@ func TestIndexFastmod(t *testing.T) {
 	}
 }
 
-// TestLRUStampSurvives32BitWrap: the LRU clock is 64-bit. With the old
-// 32-bit stamps, entries touched after lookup 2^32 looked older than
-// everything else and became permanent eviction victims.
+// TestLRUStampSurvives32BitWrap: LRU order holds once the lookup count
+// passes 2^32. With the historical 32-bit stamps, entries touched after
+// lookup 2^32 looked older than everything else and became permanent
+// eviction victims; recency-ordered sets keep no clock at all, and this
+// pins that no count-dependent order comes back.
 func TestLRUStampSurvives32BitWrap(t *testing.T) {
 	st := newSubTLB(64, Walk4KNS) // 8 sets x 8 ways; vpns ≡ 0 (mod 8) share set 0
 	st.lookups = 1<<32 - 4        // stamps cross 2^32 mid-fill

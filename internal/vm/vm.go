@@ -293,8 +293,10 @@ type AddressSpace struct {
 
 	// pt is the packed page table: one pte per reserved base VPN. Its
 	// length may be trimmed below nextVPN when Free releases a trailing
-	// range (all entries past len(pt) are by construction unmapped);
-	// fault paths re-grow it on demand.
+	// range; fault paths re-grow it on demand. Every entry past len(pt),
+	// up to cap(pt), is zero (unmapped): only Free shortens the table,
+	// and only over slots it has cleared, so re-growing it within its
+	// capacity needs no clearing. The same holds for bt and bn.
 	pt []pte
 	// bt is the block table: one entry per 2MB block, non-zero exactly
 	// when the whole block is a single live huge mapping, holding that
@@ -305,6 +307,11 @@ type AddressSpace struct {
 	// (per-subpage touched bits live only there); every huge-mapping
 	// mutation updates both, and Audit checks them equal.
 	bt []pte
+	// bn counts the mapped slots of each 2MB block (same length as bt),
+	// so the tail trim, huge-page eligibility and the cursor walker
+	// cross an all-unmapped block in one probe, not 512. Every path
+	// that maps or unmaps a slot updates it, and Audit checks it.
+	bn []uint16
 	// chunks is the page-record arena: append-only chunks (doubling
 	// ramp, then fixed-size — see arenaLoc), so records are dense in
 	// memory (background sweeps walk them cache-linearly) while *Page
@@ -510,35 +517,31 @@ func (as *AddressSpace) Reserve(bytes uint64) Region {
 	return r
 }
 
-// ensurePT grows the page table (and the parallel block table) to
+// ensurePT grows the page table (and the parallel block tables) to
 // cover at least need entries, re-extending a table Free previously
-// trimmed (new entries are zero, i.e. unmapped).
+// trimmed. New entries are zero, i.e. unmapped: fresh allocations are
+// zeroed, and entries re-exposed within the capacity were left zero
+// (see AddressSpace.pt).
 func (as *AddressSpace) ensurePT(need int) {
 	if need > len(as.pt) {
-		if need <= cap(as.pt) {
-			tail := as.pt[len(as.pt):need]
-			for i := range tail {
-				tail[i] = 0
-			}
-			as.pt = as.pt[:need]
-		} else {
+		if need > cap(as.pt) {
 			nt := make([]pte, need+need/2+tier.SubPages)
 			copy(nt, as.pt)
-			as.pt = nt[:need]
+			as.pt = nt
 		}
+		as.pt = as.pt[:need]
 	}
 	if nb := (len(as.pt) + tier.SubPages - 1) / tier.SubPages; nb > len(as.bt) {
-		if nb <= cap(as.bt) {
-			tail := as.bt[len(as.bt):nb]
-			for i := range tail {
-				tail[i] = 0
-			}
-			as.bt = as.bt[:nb]
-		} else {
+		if nb > cap(as.bt) {
 			nt := make([]pte, nb+nb/2+1)
 			copy(nt, as.bt)
-			as.bt = nt[:nb]
+			as.bt = nt
+			nn := make([]uint16, len(nt))
+			copy(nn, as.bn)
+			as.bn = nn
 		}
+		as.bt = as.bt[:nb]
+		as.bn = as.bn[:nb]
 	}
 }
 
@@ -646,23 +649,14 @@ type TouchResult struct {
 
 // hugeEligible reports whether vpn can fault in as a huge page: the
 // whole 2MB-aligned block around it must be reserved and unmapped.
-// Slots past len(pt) (a table Free trimmed) are unmapped by
+// A block past len(bt) (a table Free trimmed) is unmapped by
 // construction; hugeOK already guarantees the block is fully reserved.
 func (as *AddressSpace) hugeEligible(vpn uint64) bool {
-	base := vpn - vpn%tier.SubPages
-	if b := base / tier.SubPages; b >= uint64(len(as.hugeOK)) || !as.hugeOK[b] {
+	b := vpn / tier.SubPages
+	if b >= uint64(len(as.hugeOK)) || !as.hugeOK[b] {
 		return false
 	}
-	end := base + tier.SubPages
-	if n := uint64(len(as.pt)); end > n {
-		end = n
-	}
-	for i := base; i < end; i++ {
-		if as.pt[i] != 0 {
-			return false
-		}
-	}
-	return true
+	return b >= uint64(len(as.bn)) || as.bn[b] == 0
 }
 
 // placeFor resolves the initial tier for a faulting page, falling back
@@ -800,6 +794,7 @@ func (as *AddressSpace) mapHuge(vpn uint64) *Page {
 		as.pt[baseVPN+i] = e
 	}
 	as.bt[baseVPN/tier.SubPages] = e
+	as.bn[baseVPN/tier.SubPages] = tier.SubPages
 	as.nPages++
 	as.residentUnits += tier.SubPages
 	if id == tier.FastTier {
@@ -822,6 +817,7 @@ func (as *AddressSpace) mapBase(vpn uint64) *Page {
 	pg.VPN, pg.Kind, pg.Tier, pg.Frame, pg.Owner = vpn, BasePage, id, f, as.Tenant
 	as.ensurePT(int(vpn + 1))
 	as.pt[vpn] = pteFor(pg)
+	as.bn[vpn/tier.SubPages]++
 	as.nPages++
 	as.residentUnits++
 	if id == tier.FastTier {
@@ -1034,6 +1030,7 @@ func (as *AddressSpace) Split(p *Page, dest SubDest) (subs []*Page, ns uint64) {
 			// All-zero subpage: unmap and free (memory bloat reclaim).
 			src.FreeBase(p.Frame + tier.Frame(j))
 			as.pt[vpn] = 0
+			as.bn[vpn/tier.SubPages]--
 			as.stats.ReclaimedFrames++
 			as.residentUnits--
 			if p.Tier == tier.FastTier {
@@ -1164,10 +1161,12 @@ func (as *AddressSpace) Free(r Region) {
 				as.pt[pg.VPN+i] = 0
 			}
 			as.bt[pg.VPN/tier.SubPages] = 0
+			as.bn[pg.VPN/tier.SubPages] = 0
 			vpn = pg.VPN + tier.SubPages - 1
 		} else {
 			t.FreeBase(pg.Frame)
 			as.pt[vpn] = 0
+			as.bn[vpn/tier.SubPages]--
 		}
 		as.residentUnits -= pg.Units()
 		if pg.Tier == tier.FastTier {
@@ -1177,14 +1176,22 @@ func (as *AddressSpace) Free(r Region) {
 		pg.dead = true
 		as.nPages--
 	}
+	// An all-unmapped block is crossed in one step: the gap between
+	// the live data and a freed tail buffer grows with every Reserve.
 	n := len(as.pt)
 	for n > 0 && as.pt[n-1] == 0 {
-		n--
+		if b := (n - 1) / tier.SubPages; as.bn[b] == 0 {
+			n = b * tier.SubPages
+		} else {
+			n--
+		}
 	}
 	as.pt = as.pt[:n]
-	// The trimmed blocks are all-unmapped, so their bt entries are
-	// already zero; only the length needs to follow.
-	as.bt = as.bt[:(n+tier.SubPages-1)/tier.SubPages]
+	// The trimmed blocks are all-unmapped, so their bt entries and
+	// counts are already zero; only the lengths need to follow.
+	nb := (n + tier.SubPages - 1) / tier.SubPages
+	as.bt = as.bt[:nb]
+	as.bn = as.bn[:nb]
 }
 
 // Dead reports whether the page has been split, collapsed or freed.
@@ -1285,6 +1292,12 @@ func (as *AddressSpace) ForEachPageFrom(cursor uint64, max int, fn func(p *Page)
 			fn(pg)
 			visited++
 			step = pg.VPN + pg.Units() - cursor
+		} else if as.bn[cursor/tier.SubPages] == 0 {
+			// An all-unmapped block: cross the rest of it in one
+			// step, clipped to the table end and to the scan budget,
+			// so the walk stops where a slot-by-slot one would.
+			end := min((cursor/tier.SubPages+1)*tier.SubPages, n)
+			step = min(end-cursor, n-scanned)
 		}
 		scanned += step
 		cursor += step
@@ -1365,10 +1378,12 @@ func (as *AddressSpace) Audit() error {
 // allocated per call so that AddressSpace carries no audit state. used
 // holds one bit per frame of each tier, set when a mapped page claims
 // the frame; slots counts the page-table slots mapping each record of
-// the space being walked, indexed by arena index.
+// the space being walked, indexed by arena index; blocks counts its
+// mapped slots per 2MB block.
 type frameAudit struct {
 	used   [][]uint64
 	slots  []uint32
+	blocks []uint16
 	spaces []*AddressSpace // every space the call walks, in walk order
 }
 
@@ -1378,10 +1393,13 @@ func newFrameAudit(tiers []*tier.Tier, spaces []*AddressSpace) frameAudit {
 		a.used[i] = make([]uint64, t.CapacityFrames()/64) // whole 2MB blocks
 	}
 	var recs uint32
+	var blocks int
 	for _, as := range spaces {
 		recs = max(recs, as.nAlloc)
+		blocks = max(blocks, len(as.bt))
 	}
 	a.slots = make([]uint32, recs)
+	a.blocks = make([]uint16, blocks)
 	return a
 }
 
@@ -1431,13 +1449,16 @@ func (a *frameAudit) firstMapper(pa tier.PhysAddr) uint64 {
 // auditMapped walks one space's page table, checking the per-space
 // invariants (no dead or out-of-range mappings, every page owned by
 // this space, no frame double-mapped — including against frames that
-// sibling spaces walked earlier in the same audit claimed — and the
-// incremental resident/fast unit counters exact) and returns the
-// mapped units per tier (indexed by chain position).
+// sibling spaces walked earlier in the same audit claimed — the
+// incremental resident/fast unit counters and per-block slot counts
+// exact, and the tables zero past their length) and returns the mapped
+// units per tier (indexed by chain position).
 func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 	units := make([]uint64, len(as.tiers))
 	slots := a.slots[:as.nAlloc]
 	clear(slots)
+	blocks := a.blocks[:len(as.bt)]
+	clear(blocks)
 	for vpn, e := range as.pt {
 		if e == 0 {
 			continue
@@ -1485,6 +1506,10 @@ func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 				}
 			}
 			units[pg.Tier] += pg.Units()
+			// A page lies within one block; once every page is known to
+			// map exactly its own slots (checked below), these sums are
+			// the blocks' mapped slots.
+			blocks[pg.VPN/tier.SubPages] += uint16(pg.Units())
 			if err := a.claim(pg); err != nil {
 				return nil, err
 			}
@@ -1504,6 +1529,25 @@ func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 		if pg := as.pageAt(pte(i + 1)); uint64(n) != pg.Units() {
 			return nil, fmt.Errorf("vm: page %d maps %d of its %d slots", pg.VPN, n, pg.Units())
 		}
+	}
+	if len(as.bn) != len(as.bt) {
+		return nil, fmt.Errorf("vm: %d block slot counts for %d blocks", len(as.bn), len(as.bt))
+	}
+	for b, n := range blocks {
+		if as.bn[b] != n {
+			return nil, fmt.Errorf("vm: block %d counts %d mapped slots but %d are mapped", b, as.bn[b], n)
+		}
+	}
+	// Growing a table within its capacity re-exposes entries without
+	// clearing them, so every entry past the length must be zero.
+	if i := dirtyTail(as.pt); i >= 0 {
+		return nil, fmt.Errorf("vm: page table entry %d past the table end is not zero", i)
+	}
+	if i := dirtyTail(as.bt); i >= 0 {
+		return nil, fmt.Errorf("vm: block table entry %d past the table end is not zero", i)
+	}
+	if i := dirtyTail(as.bn); i >= 0 {
+		return nil, fmt.Errorf("vm: block slot count %d past the table end is not zero", i)
 	}
 	// Reverse direction: every non-zero block-table entry must describe
 	// a live huge mapping the pt walk actually saw (a stale entry would
@@ -1530,6 +1574,17 @@ func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 			as.Tenant, as.fastUnits, units[tier.FastTier])
 	}
 	return units, nil
+}
+
+// dirtyTail returns the index of the first non-zero entry of s past its
+// length, within its capacity, or -1 when that tail is all zero.
+func dirtyTail[E pte | uint16](s []E) int {
+	for i, e := range s[len(s):cap(s)] {
+		if e != 0 {
+			return len(s) + i
+		}
+	}
+	return -1
 }
 
 // AuditSharedTiers verifies the frame-accounting invariants of several
