@@ -54,13 +54,31 @@ const (
 	kmigratedBPS   = 8 << 30 // background migration copy bandwidth (~one core of kmigrated)
 )
 
+// Algorithm and daemon constants, at the paper's values or scaled to
+// the simulator (DESIGN.md §4).
+const (
+	alpha            = 0.9  // Algorithm 1's fill-target factor (paper: 0.9)
+	freeSpaceTarget  = 0.02 // fast-tier free fraction below which kmigrated demotes (paper: 2%)
+	splitBenefitMin  = 0.05 // minimum eHR-rHR gap that triggers splitting (paper: 5%)
+	beta             = 0.4  // split-count scale factor of Eq. 2 (paper: 0.4)
+	maxSplitsPerWake = 8    // huge-page splits per kmigrated wake
+	// hybridScanPeriodNS is the §8 accessed-bit scan period (4ms
+	// virtual); hybridScanPages bounds one scan event to a window of
+	// pages, resumed from a cursor like the kernel's LRU walkers.
+	hybridScanPeriodNS = 4_000_000
+	hybridScanPages    = 512
+	// coolSweepPages bounds the per-wake cooling-convergence sweep: up
+	// to this many pages get their pending cooling epochs applied per
+	// kmigrated wake, so pages the sampler never revisits still
+	// converge within RSS/coolSweepPages wakes.
+	coolSweepPages = 256
+)
+
 // Config tunes the policy. Zero values take scaled paper defaults; see
 // DESIGN.md §4 for the scaling rationale.
 type Config struct {
 	Sampler pebs.Config
 
-	// Alpha is Algorithm 1's fill-target factor (paper: 0.9).
-	Alpha float64
 	// AdaptEvery is the threshold-adaptation interval in samples
 	// (paper: 100K at GB scale; default: fast-tier units / 2).
 	AdaptEvery uint64
@@ -70,44 +88,19 @@ type Config struct {
 	// KmigratedPeriodNS is the background migration thread's wake
 	// period (paper: 500ms at GB scale; default 1ms virtual).
 	KmigratedPeriodNS uint64
-	// FreeSpaceTarget is the fast-tier free-space threshold that
-	// triggers demotion (paper: 2%).
-	FreeSpaceTarget float64
 	// SplitDisabled turns off skewness-aware huge page splitting
 	// (the paper's MEMTIS-NS ablation).
 	SplitDisabled bool
 	// WarmDisabled turns off the warm set (the paper's "Vanilla"
 	// ablation in Figure 10): every non-hot page is demotable.
 	WarmDisabled bool
-	// SplitBenefitMin is the minimum eHR-rHR gap that triggers
-	// splitting (paper: 5%).
-	SplitBenefitMin float64
-	// Beta is the split-count scale factor of Eq. 2 (paper: 0.4).
-	Beta float64
-	// MaxSplitsPerWake bounds split work per kmigrated wake.
-	MaxSplitsPerWake int
 	// HybridScan enables the paper's §8 extension: a slow page-table
 	// accessed-bit scan that accelerates the cooling of pages sampling
 	// never sees, fixing PEBS's blind spot for rarely-accessed pages.
 	HybridScan bool
-	// HybridScanPeriodNS is the accessed-bit scan period (default 4ms
-	// virtual when HybridScan is set).
-	HybridScanPeriodNS uint64
-	// HybridScanPages bounds one accessed-bit scan event to a window of
-	// pages, resumed from a cursor like the kernel's LRU walkers
-	// (default 512).
-	HybridScanPages int
-	// CoolSweepPages bounds the per-wake cooling-convergence sweep: up
-	// to this many pages get their pending cooling epochs applied per
-	// kmigrated wake, so pages the sampler never revisits still
-	// converge within RSS/CoolSweepPages wakes (default 256).
-	CoolSweepPages int
 }
 
 func (c *Config) fillDefaults(fastUnits uint64) {
-	if c.Alpha == 0 {
-		c.Alpha = 0.9
-	}
 	if c.AdaptEvery == 0 {
 		c.AdaptEvery = fastUnits / 2
 		if c.AdaptEvery < 512 {
@@ -119,27 +112,6 @@ func (c *Config) fillDefaults(fastUnits uint64) {
 	}
 	if c.KmigratedPeriodNS == 0 {
 		c.KmigratedPeriodNS = 1_000_000
-	}
-	if c.FreeSpaceTarget == 0 {
-		c.FreeSpaceTarget = 0.02
-	}
-	if c.SplitBenefitMin == 0 {
-		c.SplitBenefitMin = 0.05
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.4
-	}
-	if c.MaxSplitsPerWake == 0 {
-		c.MaxSplitsPerWake = 8
-	}
-	if c.HybridScan && c.HybridScanPeriodNS == 0 {
-		c.HybridScanPeriodNS = 4_000_000
-	}
-	if c.HybridScanPages == 0 {
-		c.HybridScanPages = 512
-	}
-	if c.CoolSweepPages == 0 {
-		c.CoolSweepPages = 256
 	}
 }
 
@@ -737,8 +709,8 @@ func (p *Policy) processSample(tr vm.TouchResult) {
 // adaptThresholds runs Algorithm 1 on both histograms (§4.2.1).
 func (p *Policy) adaptThresholds() {
 	fastUnits := p.m.Fast.CapacityFrames()
-	p.th = histogram.Adapt(&p.pageHist, fastUnits, p.cfg.Alpha)
-	p.bth = histogram.Adapt(&p.baseHist, fastUnits, p.cfg.Alpha)
+	p.th = histogram.Adapt(&p.pageHist, fastUnits, alpha)
+	p.bth = histogram.Adapt(&p.baseHist, fastUnits, alpha)
 	if p.cfg.WarmDisabled {
 		p.th.Warm = p.th.Hot
 		p.th.Cold = p.th.Hot - 1
@@ -777,8 +749,8 @@ func (p *Policy) cool() {
 }
 
 // coolSweep converges pages the sampler never revisits: a bounded
-// cursor walk (CoolSweepPages per wake) settling pending cooling, so
-// every page's classification catches up within RSS/CoolSweepPages
+// cursor walk (coolSweepPages per wake) settling pending cooling, so
+// every page's classification catches up within RSS/coolSweepPages
 // wakes even if it is never sampled again. The sweep also self-heals
 // the fast-list invariant (re-linking pages dropped by a failed
 // demotion) and re-nominates full blocks whose hotness came from
@@ -787,8 +759,7 @@ func (p *Policy) coolSweep() {
 	if p.coolEpoch == 0 {
 		return
 	}
-	n := p.cfg.CoolSweepPages
-	p.sweepCursor = p.m.ForEachPageFrom(p.sweepCursor, n, func(pg *vm.Page) {
+	p.sweepCursor = p.m.ForEachPageFrom(p.sweepCursor, coolSweepPages, func(pg *vm.Page) {
 		*p.sweepPages++
 		p.backgroundNS += listScanPageNS
 		if pg.PFlags&flagRegistered == 0 {
@@ -910,12 +881,12 @@ func (p *Policy) estimateSplitBenefit() {
 	// Split only on long-term trends (§4.3.1): candidates need skewness
 	// data from at least one cooling, so allocation-phase noise never
 	// triggers splintering.
-	if p.cfg.SplitDisabled || *p.coolings < 1 || eHR-rHR < p.cfg.SplitBenefitMin {
+	if p.cfg.SplitDisabled || *p.coolings < 1 || eHR-rHR < splitBenefitMin {
 		return
 	}
 	lFast := float64(p.m.Fast.LoadNS())
 	dL := float64(p.m.Cap.LoadNS()) - lFast
-	ns := (eHR - rHR) * (dL / lFast) * (float64(nrSamples) * p.cfg.Beta / avgHP)
+	ns := (eHR - rHR) * (dL / lFast) * (float64(nrSamples) * beta / avgHP)
 	limit := float64(nrSamples) / avgHP
 	if ns > limit {
 		ns = limit
@@ -962,7 +933,7 @@ func (p *Policy) Tick(now uint64) {
 	}
 	if p.cfg.HybridScan && now >= p.nextScan {
 		for p.nextScan <= now {
-			p.nextScan += p.cfg.HybridScanPeriodNS
+			p.nextScan += hybridScanPeriodNS
 		}
 		p.hybridScan()
 	}
@@ -974,7 +945,7 @@ func (p *Policy) Tick(now uint64) {
 		budget = 2 * tier.HugePageSize
 	}
 	budget = p.runSplits(budget)
-	budget = p.promoteList(&p.promo, flagInPromo, true, budget)
+	budget = p.promoteList(budget)
 	p.reclaimTo(p.freeTarget(), true, &budget)
 	p.updateBusy(now)
 }
@@ -1006,7 +977,7 @@ func (p *Policy) updateBusy(now uint64) {
 // subpages are reclaimed inside vm.Split.
 func (p *Policy) runSplits(budget uint64) uint64 {
 	done := 0
-	for len(p.splitQueue) > 0 && done < p.cfg.MaxSplitsPerWake && budget >= tier.HugePageSize {
+	for len(p.splitQueue) > 0 && done < maxSplitsPerWake && budget >= tier.HugePageSize {
 		pg := p.splitQueue[0]
 		p.splitQueue = p.splitQueue[1:]
 		if pg.Dead() || !pg.IsHuge() {
@@ -1059,35 +1030,30 @@ func (p *Policy) splitOne(pg *vm.Page) {
 
 // freeTarget is the fast-tier free-space threshold in frames: the
 // baselines' headroom rule at the configured fraction.
-func (p *Policy) freeTarget() uint64 { return policy.Headroom(p.m, p.cfg.FreeSpaceTarget) }
+func (p *Policy) freeTarget() uint64 { return policy.Headroom(p.m, freeSpaceTarget) }
 
-// promoteList drains one promotion queue. validFlag is the queue's
-// membership flag; allowWarmVictims selects whether reclaim may demote
-// warm fast-tier pages to make room (true for hot candidates only —
-// warm candidates must never displace warm residents).
-func (p *Policy) promoteList(list *[]*vm.Page, validFlag uint32, allowWarmVictims bool, budget uint64) uint64 {
+// promoteList drains the promotion queue within budget and returns
+// what is left of it. A candidate is promoted only while still hot,
+// and reclaim may demote warm fast-tier pages to make room for it.
+func (p *Policy) promoteList(budget uint64) uint64 {
 	target := p.freeTarget()
-	for len(*list) > 0 && budget > 0 {
-		pg := (*list)[0]
+	for len(p.promo) > 0 && budget > 0 {
+		pg := p.promo[0]
 		valid := !pg.Dead() && pg.Tier != tier.FastTier
 		if valid {
 			// Settle pending cooling so candidacy is judged on the
 			// page's current classification, not a stale bin.
 			p.applyCooling(pg)
-			if allowWarmVictims {
-				valid = pg.Bin >= p.th.Hot
-			} else {
-				valid = p.th.Classify(pg.Bin) >= 0
-			}
+			valid = pg.Bin >= p.th.Hot
 		}
 		if !valid {
-			pg.PFlags &^= validFlag
-			*list = (*list)[1:]
+			pg.PFlags &^= flagInPromo
+			p.promo = p.promo[1:]
 			continue
 		}
 		need := pg.Units() + target
 		if p.m.Fast.FreeFrames() < need {
-			p.reclaimTo(need, allowWarmVictims, &budget)
+			p.reclaimTo(need, true, &budget)
 			if p.m.Fast.FreeFrames() < need {
 				break
 			}
@@ -1095,8 +1061,8 @@ func (p *Policy) promoteList(list *[]*vm.Page, validFlag uint32, allowWarmVictim
 		if pg.Bytes() > budget {
 			break
 		}
-		*list = (*list)[1:]
-		pg.PFlags &^= validFlag
+		p.promo = p.promo[1:]
+		pg.PFlags &^= flagInPromo
 		if p.migrate(pg, tier.FastTier) {
 			budget -= pg.Bytes()
 		}
@@ -1204,11 +1170,11 @@ func (p *Policy) reclaimTo(frames uint64, allowWarm bool, budget *uint64) {
 // protective initial hotness they were registered with and become
 // demotion candidates without waiting for several sampling-driven
 // coolings. Touched pages just get their reference bit cleared. Each
-// scan event covers a bounded window (HybridScanPages) and resumes
+// scan event covers a bounded window (hybridScanPages) and resumes
 // from a cursor, like the kernel's LRU walkers — never a full scan.
 func (p *Policy) hybridScan() {
 	var scanned uint64
-	p.scanCursor = p.m.ForEachPageFrom(p.scanCursor, p.cfg.HybridScanPages, func(pg *vm.Page) {
+	p.scanCursor = p.m.ForEachPageFrom(p.scanCursor, hybridScanPages, func(pg *vm.Page) {
 		if pg.PFlags&flagRegistered == 0 {
 			return
 		}

@@ -271,10 +271,6 @@ func (s *Sampler) Samples() uint64 { return s.samples }
 // SpentNS returns the total virtual CPU time consumed processing samples.
 func (s *Sampler) SpentNS() uint64 { return s.spentNS }
 
-// CPUUsage returns the latest EMA of ksampled's CPU usage (fraction of
-// one core).
-func (s *Sampler) CPUUsage() float64 { return s.emaCPU }
-
 // AvgCPUUsage returns the run-average of the usage EMA.
 func (s *Sampler) AvgCPUUsage() float64 {
 	if s.nCPU == 0 {

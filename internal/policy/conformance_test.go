@@ -1,10 +1,10 @@
 // Cross-policy conformance suite: every policy the bench factory can
-// construct is run through a canned workload behind a probe that
-// asserts the sim.Policy contract at each callback. The suite lives in
-// an external test package so it can use internal/bench's factory
-// (bench imports policy, so the plain package would be a cycle); a
-// newly registered policy is picked up automatically via
-// bench.AllPolicies.
+// construct is run through a canned workload behind scenario.Probe,
+// which asserts the sim.Policy contract at each callback and audits the
+// address space periodically and at the end. The suite lives in an
+// external test package so it can use internal/bench's factory (bench
+// imports policy, so the plain package would be a cycle); a newly
+// registered policy is picked up automatically via bench.AllPolicies.
 package policy_test
 
 import (
@@ -12,131 +12,38 @@ import (
 
 	"memtis/internal/bench"
 	"memtis/internal/pebs"
-	"memtis/internal/policy"
+	"memtis/internal/scenario"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
-	"memtis/internal/vm"
 	"memtis/internal/workload"
 )
 
-// maxStallNS is the fault-free per-access stall bound; the formula
-// lives in policy.MaxSyncStallNS so this suite and the scenario
-// conformance probe assert the same contract.
-var maxStallNS = policy.MaxSyncStallNS(tier.FaultConfig{})
-
-// probe wraps a policy and asserts the contract on every callback:
-// BackgroundNS never decreases, OnAccess stalls are bounded, PlaceNew
-// never targets a tier that cannot hold the page, and a reported hot
-// set never exceeds the resident set.
-type probe struct {
-	t     *testing.T
-	inner sim.Policy
-	m     *sim.Machine
-
-	// maxStall overrides the per-access stall bound (0 = the fault-free
-	// maxStallNS). auditEvery, when non-zero, runs a full vm.Audit that
-	// often (in accesses) — the transactional-migration invariant: no
-	// page lost, unmapped or double-mapped, whatever aborts happened.
-	maxStall   uint64
-	auditEvery uint64
-
-	lastBG   uint64
-	accesses uint64
-}
-
-func (p *probe) Name() string { return p.inner.Name() }
-
-func (p *probe) Attach(m *sim.Machine) {
-	p.m = m
-	p.inner.Attach(m)
-}
-
-func (p *probe) PlaceNew(huge bool, vpn uint64) tier.ID {
-	id := p.inner.PlaceNew(huge, vpn)
-	// Policies declaring CapPinnedPlacement direct every page at one
-	// tier by design and lean on the VM's documented overflow fallback;
-	// the full-tier contract is for adaptive policies. The declaration
-	// replaces the old type-assertion special case so out-of-tree
-	// pinning policies get the same exemption.
-	if p.inner.Capabilities().Has(sim.CapPinnedPlacement) {
-		return id
+// runProbed runs pol over the silo workload on machine mc behind the
+// conformance probe, whose stall bound and audit cadence follow the
+// machine's fault plan, and fails the test on every violation the
+// probe records, its final checks included.
+func runProbed(t *testing.T, pol sim.Policy, mc sim.Config, accesses uint64) sim.Result {
+	t.Helper()
+	p := scenario.NewProbe(pol, uint64(mc.Seed), mc.Faults)
+	res := sim.Run(mc, p, workload.MustNew("silo"), accesses)
+	p.FinalCheck()
+	for _, v := range p.Violations() {
+		t.Error(v)
 	}
-	need := uint64(1)
-	if huge {
-		need = tier.SubPages
+	if res.Accesses != accesses {
+		t.Errorf("ran %d accesses, want %d", res.Accesses, accesses)
 	}
-	switch {
-	case id == tier.NoTier:
-	case id >= tier.FastTier && int(id) < p.m.Depth():
-		if free := p.m.Tier(id).FreeFrames(); free < need {
-			p.t.Errorf("%s: PlaceNew targeted the %s tier with %d free frames (need %d)",
-				p.Name(), id, free, need)
-		}
-	default:
-		p.t.Errorf("%s: PlaceNew returned unknown tier %v", p.Name(), id)
-	}
-	return id
-}
-
-func (p *probe) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
-	stall := p.inner.OnAccess(tr, vpn, write)
-	bound := p.maxStall
-	if bound == 0 {
-		bound = maxStallNS
-	}
-	if stall > bound {
-		p.t.Errorf("%s: OnAccess stalled the app %d ns (bound %d)", p.Name(), stall, bound)
-	}
-	p.accesses++
-	if p.accesses%1024 == 0 {
-		p.check("OnAccess")
-	}
-	if p.auditEvery > 0 && p.accesses%p.auditEvery == 0 {
-		if err := p.m.AS.Audit(); err != nil {
-			p.t.Errorf("%s: address-space audit after %d accesses: %v", p.Name(), p.accesses, err)
-		}
-	}
-	return stall
-}
-
-func (p *probe) Tick(now uint64) {
-	p.inner.Tick(now)
-	p.check("Tick")
-}
-
-func (p *probe) BackgroundNS() uint64         { return p.inner.BackgroundNS() }
-func (p *probe) BusyCores() float64           { return p.inner.BusyCores() }
-func (p *probe) Capabilities() sim.Capability { return p.inner.Capabilities() }
-
-func (p *probe) check(where string) {
-	if bg := p.inner.BackgroundNS(); bg < p.lastBG {
-		p.t.Errorf("%s: BackgroundNS went backwards in %s: %d -> %d", p.Name(), where, p.lastBG, bg)
-	} else {
-		p.lastBG = bg
-	}
-	if bc := p.inner.BusyCores(); bc < 0 {
-		p.t.Errorf("%s: BusyCores = %v", p.Name(), bc)
-	}
-	if hr, ok := p.inner.(sim.HotSetReporter); ok {
-		hot, warm, cold := hr.HotSet()
-		rss := p.m.AS.RSSBytes()
-		// Slack for in-flight split/collapse histogram bookkeeping.
-		const slack = 2 * tier.HugePageSize
-		if hot > rss+slack || hot+warm+cold > rss+slack {
-			p.t.Errorf("%s: hot set exceeds RSS in %s: hot=%d warm=%d cold=%d rss=%d",
-				p.Name(), where, hot, warm, cold, rss)
-		}
-	}
+	return res
 }
 
 // TestPolicyConformanceUnderFaults reruns the conformance suite with
 // aggressive fault injection: 5% of migration copies abort, bandwidth
 // throttling quadruples copy cost for 20% of each window, and the
-// capacity tier suffers periodic stall bursts. Beyond the usual
-// contract, it asserts the failure-model invariants of DESIGN.md §6:
-// no policy loses, leaks or double-maps a page across aborted
-// migrations (vm.Audit every 4096 accesses and at the end), and
-// critical-path stalls stay within the retry-aware bound.
+// capacity tier suffers periodic stall bursts. The probe then holds
+// the failure-model invariants of DESIGN.md §6: no policy loses, leaks
+// or double-maps a page across aborted migrations (an audit every 4096
+// accesses and at the end), and critical-path stalls stay within the
+// retry-aware bound.
 func TestPolicyConformanceUnderFaults(t *testing.T) {
 	fc := tier.FaultConfig{
 		MigrateFailPpm:   50_000, // 5% of copies abort
@@ -148,11 +55,6 @@ func TestPolicyConformanceUnderFaults(t *testing.T) {
 		StallTier:        tier.CapacityTier,
 		StallNS:          200,
 	}
-	// Retry-aware stall bound: each of the (up to) two sync migrations
-	// behind one access may burn 1+DefaultMaxRetries throttled copies
-	// plus the exponential backoff before succeeding or giving up.
-	bound := policy.MaxSyncStallNS(fc)
-
 	spec := workload.MustNew("silo").Spec()
 	cfg := bench.DefaultConfig()
 	cfg.Accesses = 150_000
@@ -161,15 +63,7 @@ func TestPolicyConformanceUnderFaults(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			mc := bench.MachineFor(spec, bench.Ratio1to8, name, cfg)
-			p := &probe{t: t, inner: bench.NewPolicy(name), maxStall: bound, auditEvery: 4096}
-			res := sim.Run(mc, p, workload.MustNew("silo"), cfg.Accesses)
-			if res.Accesses != cfg.Accesses {
-				t.Errorf("ran %d accesses, want %d", res.Accesses, cfg.Accesses)
-			}
-			p.check("final")
-			if err := p.m.AS.Audit(); err != nil {
-				t.Errorf("final address-space audit: %v", err)
-			}
+			res := runProbed(t, bench.NewPolicy(name), mc, cfg.Accesses)
 			// Policies with working demotion must have actually
 			// exercised the abort path — otherwise this suite proves
 			// nothing. (AutoNUMA is excluded: with no demotion the fast
@@ -194,13 +88,12 @@ func TestPolicyConformanceUnderFaults(t *testing.T) {
 // four-tier hierarchy (DRAM > CXL > NVM > Far) with 5% of migration
 // copies aborting, the benefit admission gate installed and the
 // rate-limited background mover running — the full DESIGN.md §11
-// configuration. Beyond the usual contract and the transactional
-// audit, it asserts the mover's budget invariant: the bytes it moved
-// plus the bytes it wasted on aborted copies never exceed the bytes
-// its token bucket granted.
+// configuration. Beyond the probe's contract and transactional audit,
+// it asserts the mover's budget invariant: the bytes it moved plus the
+// bytes it wasted on aborted copies never exceed the bytes its token
+// bucket granted.
 func TestPolicyConformanceNTier(t *testing.T) {
 	fc := tier.FaultConfig{MigrateFailPpm: 50_000}
-	bound := policy.MaxSyncStallNS(fc)
 
 	spec := workload.MustNew("silo").Spec()
 	cfg := bench.DefaultConfig()
@@ -217,15 +110,7 @@ func TestPolicyConformanceNTier(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			mc := bench.MachineFor(spec, bench.Ratio1to8, name, cfg)
-			p := &probe{t: t, inner: bench.NewPolicy(name), maxStall: bound, auditEvery: 4096}
-			res := sim.Run(mc, p, workload.MustNew("silo"), cfg.Accesses)
-			if res.Accesses != cfg.Accesses {
-				t.Errorf("ran %d accesses, want %d", res.Accesses, cfg.Accesses)
-			}
-			p.check("final")
-			if err := p.m.AS.Audit(); err != nil {
-				t.Errorf("final address-space audit: %v", err)
-			}
+			res := runProbed(t, bench.NewPolicy(name), mc, cfg.Accesses)
 			cnt := map[string]uint64{}
 			for _, mt := range res.Counters {
 				cnt[mt.Name] = mt.Value
@@ -240,7 +125,8 @@ func TestPolicyConformanceNTier(t *testing.T) {
 // TestPolicyConformance runs every registered policy over the silo
 // workload (huge and base pages, allocation churn via FreeRegion) at a
 // constrained 1:8 ratio, with the probe asserting the contract
-// throughout the run.
+// throughout the run and auditing the address space every 16384
+// accesses.
 func TestPolicyConformance(t *testing.T) {
 	spec := workload.MustNew("silo").Spec()
 	cfg := bench.DefaultConfig()
@@ -249,26 +135,19 @@ func TestPolicyConformance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			mc := bench.MachineFor(spec, bench.Ratio1to8, name, cfg)
-			p := &probe{t: t, inner: bench.NewPolicy(name)}
-			res := sim.Run(mc, p, workload.MustNew("silo"), cfg.Accesses)
-			if res.Accesses != cfg.Accesses {
-				t.Errorf("ran %d accesses, want %d", res.Accesses, cfg.Accesses)
-			}
-			p.check("final")
+			pol := bench.NewPolicy(name)
+			res := runProbed(t, pol, mc, cfg.Accesses)
 			// A wake-driven daemon's busy-core estimate must stay below
 			// the machine: BusyCores is a share of real cores, not a
-			// multiplier. (MachineFor leaves Cores at the sim default
-			// of 20 — resolve it the same way fillDefaults does.)
-			cores := mc.Cores
-			if cores == 0 {
-				cores = 20
+			// multiplier.
+			if bc := pol.BusyCores(); bc >= sim.Cores {
+				t.Errorf("%s: BusyCores %.2f >= machine cores %d", name, bc, sim.Cores)
 			}
-			if bc := p.inner.BusyCores(); bc >= float64(cores) {
-				t.Errorf("%s: BusyCores %.2f >= machine cores %d", name, bc, cores)
-			}
-			if sp, ok := p.inner.(interface{ Sampler() *pebs.Sampler }); ok {
+			if sp, ok := pol.(interface{ Sampler() *pebs.Sampler }); ok {
 				// Paper §4.4: ksampled self-throttles to ~3% of one CPU.
 				// Allow 2x slack for the adjustment transient at run start.
+				// Unlike the probe's final check, this holds however few
+				// controller windows the run spans.
 				if cpu := sp.Sampler().AvgCPUUsage(); cpu > 0.06 {
 					t.Errorf("%s: sampler consumed %.1f%% of a core, budget is 3%%", name, cpu*100)
 				}

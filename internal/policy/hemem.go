@@ -13,8 +13,8 @@ import (
 // HeMem models Raybuck et al.'s HeMem (SOSP'21): a user-level library
 // that samples memory accesses with PEBS from a dedicated spinning
 // thread, classifies pages against static thresholds (hot when the
-// sampled access count reaches HotThresh; whenever any page reaches
-// CoolThresh every counter is halved), migrates asynchronously, and
+// sampled access count reaches hotThresh; whenever any page reaches
+// coolThresh every counter is halved), migrates asynchronously, and
 // always serves small (non-huge) allocations from the fast tier — the
 // over-allocation the paper quantifies in Table 3. Its pathologies in
 // Figure 2 come straight from the static thresholds: the classified hot
@@ -22,11 +22,6 @@ import (
 type HeMem struct {
 	Base
 	smp *pebs.Sampler
-
-	// HotThresh and CoolThresh are HeMem's static sample-count
-	// thresholds (its defaults are 4 and 18).
-	HotThresh  uint64
-	CoolThresh uint64
 
 	hotBytes uint64 // classified-hot bytes, maintained incrementally
 	promo    []*vm.Page
@@ -42,9 +37,16 @@ type HeMem struct {
 var _ sim.Policy = (*HeMem)(nil)
 var _ sim.HotSetReporter = (*HeMem)(nil)
 
+// hotThresh and coolThresh are HeMem's static sample-count thresholds
+// (its defaults).
+const (
+	hotThresh  = 4
+	coolThresh = 18
+)
+
 // NewHeMem returns the HeMem baseline.
 func NewHeMem() *HeMem {
-	return &HeMem{HotThresh: 4, CoolThresh: 18, reserve: 0.02, wakeEvery: 1_000_000}
+	return &HeMem{reserve: 0.02, wakeEvery: 1_000_000}
 }
 
 // Name implements sim.Policy.
@@ -125,14 +127,14 @@ func (h *HeMem) sample(pg *vm.Page) {
 		return
 	}
 	pg.Count++
-	if pg.Count == h.HotThresh {
+	if pg.Count == hotThresh {
 		h.hotBytes += pg.Bytes()
 		if pg.Tier != tier.FastTier && pg.PFlags&flagQueued == 0 {
 			pg.PFlags |= flagQueued
 			h.promo = append(h.promo, pg)
 		}
 	}
-	if pg.Count >= h.CoolThresh {
+	if pg.Count >= coolThresh {
 		h.coolAll()
 	}
 }
@@ -148,7 +150,7 @@ func (h *HeMem) coolAll() {
 			continue
 		}
 		pg.Count /= 2
-		if pg.Count >= h.HotThresh {
+		if pg.Count >= hotThresh {
 			h.hotBytes += pg.Bytes()
 		}
 	}
@@ -172,7 +174,7 @@ func (h *HeMem) Tick(now uint64) {
 	// Promote classified-hot pages.
 	for len(h.promo) > 0 && budget > 0 {
 		pg := h.promo[0]
-		if pg.Dead() || pg.Tier == tier.FastTier || pg.Count < h.HotThresh {
+		if pg.Dead() || pg.Tier == tier.FastTier || pg.Count < hotThresh {
 			pg.PFlags &^= flagQueued
 			h.promo = h.promo[1:]
 			continue
@@ -201,7 +203,7 @@ func (h *HeMem) Tick(now uint64) {
 	}
 }
 
-// demoteOne evicts one cold fast-tier page (count below HotThresh).
+// demoteOne evicts one cold fast-tier page (count below hotThresh).
 func (h *HeMem) demoteOne() bool {
 	if len(h.Registry) == 0 {
 		return false
@@ -216,7 +218,7 @@ func (h *HeMem) demoteOne() bool {
 		}
 		pg := h.Registry[h.hand]
 		h.hand++
-		if pg.Dead() || pg.Tier != tier.FastTier || pg.Count >= h.HotThresh {
+		if pg.Dead() || pg.Tier != tier.FastTier || pg.Count >= hotThresh {
 			continue
 		}
 		return h.MigrateAsync(pg, h.M.DemoteTarget(pg.Tier))

@@ -165,7 +165,7 @@ func TestHeMemClassificationAndOverAlloc(t *testing.T) {
 	r := m.Reserve(tier.HugePageSize)
 	m.Access(r.BaseVPN, true)
 	pg := m.AS.Lookup(r.BaseVPN)
-	for pg.Count < pol.HotThresh {
+	for pg.Count < hotThresh {
 		m.Access(r.BaseVPN, false)
 	}
 	hot, _, _ := pol.HotSet()

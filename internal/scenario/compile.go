@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 
-	"memtis/internal/dist"
 	"memtis/internal/sim"
 	"memtis/internal/tenant"
 	"memtis/internal/tier"
@@ -278,48 +277,18 @@ func (r *Runner) Stream(m *sim.Machine, accesses uint64) workload.Stream {
 }
 
 // mix is one mix phase's stream: draws until the space reaches target
-// cumulative accesses.
+// cumulative accesses. An omitted arm weight counts as 1.
 func (r *Runner) mix(seed int64, phase int, mix []MixEntry, regions map[string]vm.Region, target uint64) workload.Stream {
 	rng := rand.New(rand.NewSource(int64(splitmix64(uint64(seed) ^ splitmix64(fnv1a(r.spec.Name)+uint64(phase)+1)))))
-	type arm struct {
-		base  uint64
-		src   dist.Source
-		write int
+	phases := make([]workload.SyntheticPhase, len(mix))
+	for i, e := range mix {
+		// MixEntry has SyntheticPhase's fields, in its order.
+		phases[i] = workload.SyntheticPhase(e)
+		if phases[i].Weight == 0 {
+			phases[i].Weight = 1
+		}
 	}
-	arms := make([]arm, 0, len(mix))
-	weights := make([]int, 0, len(mix))
-	total := 0
-	for _, e := range mix {
-		reg := regions[e.Region]
-		var src dist.Source
-		switch e.Dist {
-		case "zipf":
-			src = dist.NewZipf(rng, e.S, reg.Pages)
-		case "uniform":
-			src = dist.NewUniform(rng, reg.Pages)
-		case "seq":
-			src = dist.NewSequential(reg.Pages)
-		}
-		if e.Scramble {
-			src = dist.NewScrambled(src)
-		}
-		w := e.Weight
-		if w == 0 {
-			w = 1
-		}
-		arms = append(arms, arm{base: reg.BaseVPN, src: src, write: e.WritePercent})
-		total += w
-		weights = append(weights, total)
-	}
-	return workload.Sweep(func() (uint64, bool) {
-		pick := rng.Intn(total)
-		idx := 0
-		for weights[idx] <= pick {
-			idx++
-		}
-		a := &arms[idx]
-		return a.base + a.src.Next(), rng.Intn(100) < a.write
-	}, target, workload.Unbounded, workload.BatchSize)
+	return workload.Mix(rng, phases, regions, target)
 }
 
 var _ workload.Streamer = (*Runner)(nil)

@@ -173,9 +173,8 @@ func (p *Probe) FinalCheck() {
 	if err := p.m.Audit(); err != nil {
 		p.violatef("final address-space audit: %v", err)
 	}
-	cores := p.m.Cfg.Cores
-	if bc := p.inner.BusyCores(); cores > 0 && bc >= float64(cores) {
-		p.violatef("BusyCores %.2f >= machine cores %d", bc, cores)
+	if bc := p.inner.BusyCores(); bc >= sim.Cores {
+		p.violatef("BusyCores %.2f >= machine cores %d", bc, sim.Cores)
 	}
 	if sp, ok := p.inner.(interface{ Sampler() *pebs.Sampler }); ok {
 		// The budget is a steady-state property: the controller starts at

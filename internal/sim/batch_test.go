@@ -88,7 +88,7 @@ func TestAccessBatchMatchesSequential(t *testing.T) {
 // snapshotPolicy declares the bypass with no sampler (FastSampled), so
 // AccessBatch's steady-state loop runs, and at every tick records what
 // a policy can read of the access counts: every space's, then the
-// current space's through Accesses.
+// current space's through Accesses, then the machine's TotalAccesses.
 type snapshotPolicy struct {
 	countingPolicy
 	snaps []uint64
@@ -101,16 +101,24 @@ func (p *snapshotPolicy) Tick(now uint64) {
 	for i := 0; i < p.m.NumSpaces(); i++ {
 		p.snaps = append(p.snaps, p.m.SpaceAccesses(i))
 	}
-	p.snaps = append(p.snaps, p.m.Accesses())
+	p.snaps = append(p.snaps, p.m.Accesses(), p.m.TotalAccesses())
 }
 
 // TestAccessBatchMatchesSequentialMultiSpace is the multi-space sibling
-// of TestAccessBatchMatchesSequential: three spaces, UseSpace between
-// uneven batches, and a policy reading per-space counts at every tick.
-// AccessBatch credits the current space with a run of accesses at once,
-// where it flushes its counters; the credit must land before every
-// tick, or a mid-batch tick reads stale counts.
+// of TestAccessBatchMatchesSequential, at one space and at three:
+// UseSpace between uneven batches, and a policy reading per-space
+// counts at every tick. AccessBatch credits the current space with a
+// run of accesses at once, where it flushes its counters; the credit
+// must land before every tick, or a mid-batch tick reads stale counts.
+// Every machine keeps space 0's count, so at every tick the spaces'
+// counts must sum to the machine's total, at one space as at three.
 func TestAccessBatchMatchesSequentialMultiSpace(t *testing.T) {
+	for _, spaces := range []int{1, 3} {
+		t.Run(fmt.Sprintf("spaces=%d", spaces), func(t *testing.T) { testBatchSpaces(t, spaces) })
+	}
+}
+
+func testBatchSpaces(t *testing.T, spaces int) {
 	type outcome struct {
 		now, total uint64
 		perSpace   [3]uint64
@@ -121,8 +129,8 @@ func TestAccessBatchMatchesSequentialMultiSpace(t *testing.T) {
 		cfg.TickNS = 20_000
 		pol := &snapshotPolicy{countingPolicy: countingPolicy{place: tier.NoTier}}
 		m := NewMachine(cfg, pol)
-		var regions [3]vm.Region
-		for i, bytes := range []uint64{2 << 20, 1 << 20, 2 << 20} {
+		regions := make([]vm.Region, spaces)
+		for i, bytes := range []uint64{2 << 20, 1 << 20, 2 << 20}[:spaces] {
 			if i > 0 {
 				m.UseSpace(m.AddSpace(fmt.Sprintf("s%d", i)))
 			}
@@ -147,7 +155,7 @@ func TestAccessBatchMatchesSequentialMultiSpace(t *testing.T) {
 			}
 		}
 		o := outcome{now: m.Now(), total: m.TotalAccesses(), ticks: pol.ticks}
-		for i := range o.perSpace {
+		for i := range spaces {
 			o.perSpace[i] = m.SpaceAccesses(i)
 		}
 		return pol.snaps, o
@@ -160,11 +168,22 @@ func TestAccessBatchMatchesSequentialMultiSpace(t *testing.T) {
 	if seq.perSpace[0]+seq.perSpace[1]+seq.perSpace[2] != seq.total {
 		t.Fatalf("per-space counts %v do not sum to the total %d", seq.perSpace, seq.total)
 	}
+	// Each tick records spaces+2 words: every space's count, then
+	// Accesses, then TotalAccesses.
+	words := spaces + 2
+	for i := 0; i+words <= len(batSnaps); i += words {
+		var sum uint64
+		for _, n := range batSnaps[i : i+spaces] {
+			sum += n
+		}
+		if total := batSnaps[i+words-1]; sum != total {
+			t.Fatalf("tick %d: space counts %v sum to %d, TotalAccesses %d", i/words, batSnaps[i:i+spaces], sum, total)
+		}
+	}
 	if !slices.Equal(seqSnaps, batSnaps) {
-		// Each tick records four words: three spaces, then Accesses.
 		for i := range min(len(seqSnaps), len(batSnaps)) {
 			if seqSnaps[i] != batSnaps[i] {
-				t.Fatalf("tick %d, word %d: sequential %d, batched %d", i/4, i%4, seqSnaps[i], batSnaps[i])
+				t.Fatalf("tick %d, word %d: sequential %d, batched %d", i/words, i%words, seqSnaps[i], batSnaps[i])
 			}
 		}
 		t.Fatalf("batched run recorded %d snapshot words, sequential %d", len(batSnaps), len(seqSnaps))

@@ -125,8 +125,7 @@ type Config struct {
 	Admission tier.Admission
 	THP       bool
 	TLB       tlb.Config
-	Cores     int // physical cores (paper: 20)
-	Threads   int // application threads (20 = saturated, 16 = headroom)
+	Threads   int // application threads (Cores = saturated, 16 = headroom)
 	TickNS    uint64
 	RecordNS  uint64 // series sampling period (0 disables)
 	Seed      int64
@@ -144,12 +143,13 @@ type Config struct {
 	Faults tier.FaultConfig
 }
 
+// Cores is the simulated machine's physical core count (the paper's
+// 20-core testbed).
+const Cores = 20
+
 func (c *Config) fillDefaults() {
-	if c.Cores == 0 {
-		c.Cores = 20
-	}
 	if c.Threads == 0 {
-		c.Threads = c.Cores
+		c.Threads = Cores
 	}
 	if c.TickNS == 0 {
 		c.TickNS = 200_000 // 200us virtual between policy ticks
@@ -197,9 +197,9 @@ type Result struct {
 	// Counters is the machine registry's snapshot (sorted by name):
 	// policy-reported counters and gauges, namespaced per policy.
 	Counters []obs.Metric
-	// Tenants is per-tenant accounting, nil for single-space runs (the
-	// compatibility path: single-tenant results are byte-identical to
-	// the pre-multi-tenant simulator, pinned by a golden test).
+	// Tenants is per-tenant accounting, one row per space, nil on a
+	// one-space machine (its results stay byte-identical to the
+	// pre-multi-tenant simulator, pinned by a golden test).
 	Tenants []TenantResult
 }
 
@@ -271,17 +271,14 @@ type Machine struct {
 	rssPeak uint64
 	series  []SeriesPoint
 
-	// Multi-tenant state. A machine starts single-space (spaces nil,
-	// cur == AS, curTag == 0) and becomes multi on the first AddSpace;
-	// the single-space hot path pays one OR with a zero tag and one
-	// predictable branch for the per-space access counter.
-	spaces      []*vm.AddressSpace // spaces[0] == AS when non-nil
-	spaceAcc    []uint64           // per-space access counts
+	// Address spaces. Every machine starts with the root space alone
+	// (spaces[0] == AS == cur, curTag == 0); AddSpace appends tenants.
+	spaces      []*vm.AddressSpace
+	spaceAcc    []uint64 // per-space access counts
 	spaceLabels []string
 	cur         *vm.AddressSpace
 	curID       uint32
 	curTag      uint64 // curID << SpaceTagShift
-	multi       bool
 
 	// AccessObserver, when set, sees every access (used by the DAMON
 	// and trace-analysis experiments). The vpn carries the current
@@ -294,8 +291,9 @@ type Machine struct {
 // Policy.OnAccess, so two tenants' identical VPNs never alias in
 // translation caches or policy bookkeeping. 40 bits of VPN cover 4PB
 // of virtual address space per tenant — far beyond MaxTotalBytes-style
-// scenario bounds — and the tag stays zero on single-space machines,
-// keeping their streams bit-identical to the pre-tenant simulator.
+// scenario bounds — and the root space's tag is zero, keeping a
+// one-space machine's streams bit-identical to the pre-tenant
+// simulator.
 const SpaceTagShift = 40
 
 // declineAll gates policies without FastSampled: a zero Sampler's
@@ -329,6 +327,9 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 		reg:   obs.NewRegistry(),
 	}
 	m.cur = m.AS
+	m.spaces = []*vm.AddressSpace{m.AS}
+	m.spaceAcc = []uint64{0}
+	m.spaceLabels = []string{""}
 	if cfg.Trace != nil {
 		cfg.Trace.BindClock(func() uint64 { return m.now })
 		m.AS.Trace = cfg.Trace
@@ -435,18 +436,12 @@ func (m *Machine) AccessGainNS(src, dst tier.ID) int64 {
 	return int64(m.loadNS[src]) - int64(m.loadNS[dst])
 }
 
-// Accesses returns the number of accesses issued so far — by the
-// current address space on a multi-tenant machine, by the machine as a
-// whole otherwise. Workload budget loops (`for m.Accesses() < target`)
-// thereby become per-tenant budgets automatically when the tenant
-// scheduler switches spaces; TotalAccesses always reads the global
-// count.
-func (m *Machine) Accesses() uint64 {
-	if m.multi {
-		return m.spaceAcc[m.curID]
-	}
-	return m.accesses
-}
+// Accesses returns the number of accesses the current address space
+// has issued so far (on a one-space machine, the machine's total).
+// Workload budget loops (`for m.Accesses() < target`) thereby become
+// per-tenant budgets automatically when the tenant scheduler switches
+// spaces; TotalAccesses always reads the global count.
+func (m *Machine) Accesses() uint64 { return m.spaceAcc[m.curID] }
 
 // TotalAccesses returns the machine-wide access count regardless of
 // the current space.
@@ -454,15 +449,9 @@ func (m *Machine) TotalAccesses() uint64 { return m.accesses }
 
 // AddSpace creates an additional address space sharing the machine's
 // tiers, fault plan, tracer and policy hooks, and returns its index.
-// The root space (index 0) is m.AS; the first AddSpace flips the
-// machine into multi-tenant mode. Call before or between runs, not
+// The root space (index 0) is m.AS. Call before or between runs, not
 // mid-access.
 func (m *Machine) AddSpace(label string) int {
-	if m.spaces == nil {
-		m.spaces = []*vm.AddressSpace{m.AS}
-		m.spaceAcc = []uint64{m.accesses}
-		m.spaceLabels = []string{""}
-	}
 	as := vm.NewAddressSpaceTiers(m.Tiers, m.topo, m.Cfg.THP)
 	as.Tenant = uint32(len(m.spaces))
 	as.Trace = m.AS.Trace
@@ -477,70 +466,34 @@ func (m *Machine) AddSpace(label string) int {
 	for _, s := range m.spaces {
 		s.Owners = m.spaces
 	}
-	m.multi = true
 	return len(m.spaces) - 1
 }
 
 // UseSpace makes space id the target of subsequent accesses,
 // reservations and frees. The tenant scheduler calls it on every
-// context switch; on a single-space machine only id 0 is valid (and a
-// no-op), so a one-tenant schedule needs no special casing.
+// context switch.
 func (m *Machine) UseSpace(id int) {
-	if m.spaces == nil {
-		if id != 0 {
-			panic("sim: UseSpace on a single-space machine")
-		}
-		return
-	}
 	m.cur = m.spaces[id]
 	m.curID = uint32(id)
 	m.curTag = uint64(id) << SpaceTagShift
 }
 
 // SetSpaceLabel names a space for per-tenant result rows.
-func (m *Machine) SetSpaceLabel(id int, label string) {
-	if m.spaces == nil && id == 0 {
-		return // single-space: no tenant rows are emitted
-	}
-	m.spaceLabels[id] = label
-}
+func (m *Machine) SetSpaceLabel(id int, label string) { m.spaceLabels[id] = label }
 
 // NumSpaces returns the number of address spaces the machine hosts.
-func (m *Machine) NumSpaces() int {
-	if m.spaces == nil {
-		return 1
-	}
-	return len(m.spaces)
-}
+func (m *Machine) NumSpaces() int { return len(m.spaces) }
 
 // Space returns address space id (0 is m.AS).
-func (m *Machine) Space(id int) *vm.AddressSpace {
-	if m.spaces == nil {
-		return m.AS
-	}
-	return m.spaces[id]
-}
+func (m *Machine) Space(id int) *vm.AddressSpace { return m.spaces[id] }
 
 // SpaceOf returns the address space owning p. Policies must route
 // page-table operations (Split, Collapse, Lookup by VPN) through the
 // owner; migrations may go through any space handle.
-func (m *Machine) SpaceOf(p *vm.Page) *vm.AddressSpace {
-	if !m.multi {
-		return m.AS
-	}
-	return m.spaces[p.Owner]
-}
-
-// Multi reports whether the machine hosts more than one address space.
-func (m *Machine) Multi() bool { return m.multi }
+func (m *Machine) SpaceOf(p *vm.Page) *vm.AddressSpace { return m.spaces[p.Owner] }
 
 // SpaceAccesses returns the access count issued by space id.
-func (m *Machine) SpaceAccesses(id int) uint64 {
-	if m.spaces == nil {
-		return m.accesses
-	}
-	return m.spaceAcc[id]
-}
+func (m *Machine) SpaceAccesses(id int) uint64 { return m.spaceAcc[id] }
 
 // RSSBytes returns the machine-wide resident set. Spaces share the
 // two tier objects and an AddressSpace's RSS is their combined used
@@ -552,13 +505,9 @@ func (m *Machine) RSSBytes() uint64 {
 }
 
 // ForEachPage visits every live page of every space, each space in
-// ascending-VPN order, spaces in index order — deterministic, like the
-// single-space walker it generalises.
+// ascending-VPN order, spaces in index order, under
+// vm.AddressSpace.ForEachPage's callback contract.
 func (m *Machine) ForEachPage(fn func(p *vm.Page)) {
-	if !m.multi {
-		m.AS.ForEachPage(fn)
-		return
-	}
 	for _, s := range m.spaces {
 		s.ForEachPage(fn)
 	}
@@ -569,8 +518,13 @@ func (m *Machine) ForEachPage(fn func(p *vm.Page)) {
 // The cursor packs the space index above SpaceTagShift and the VPN
 // cursor below it, so background sweeps resume exactly where they
 // stopped even across tenant spawns.
+//
+// A one-space machine takes the space's own walker, which goes around
+// the table at most once per call. The cycle over several spaces does
+// not yet stop after one round: a call that finishes the last space
+// may come back to its start space and walk it again from VPN 0.
 func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) uint64 {
-	if !m.multi {
+	if len(m.spaces) == 1 {
 		return m.AS.ForEachPageFrom(cursor, max, fn)
 	}
 	sid := int(cursor >> SpaceTagShift)
@@ -603,13 +557,8 @@ func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) u
 }
 
 // Audit verifies the frame-accounting invariants across every address
-// space the machine hosts (vm.Audit generalised to shared tiers).
-func (m *Machine) Audit() error {
-	if !m.multi {
-		return m.AS.Audit()
-	}
-	return vm.AuditSharedTiers(m.Tiers, m.spaces)
-}
+// space the machine hosts (vm.AuditSharedTiers).
+func (m *Machine) Audit() error { return vm.AuditSharedTiers(m.Tiers, m.spaces) }
 
 // AdvanceBackground lets policies charge additional critical-path time
 // (used by trackers that stall the app outside OnAccess's return path).
@@ -685,7 +634,7 @@ func (m *Machine) Access(vpn uint64, write bool) {
 		tr = m.cur.Touch(vpn, write)
 	}
 	// The space tag disambiguates tenants in the TLB and in policy
-	// bookkeeping; it is 0 (a free OR) on single-space machines.
+	// bookkeeping; it is 0 (a free OR) in the root space.
 	tvpn := vpn | m.curTag
 	cost := m.TLB.Access(tvpn, tr.Huge) + tr.FaultNS
 	if write {
@@ -722,9 +671,7 @@ func (m *Machine) Access(vpn uint64, write bool) {
 	// the one call site hot enough for that to matter.
 	m.now += cost
 	m.accesses++
-	if m.multi {
-		m.spaceAcc[m.curID]++
-	}
+	m.spaceAcc[m.curID]++
 	if m.AccessObserver != nil {
 		m.AccessObserver(tvpn, write, m.now)
 	}
@@ -772,14 +719,14 @@ func (m *Machine) AccessBatch(ops []Op) {
 			// Batch-invariant fields and the hot counters live in
 			// locals, so the loop keeps them in registers across the
 			// (non-inlined) TLB probe instead of reloading the Machine
-			// struct every op. cur/curTag/multi cannot change mid-batch
+			// struct every op. cur/curTag cannot change mid-batch
 			// (scheduling is a batch boundary); the counters are
 			// flushed back before anything that can observe them —
 			// tick/record delivery and the Access fallback below. The
 			// current space's access count is credited at the same
 			// flushes, with the accesses since the last one
 			// (acc - m.accesses), not once per access.
-			cur, tag, smp, tl, multi := m.cur, m.curTag, m.gate, m.TLB, m.multi
+			cur, tag, smp, tl := m.cur, m.curTag, m.gate, m.TLB
 			ldp, stp := &m.loadNS, &m.storeNS
 			now, acc, fh := m.now, m.accesses, m.fastHits
 			// One fused boundary guards both tick and record delivery;
@@ -810,9 +757,7 @@ func (m *Machine) AccessBatch(ops []Op) {
 				acc++
 				i++
 				if now >= stop {
-					if multi {
-						m.spaceAcc[m.curID] += acc - m.accesses
-					}
+					m.spaceAcc[m.curID] += acc - m.accesses
 					m.now, m.accesses, m.fastHits = now, acc, fh
 					if now >= m.nextTick {
 						m.deliverTicks()
@@ -829,9 +774,7 @@ func (m *Machine) AccessBatch(ops []Op) {
 					}
 				}
 			}
-			if multi {
-				m.spaceAcc[m.curID] += acc - m.accesses
-			}
+			m.spaceAcc[m.curID] += acc - m.accesses
 			m.now, m.accesses, m.fastHits = now, acc, fh
 		}
 		if i < len(ops) {
@@ -888,15 +831,12 @@ func (m *Machine) Finish(workload string) Result {
 	// The mover's copy work is daemon CPU like any other background
 	// machinery (zero when the mover is disabled).
 	daemonNS += m.moverNS
-	vmStats := m.AS.Stats()
-	if m.multi {
-		// Policies migrate through arbitrary space handles, so the VM
-		// counters are spread across the spaces; the result (and the
-		// fault counter folding below) reports their sum.
-		vmStats = vm.Stats{}
-		for _, s := range m.spaces {
-			vmStats.Add(s.Stats())
-		}
+	// Policies migrate through arbitrary space handles, so the VM
+	// counters are spread across the spaces; the result (and the fault
+	// counter folding below) reports their sum.
+	var vmStats vm.Stats
+	for _, s := range m.spaces {
+		vmStats.Add(s.Stats())
 	}
 	if m.faults != nil {
 		// Fold the VM's transaction outcomes into the fault counter
@@ -918,14 +858,14 @@ func (m *Machine) Finish(workload string) Result {
 	if busy > util {
 		util = busy
 	}
-	maxUtil := float64(m.Cfg.Cores) - 1
+	maxUtil := float64(Cores) - 1
 	if util > maxUtil {
 		util = maxUtil
 	}
 	wall := float64(elapsed)
-	if m.Cfg.Threads >= m.Cfg.Cores && util > 0 {
+	if m.Cfg.Threads >= Cores && util > 0 {
 		// App wants every core; daemons steal util cores' worth.
-		wall *= float64(m.Cfg.Cores) / (float64(m.Cfg.Cores) - util)
+		wall *= float64(Cores) / (float64(Cores) - util)
 	}
 	res := Result{
 		Policy:       polName,
@@ -942,7 +882,7 @@ func (m *Machine) Finish(workload string) Result {
 		Series:       m.series,
 		Counters:     m.reg.Snapshot(),
 	}
-	if m.multi {
+	if len(m.spaces) > 1 {
 		res.Tenants = make([]TenantResult, len(m.spaces))
 		for i, s := range m.spaces {
 			res.Tenants[i] = TenantResult{

@@ -105,8 +105,6 @@ func newArbiter(m *sim.Machine, specs []Spec, names []string) *arbiter {
 	return a
 }
 
-func (a *arbiter) weight(i int) uint64 { return a.weights[i] }
-
 func (a *arbiter) addLive(i int)    { a.live[i] = true; a.sumW += a.weights[i] }
 func (a *arbiter) removeLive(i int) { a.live[i] = false; a.sumW -= a.weights[i] }
 

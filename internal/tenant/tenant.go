@@ -1,7 +1,8 @@
 // Package tenant multiplexes N contending processes onto one simulated
-// machine: each tenant owns a vm.AddressSpace and an independent
-// workload, all sharing the machine's tiers and its single policy
-// daemon. A deterministic weighted scheduler interleaves the tenants'
+// machine: each tenant owns one of the machine's address spaces (the
+// first tenant the root space) and an independent workload, all
+// sharing the machine's tiers and its single policy daemon. A
+// deterministic weighted scheduler interleaves the tenants'
 // access streams in fixed-size slices; a lifecycle plan spawns and
 // exits tenants and grows and shrinks their footprints mid-run; and a
 // QoS arbiter below the policy layer enforces per-tenant fast-tier
@@ -232,13 +233,12 @@ func (r *Runner) Name() string { return "tenants" }
 // (every tenant's workload is given the global budget as its nominal
 // target; the scheduler preempts and finally stops them at slice and
 // budget boundaries, so the total always lands exactly). The machine
-// must be fresh: single-space and not previously run.
+// must be fresh: one space and not previously run.
 //
-// Tenant i runs in space i, the id its trace events carry. The QoS
+// Tenant i runs in space i, the id its trace events carry; the first
+// tenant keeps the root space, so a lone tenant adds no space. The QoS
 // arbiter is installed as the migration veto on the root space first,
-// so AddSpace copies it onto every additional space; the first tenant
-// keeps the root space, so a lone tenant stays on the single-space
-// fast path.
+// so AddSpace copies it onto every additional space.
 func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 	n := len(r.cfg.Tenants)
 	names := make([]string, n)
@@ -252,9 +252,7 @@ func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 			panic("tenant: machine not fresh (spaces already added)")
 		}
 	}
-	if n > 1 {
-		m.SetSpaceLabel(0, names[0])
-	}
+	m.SetSpaceLabel(0, names[0])
 	newRun(&r.cfg, m, a, accesses).loop()
 	a.finalize()
 }

@@ -220,9 +220,6 @@ func (t *Tier) UsedFrames() uint64 { return t.usedFrames }
 // breaking a block).
 func (t *Tier) FreeFrames() uint64 { return t.CapacityFrames() - t.usedFrames }
 
-// FreeBytes returns FreeFrames in bytes.
-func (t *Tier) FreeBytes() uint64 { return t.FreeFrames() * BasePageSize }
-
 // HasHugeFrame reports whether a 2MB allocation would currently succeed.
 func (t *Tier) HasHugeFrame() bool { return len(t.freeBlocks) > 0 }
 

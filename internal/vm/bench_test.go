@@ -38,12 +38,13 @@ func BenchmarkTouchMappedBaseRead(b *testing.B)  { benchTouch(b, false, false) }
 // the full-table walk at zero: policies call ForEachPage from periodic
 // ticks, and an O(nPages) snapshot allocation per call (the historical
 // behaviour) turns every policy tick into a GC event on large spaces.
-// The scratch buffer makes repeat walks allocation-free; the benchmark's
-// allocs/op column (gated in CI) is the regression tripwire.
+// The walk visits the live table in place and allocates nothing; the
+// benchmark's allocs/op column (gated in CI) is the regression
+// tripwire.
 func BenchmarkForEachPageAllocs(b *testing.B) {
 	as, _ := benchAS(b, false) // base pages: maximal page count per byte
 	live := 0
-	as.ForEachPage(func(p *Page) { live++ }) // warm the scratch buffer
+	as.ForEachPage(func(p *Page) { live++ }) // first walk; steady state from here on
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -131,11 +131,10 @@ func TestForEachPageFromResumeMidHugePage(t *testing.T) {
 	}
 }
 
-// TestForEachPageAllocFree pins the scratch-buffer contract directly:
-// after a first (warming) walk, further walks allocate nothing, and a
+// TestForEachPageAllocFree pins the walk's allocation contract
+// directly: after a first walk, further walks allocate nothing, and a
 // nested walk from inside the callback still sees every page exactly
-// once (it falls back to a private snapshot rather than clobbering the
-// outer one).
+// once (the walk keeps no per-space state a nested one could clobber).
 func TestForEachPageAllocFree(t *testing.T) {
 	as := newAS(t, 16, 64, true)
 	r := as.Reserve(4 * tier.HugePageSize)
@@ -143,7 +142,7 @@ func TestForEachPageAllocFree(t *testing.T) {
 		as.Touch(r.BaseVPN+i, false)
 	}
 	live := as.LivePages()
-	as.ForEachPage(func(p *Page) {}) // warm the scratch buffer
+	as.ForEachPage(func(p *Page) {}) // first walk; steady state from here on
 	if avg := testing.AllocsPerRun(20, func() {
 		n := 0
 		as.ForEachPage(func(p *Page) { n++ })

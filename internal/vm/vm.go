@@ -16,6 +16,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"memtis/internal/obs"
@@ -254,9 +255,9 @@ type Stats struct {
 	ReclaimedFrames uint64 // zero subpages freed by splits
 }
 
-// Add accumulates o into s. Multi-tenant machines aggregate their
-// per-space stats with it (policies migrate pages through whichever
-// space handle they hold, so counters spread across spaces).
+// Add accumulates o into s. A machine aggregates its per-space stats
+// with it (policies migrate pages through whichever space handle they
+// hold, so counters spread across spaces).
 func (s *Stats) Add(o Stats) {
 	s.Faults += o.Faults
 	s.FaultNS += o.FaultNS
@@ -323,12 +324,6 @@ type AddressSpace struct {
 	nextVPN uint64
 	nPages  int // live Page objects
 
-	// feScratch is ForEachPage's reusable snapshot buffer; feBusy
-	// guards against a nested walk clobbering it (the inner walk falls
-	// back to a fresh allocation).
-	feScratch []*Page
-	feBusy    bool
-
 	// THP controls whether 2MB-aligned, >=2MB reservations fault in as
 	// huge pages (Linux THP=always) or everything uses base pages.
 	THP bool
@@ -354,15 +349,15 @@ type AddressSpace struct {
 	Clock func() uint64
 
 	// Tenant is this space's machine-wide index; pages mapped here
-	// carry it in Page.Owner. Zero for single-space machines.
+	// carry it in Page.Owner. Zero for a machine's root space.
 	Tenant uint32
 
-	// Owners, when non-nil, maps a Page.Owner index to its address
-	// space. Policies migrate pages of any space through whichever
-	// space handle they hold (MigrateTx never reads the page table),
-	// so per-space unit accounting must follow the page's owner, not
-	// the receiver. The machine installs the same slice on every space
-	// it hosts; nil (the single-space default) routes to the receiver.
+	// Owners maps a Page.Owner index to its address space. Policies
+	// migrate pages of any space through whichever space handle they
+	// hold (MigrateTx never reads the page table), so per-space unit
+	// accounting must follow the page's owner, not the receiver. A new
+	// space owns itself alone; the machine installs one slice of every
+	// space it hosts on each of them.
 	Owners []*AddressSpace
 
 	// MigrateVeto, when set, may deny a tier-changing operation before
@@ -417,6 +412,7 @@ func NewAddressSpaceTiers(tiers []*tier.Tier, topo *tier.Topology, thp bool) *Ad
 		tiers: tiers,
 		THP:   thp,
 	}
+	as.Owners = []*AddressSpace{as}
 	if topo == nil {
 		topo = &tier.Topology{Tiers: make([]tier.Config, len(tiers))}
 	}
@@ -476,12 +472,7 @@ func (as *AddressSpace) ReservedPages() uint64 { return as.nextVPN }
 
 // ownerOf resolves the space whose resident/fast unit counters a
 // mutation of p must adjust.
-func (as *AddressSpace) ownerOf(p *Page) *AddressSpace {
-	if as.Owners == nil {
-		return as
-	}
-	return as.Owners[p.Owner]
-}
+func (as *AddressSpace) ownerOf(p *Page) *AddressSpace { return as.Owners[p.Owner] }
 
 // Region is a reserved virtual address range.
 type Region struct {
@@ -1212,48 +1203,19 @@ func (as *AddressSpace) RSSBytes() uint64 { return as.RSSFrames() * tier.BasePag
 // LivePages returns the number of live Page objects (huge counts as 1).
 func (as *AddressSpace) LivePages() int { return as.nPages }
 
-// ForEachPage invokes fn for every live page exactly once. The callback
-// must not unmap pages; it may migrate, split or update metadata of the
-// visited page (split replaces the visited page, which is safe because
-// iteration works over a snapshot of distinct pages).
-//
-// Iteration order is deterministic: pages are visited in strictly
+// ForEachPage invokes fn for every live page exactly once, in strictly
 // ascending VPN order, independent of insertion, migration or
-// split/collapse history. Policies rely on this guarantee for
+// split/collapse history. Policies rely on this order for
 // byte-identical traces across runs and workers; it is pinned by a
 // regression test (TestForEachPageDeterministicOrder) and must not be
 // weakened by switching the page table to an unordered container.
-// ForEachPage reuses a per-space scratch buffer for its snapshot, so
-// steady-state background walks allocate nothing (pinned by
-// BenchmarkForEachPageAllocs); a nested call from inside fn falls back
-// to a fresh allocation rather than clobbering the outer snapshot.
+//
+// All three walkers share one loop (walk) and one callback contract:
+// the callback may migrate the visited page or update its metadata,
+// and may start a nested walk, but must not unmap, split or collapse
+// pages. None of them allocates.
 func (as *AddressSpace) ForEachPage(fn func(p *Page)) {
-	var snap []*Page
-	if reuse := !as.feBusy; reuse {
-		as.feBusy = true
-		snap = as.feScratch[:0]
-		defer func() {
-			as.feScratch = snap[:0]
-			as.feBusy = false
-		}()
-	} else {
-		snap = make([]*Page, 0, as.nPages)
-	}
-	for vpn, n := uint64(0), uint64(len(as.pt)); vpn < n; {
-		e := as.pt[vpn]
-		if e == 0 {
-			vpn++
-			continue
-		}
-		pg := as.pageAt(e)
-		snap = append(snap, pg)
-		vpn = pg.VPN + pg.Units()
-	}
-	for _, pg := range snap {
-		if !pg.dead {
-			fn(pg)
-		}
-	}
+	as.walk(0, uint64(len(as.pt)), math.MaxInt, fn)
 }
 
 // ForEachPageFrom visits up to max live pages in ascending-VPN order
@@ -1263,49 +1225,26 @@ func (as *AddressSpace) ForEachPage(fn func(p *Page)) {
 // eventually visits every live page: a full cycle of calls covers the
 // address space once. A cursor that lands mid-huge-page (the layout
 // changed between calls) visits that page once and skips past it.
-//
-// Unlike ForEachPage this takes no snapshot — it is the bounded,
-// incremental walker for background sweeps (cooling convergence, the
-// §8 hybrid scan). The callback may migrate or update metadata of the
-// visited page but must not unmap, split or collapse pages.
+// It is the bounded, incremental walker for background sweeps
+// (cooling convergence, the §8 hybrid scan); one call goes around the
+// table at most once.
 func (as *AddressSpace) ForEachPageFrom(cursor uint64, max int, fn func(p *Page)) uint64 {
 	n := uint64(len(as.pt))
 	if n == 0 || max <= 0 {
 		return 0
 	}
-	if cursor >= n {
-		// The table shrank since the cursor was handed out (Free
-		// trimmed a trailing range). Fold the cursor back into range
-		// instead of snapping to 0: a snap would restart every
-		// in-flight sweep at the low VPNs and starve the high end of
-		// the address space of cooling/scan coverage.
-		cursor %= n
+	// The table may have shrunk since the cursor was handed out (Free
+	// trimmed a trailing range). Fold the cursor back into range
+	// instead of snapping to 0: a snap would restart every in-flight
+	// sweep at the low VPNs and starve the high end of the address
+	// space of cooling/scan coverage.
+	cursor %= n
+	next, visited := as.walk(cursor, n, max, fn)
+	if next >= n {
+		// The wrapped leg stops at the start cursor: one full cycle.
+		next, _ = as.walk(0, cursor, max-visited, fn)
 	}
-	visited := 0
-	// scanned bounds the walk to one full table cycle so a sparse or
-	// empty address space terminates without visiting max pages.
-	for scanned := uint64(0); scanned < n && visited < max; {
-		e := as.pt[cursor]
-		step := uint64(1)
-		if e != 0 {
-			pg := as.pageAt(e)
-			fn(pg)
-			visited++
-			step = pg.VPN + pg.Units() - cursor
-		} else if as.bn[cursor/tier.SubPages] == 0 {
-			// An all-unmapped block: cross the rest of it in one
-			// step, clipped to the table end and to the scan budget,
-			// so the walk stops where a slot-by-slot one would.
-			end := min((cursor/tier.SubPages+1)*tier.SubPages, n)
-			step = min(end-cursor, n-scanned)
-		}
-		scanned += step
-		cursor += step
-		if cursor >= n {
-			cursor = 0
-		}
-	}
-	return cursor
+	return next % n
 }
 
 // ForEachPageSlice visits up to max live pages in ascending-VPN order
@@ -1313,26 +1252,37 @@ func (as *AddressSpace) ForEachPageFrom(cursor uint64, max int, fn func(p *Page)
 // resume from and done=true once the end of the table is reached.
 // Machine-level walkers compose it across several address spaces into
 // one wrapping cursor (a space index in the high bits, this VPN cursor
-// in the low bits) so a background sweep covers every tenant's pages
-// exactly once per cycle. Same callback contract as ForEachPageFrom.
+// in the low bits) so a background sweep covers every tenant's pages.
 func (as *AddressSpace) ForEachPageSlice(cursor uint64, max int, fn func(p *Page)) (next uint64, done bool) {
 	n := uint64(len(as.pt))
 	if cursor >= n || max <= 0 {
 		return 0, true
 	}
-	visited := 0
-	for cursor < n && visited < max {
-		e := as.pt[cursor]
+	next, _ = as.walk(cursor, n, max, fn)
+	return next, next >= n
+}
+
+// walk visits, in ascending-VPN order, up to max live pages mapped at
+// slots [from, end), end <= len(pt), and returns the slot just past the
+// last one examined and the number visited. A page whose mapping
+// starts below from but covers it (a cursor mid-huge-page) is visited
+// and skipped past; an all-unmapped 2MB block is crossed in one step,
+// clipped to end, so the walk stops where a slot-by-slot one would.
+func (as *AddressSpace) walk(from, end uint64, max int, fn func(p *Page)) (next uint64, visited int) {
+	for from < end && visited < max {
+		e := as.pt[from]
 		step := uint64(1)
 		if e != 0 {
 			pg := as.pageAt(e)
 			fn(pg)
 			visited++
-			step = pg.VPN + pg.Units() - cursor
+			step = pg.VPN + pg.Units() - from
+		} else if as.bn[from/tier.SubPages] == 0 {
+			step = min((from/tier.SubPages+1)*tier.SubPages, end) - from
 		}
-		cursor += step
+		from += step
 	}
-	return cursor, cursor >= n
+	return from, visited
 }
 
 // EnsureSubCount lazily allocates the per-subpage counters of a huge

@@ -48,13 +48,58 @@ func (as *AddressSpace) refForEachPageFrom(cursor uint64, max int, fn func(p *Pa
 	return cursor
 }
 
+// refForEachPage is ForEachPage before the shared walk loop: it
+// snapshots the live pages slot by slot, then visits those the callback
+// has not killed meanwhile.
+func (as *AddressSpace) refForEachPage(fn func(p *Page)) {
+	var snap []*Page
+	for vpn, n := uint64(0), uint64(len(as.pt)); vpn < n; {
+		e := as.pt[vpn]
+		if e == 0 {
+			vpn++
+			continue
+		}
+		pg := as.pageAt(e)
+		snap = append(snap, pg)
+		vpn = pg.VPN + pg.Units()
+	}
+	for _, pg := range snap {
+		if !pg.dead {
+			fn(pg)
+		}
+	}
+}
+
+// refForEachPageSlice is ForEachPageSlice before the shared walk loop:
+// it steps over unmapped slots one at a time.
+func (as *AddressSpace) refForEachPageSlice(cursor uint64, max int, fn func(p *Page)) (next uint64, done bool) {
+	n := uint64(len(as.pt))
+	if cursor >= n || max <= 0 {
+		return 0, true
+	}
+	visited := 0
+	for cursor < n && visited < max {
+		e := as.pt[cursor]
+		step := uint64(1)
+		if e != 0 {
+			pg := as.pageAt(e)
+			fn(pg)
+			visited++
+			step = pg.VPN + pg.Units() - cursor
+		}
+		cursor += step
+	}
+	return cursor, cursor >= n
+}
+
 // TestWalksMatchSlotBySlotReference runs random Reserve/Touch/Split/Free
 // churn — tail frees that trim the table across a growing unmapped gap,
 // middle frees that leave holes — and holds the block-skipping trim and
-// cursor walker to their slot-by-slot references: the same table
-// length after every Free, and from fresh, carried and stale cursors
-// the same visit order and returned cursor. Audit checks the per-block
-// counts and the zero tails after every step.
+// the three walkers to their slot-by-slot references: the same table
+// length after every Free, the same full-table visit order, and from
+// fresh, carried, random and stale cursors under each budget the same
+// visit order and returned cursor. Audit checks the per-block counts
+// and the zero tails after every step.
 func TestWalksMatchSlotBySlotReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	as := newAS(t, 8, 64, true)
@@ -62,18 +107,31 @@ func TestWalksMatchSlotBySlotReference(t *testing.T) {
 	cursor := uint64(0)
 	checkWalks := func(step int) {
 		n := uint64(len(as.pt))
-		cursors := []uint64{cursor, n + rng.Uint64()%(2*n+1)}
+		var got, want []uint64
+		as.ForEachPage(func(p *Page) { got = append(got, p.VPN) })
+		as.refForEachPage(func(p *Page) { want = append(want, p.VPN) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: ForEachPage on %d slots visited %v; reference %v", step, n, got, want)
+		}
+		cursors := []uint64{0, cursor, n + rng.Uint64()%(2*n+1)}
 		if n > 0 {
 			cursors = append(cursors, rng.Uint64()%n)
 		}
 		for _, c := range cursors {
-			for _, max := range []int{1, 40, 1 << 20} {
-				var got, want []uint64
+			for _, max := range []int{0, 1, 40, 1 << 20} {
+				got, want = got[:0], want[:0]
 				gc := as.ForEachPageFrom(c, max, func(p *Page) { got = append(got, p.VPN) })
 				wc := as.refForEachPageFrom(c, max, func(p *Page) { want = append(want, p.VPN) })
 				if gc != wc || !slices.Equal(got, want) {
 					t.Fatalf("step %d: ForEachPageFrom(%d, %d) on %d slots visited %v and returned %d; reference %v, %d",
 						step, c, max, n, got, gc, want, wc)
+				}
+				got, want = got[:0], want[:0]
+				gn, gd := as.ForEachPageSlice(c, max, func(p *Page) { got = append(got, p.VPN) })
+				wn, wd := as.refForEachPageSlice(c, max, func(p *Page) { want = append(want, p.VPN) })
+				if gn != wn || gd != wd || !slices.Equal(got, want) {
+					t.Fatalf("step %d: ForEachPageSlice(%d, %d) on %d slots visited %v and returned %d, %v; reference %v, %d, %v",
+						step, c, max, n, got, gn, gd, want, wn, wd)
 				}
 			}
 		}

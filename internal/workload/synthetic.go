@@ -6,6 +6,7 @@ import (
 
 	"memtis/internal/dist"
 	"memtis/internal/sim"
+	"memtis/internal/vm"
 )
 
 // SyntheticRegion is one memory region of a user-defined workload.
@@ -114,53 +115,62 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) { Run(m, s, accesses) }
 // then draw the steady mix until the budget is exhausted.
 func (s *Synthetic) Stream(m *sim.Machine, accesses uint64) Stream {
 	rng := rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(s.spec.Name))<<7))
-	regions := map[string]region{}
-	for _, rs := range s.spec.Regions {
-		r := m.Reserve(rs.Bytes)
-		regions[rs.Name] = region{r: r, pages: r.Pages}
-	}
+	regions := map[string]vm.Region{}
 	var parts []Stream
 	for _, rs := range s.spec.Regions {
+		r := m.Reserve(rs.Bytes)
+		regions[rs.Name] = r
 		if !rs.SkipInit {
-			reg := regions[rs.Name]
-			parts = append(parts, Sweep(Writes(reg.r.BaseVPN), accesses, reg.pages, 1))
+			parts = append(parts, Sweep(Writes(r.BaseVPN), accesses, r.Pages, 1))
 		}
 	}
-	type armedPhase struct {
-		reg   region
+	return Seq(append(parts, Mix(rng, s.spec.Phases, regions, accesses))...)
+}
+
+// Mix is a weighted access mix over named regions: each access picks a
+// phase with probability proportional to its Weight (every weight must
+// be positive), draws a page from the phase's distribution over its
+// region, and is a store with the phase's WritePercent. It draws until
+// the current space has issued target accesses. The distributions are
+// built from rng in phase order, and each access draws from rng the
+// pick, then the page, then the store, so two callers that pass equal
+// seeds and phases issue the same stream.
+func Mix(rng *rand.Rand, phases []SyntheticPhase, regions map[string]vm.Region, target uint64) Stream {
+	type arm struct {
+		base  uint64
 		src   dist.Source
 		write int
 	}
-	var phases []armedPhase
-	var weights []int
+	arms := make([]arm, len(phases))
+	weights := make([]int, len(phases)) // cumulative
 	total := 0
-	for _, p := range s.spec.Phases {
+	for i, p := range phases {
 		reg := regions[p.Region]
 		var src dist.Source
 		switch p.Dist {
 		case "zipf":
-			src = dist.NewZipf(rng, p.S, reg.pages)
+			src = dist.NewZipf(rng, p.S, reg.Pages)
 		case "uniform":
-			src = dist.NewUniform(rng, reg.pages)
+			src = dist.NewUniform(rng, reg.Pages)
 		case "seq":
-			src = dist.NewSequential(reg.pages)
+			src = dist.NewSequential(reg.Pages)
 		}
 		if p.Scramble {
 			src = dist.NewScrambled(src)
 		}
-		phases = append(phases, armedPhase{reg: reg, src: src, write: p.WritePercent})
+		arms[i] = arm{base: reg.BaseVPN, src: src, write: p.WritePercent}
 		total += p.Weight
-		weights = append(weights, total)
+		weights[i] = total
 	}
-	return Seq(append(parts, Sweep(func() (uint64, bool) {
+	return Sweep(func() (uint64, bool) {
 		pick := rng.Intn(total)
 		idx := 0
 		for weights[idx] <= pick {
 			idx++
 		}
-		ph := phases[idx]
-		return ph.reg.r.BaseVPN + ph.src.Next(), rng.Intn(100) < ph.write
-	}, accesses, Unbounded, BatchSize))...)
+		a := &arms[idx]
+		return a.base + a.src.Next(), rng.Intn(100) < a.write
+	}, target, Unbounded, BatchSize)
 }
 
 var _ Streamer = (*Synthetic)(nil)
