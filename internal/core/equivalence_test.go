@@ -190,7 +190,7 @@ func TestStaleDemotionEntriesNeverMigrated(t *testing.T) {
 		t.Fatalf("cold list holds %d pages, want %d", n, r.Pages)
 	}
 	m.FreeRegion(r)
-	for pg := pol.popDemo(true); pg != nil; pg = pol.popDemo(true) {
+	for pg := pol.popDemo(); pg != nil; pg = pol.popDemo() {
 		if pg.Dead() {
 			t.Fatalf("popDemo returned dead page %d after FreeRegion", pg.VPN)
 		}
@@ -218,7 +218,7 @@ func TestStaleDemotionEntriesNeverMigrated(t *testing.T) {
 	if !hp.Dead() {
 		t.Fatal("splitOne left the huge page alive")
 	}
-	for pg := pol2.popDemo(true); pg != nil; pg = pol2.popDemo(true) {
+	for pg := pol2.popDemo(); pg != nil; pg = pol2.popDemo() {
 		if pg.Dead() || pg == hp {
 			t.Fatalf("popDemo surfaced the split huge page (vpn %d)", pg.VPN)
 		}

@@ -946,7 +946,7 @@ func (p *Policy) Tick(now uint64) {
 	}
 	budget = p.runSplits(budget)
 	budget = p.promoteList(budget)
-	p.reclaimTo(p.freeTarget(), true, &budget)
+	p.reclaimTo(p.freeTarget(), &budget)
 	p.updateBusy(now)
 }
 
@@ -1053,7 +1053,7 @@ func (p *Policy) promoteList(budget uint64) uint64 {
 		}
 		need := pg.Units() + target
 		if p.m.Fast.FreeFrames() < need {
-			p.reclaimTo(need, true, &budget)
+			p.reclaimTo(need, &budget)
 			if p.m.Fast.FreeFrames() < need {
 				break
 			}
@@ -1104,17 +1104,14 @@ func (p *Policy) migrate(pg *vm.Page, dst tier.ID) bool {
 }
 
 // popDemo pops the next demotion victim from the per-bin fast-tier
-// lists, coldest bins first; allowWarm extends the range to the warm
-// bins (§4.2.3 — hot bins are never eligible). The victim's pending
+// lists, coldest bins first, through the warm bins (§4.2.3 — hot bins
+// are never eligible). The victim's pending
 // cooling is settled before it is accepted, so no page is ever demoted
 // off a stale classification. The victim is unlinked before migration:
 // a failed migration therefore drops it for this wake (no retry loop
 // against the same page) and the cooling sweep re-links it later.
-func (p *Policy) popDemo(allowWarm bool) *vm.Page {
-	limit := p.th.Cold
-	if allowWarm {
-		limit = p.th.Hot - 1
-	}
+func (p *Policy) popDemo() *vm.Page {
+	limit := p.th.Hot - 1
 	if limit >= histogram.Bins {
 		limit = histogram.Bins - 1
 	}
@@ -1143,12 +1140,11 @@ func (p *Policy) popDemo(allowWarm bool) *vm.Page {
 }
 
 // reclaimTo demotes fast-tier pages until the tier has at least frames
-// free: cold pages first, warm pages only if still short and allowed
-// (§4.2.3). Hot pages are never demoted — they live in bins the pop
-// never reaches.
-func (p *Policy) reclaimTo(frames uint64, allowWarm bool, budget *uint64) {
+// free: cold pages first, warm pages only if still short (§4.2.3). Hot
+// pages are never demoted — they live in bins the pop never reaches.
+func (p *Policy) reclaimTo(frames uint64, budget *uint64) {
 	for p.m.Fast.FreeFrames() < frames && *budget > 0 {
-		pg := p.popDemo(allowWarm)
+		pg := p.popDemo()
 		if pg == nil {
 			return
 		}

@@ -2,13 +2,17 @@
 // synthetic memory workloads: a bounded Zipf sampler valid for any
 // exponent s > 0 (the standard library's rand.Zipf requires s > 1, but
 // YCSB's canonical skew is s = 0.99), uniform and sequential helpers
-// sharing one interface, and StdZipf, which draws rand.Zipf's value
-// stream at about half its cost.
+// sharing one interface, StdZipf, which draws rand.Zipf's value stream,
+// and Rand, math/rand's generator as a concrete type. Both Zipf samplers
+// resolve most draws from a guide table that every sampler of the same
+// distribution in the process shares (guide.go), and return exactly the
+// values and draw counts of their plain Exp/Log inversion.
 package dist
 
 import (
 	"math"
-	"math/rand"
+
+	"memtis/internal/fastmod"
 )
 
 // Source draws indexes in [0, N).
@@ -21,9 +25,11 @@ type Source interface {
 // 1/(k+1)^s, for any s > 0, using Gray's rejection-inversion method
 // (the same approach as YCSB's ZipfianGenerator): O(1) per sample with
 // no per-element tables, so footprints of millions of pages cost
-// nothing to set up.
+// nothing to set up. A guide table shared by every sampler of the same
+// (s, n) settles most draws without the inversion's Exp and Log1p.
 type Zipf struct {
-	rng              *rand.Rand
+	rng              *Rand
+	t                *table
 	n                uint64
 	s                float64
 	oneMinusS        float64
@@ -33,7 +39,7 @@ type Zipf struct {
 }
 
 // NewZipf builds a bounded Zipf sampler over [0, n).
-func NewZipf(rng *rand.Rand, s float64, n uint64) *Zipf {
+func NewZipf(rng *Rand, s float64, n uint64) *Zipf {
 	if n < 1 {
 		n = 1
 	}
@@ -88,19 +94,60 @@ func helper2(x float64) float64 {
 // Next implements Source.
 func (z *Zipf) Next() uint64 {
 	for {
-		u := z.hIntegralNumElem + z.rng.Float64()*(z.hIntegralX1-z.hIntegralNumElem)
-		x := z.hIntegralInv(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		}
-		if k > float64(z.n) {
-			k = float64(z.n)
-		}
-		if k-x <= z.sDiv || u >= z.hIntegral(k+0.5)-z.h(k) {
-			return uint64(k) - 1
+		if k, ok := z.step(z.rng.Float64()); ok {
+			return k
 		}
 	}
+}
+
+// step turns one Float64 draw into a value, or reports a rejection.
+func (z *Zipf) step(r float64) (uint64, bool) {
+	if z.t == nil {
+		z.t = tables.get(tableKey{family: 'g', s: math.Float64bits(z.s), n: z.n}, z)
+	}
+	if k, ok := z.t.lookup(r); ok {
+		return k, true
+	}
+	u := z.hIntegralNumElem + r*(z.hIntegralX1-z.hIntegralNumElem)
+	x := z.hIntegralInv(u)
+	k := math.Floor(x + 0.5)
+	if k < 1 {
+		k = 1
+	}
+	if k > float64(z.n) {
+		k = float64(z.n)
+	}
+	if k-x <= z.sDiv || u >= z.hIntegral(k+0.5)-z.h(k) {
+		return uint64(k) - 1, true
+	}
+	return 0, false
+}
+
+// invert implements family. x = w^γ with w = 1 + (1-s)u = x^(1-s) and
+// γ = 1/(1-s), or e^u at s = 1 (where w = 1), for u affine in r; as
+// γ(1-s) = 1, γ(γ-1)(γ-2)((1-s)du/dr)³ = s(2s-1)(du/dr)³. The rounding
+// error of x is dominated by u's, about 2^-52 of u's span, which
+// dx/du = x/w magnifies, and by the Log1p/Exp pair's, a few units in
+// the last place of x times |ln x| < 64; the margin keeps a factor of
+// about 10^6 above both.
+func (z *Zipf) invert(r float64) node {
+	d := z.hIntegralX1 - z.hIntegralNumElem
+	u := z.hIntegralNumElem + r*d
+	x := z.hIntegralInv(u)
+	w := 1 + z.oneMinusS*u
+	span := math.Abs(z.hIntegralNumElem) + math.Abs(d)
+	return node{x: x, margin: 1e-9 * (math.Abs(x) + 1) * (64 + span/w), d3: math.Abs(z.s*(2*z.s-1)*d*d*d) * x / (w * w * w)}
+}
+
+// accepts implements family with Next's second test.
+func (z *Zipf) accepts(k, r float64) bool {
+	u := z.hIntegralNumElem + r*(z.hIntegralX1-z.hIntegralNumElem)
+	return u >= z.hIntegral(k+0.5)-z.h(k)
+}
+
+// shape implements family: Next clamps k to [1, n] and returns k-1.
+func (z *Zipf) shape() shape {
+	return shape{squeeze: z.sDiv, kmin: 1, kmax: float64(z.n), koff: -1}
 }
 
 // N implements Source.
@@ -108,20 +155,21 @@ func (z *Zipf) N() uint64 { return z.n }
 
 // Uniform draws uniformly from [0, n).
 type Uniform struct {
-	rng *rand.Rand
+	rng *Rand
 	n   uint64
+	mod fastmod.M
 }
 
 // NewUniform builds a uniform sampler over [0, n).
-func NewUniform(rng *rand.Rand, n uint64) *Uniform {
+func NewUniform(rng *Rand, n uint64) *Uniform {
 	if n < 1 {
 		n = 1
 	}
-	return &Uniform{rng: rng, n: n}
+	return &Uniform{rng: rng, n: n, mod: fastmod.New(n)}
 }
 
 // Next implements Source.
-func (u *Uniform) Next() uint64 { return u.rng.Uint64() % u.n }
+func (u *Uniform) Next() uint64 { return u.mod.Mod(u.rng.Uint64()) }
 
 // N implements Source.
 func (u *Uniform) N() uint64 { return u.n }
@@ -143,7 +191,9 @@ func NewSequential(n uint64) *Sequential {
 // Next implements Source.
 func (s *Sequential) Next() uint64 {
 	v := s.cur
-	s.cur = (s.cur + 1) % s.n
+	if s.cur++; s.cur == s.n {
+		s.cur = 0
+	}
 	return v
 }
 
@@ -155,17 +205,18 @@ func (s *Sequential) N() uint64 { return s.n }
 // hash-distributed heaps place hot records (YCSB's scrambled Zipfian).
 type Scrambled struct {
 	src Source
+	mod fastmod.M
 }
 
 // NewScrambled scatters the wrapped source's indexes.
-func NewScrambled(src Source) *Scrambled { return &Scrambled{src: src} }
+func NewScrambled(src Source) *Scrambled { return &Scrambled{src: src, mod: fastmod.New(src.N())} }
 
 // Next implements Source.
 func (sc *Scrambled) Next() uint64 {
 	k := sc.src.Next()
 	// Fibonacci hashing (offset so index 0 scatters too), folded into
 	// the range.
-	return ((k + 1) * 11400714819323198485) % sc.src.N()
+	return sc.mod.Mod((k + 1) * 11400714819323198485)
 }
 
 // N implements Source.

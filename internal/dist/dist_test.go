@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -19,7 +18,7 @@ func TestZipfInRange(t *testing.T) {
 	prop := func(seed int64, nRaw uint16, sRaw uint8) bool {
 		n := uint64(nRaw)%1000 + 1
 		s := 0.2 + float64(sRaw%30)/10 // 0.2 .. 3.1
-		z := NewZipf(rand.New(rand.NewSource(seed)), s, n)
+		z := NewZipf(NewRand(seed), s, n)
 		for i := 0; i < 200; i++ {
 			if v := z.Next(); v >= n {
 				return false
@@ -35,7 +34,7 @@ func TestZipfInRange(t *testing.T) {
 func TestZipfSkewMatchesTheory(t *testing.T) {
 	// For s=0.99, n=1000, the YCSB-standard skew: P(0) ~ 1/H where
 	// H = sum 1/(k+1)^s ~ 7.52, so the top item draws ~13% of samples.
-	rng := rand.New(rand.NewSource(1))
+	rng := NewRand(1)
 	z := NewZipf(rng, 0.99, 1000)
 	counts := sample(z, 200_000)
 	var H float64
@@ -54,7 +53,7 @@ func TestZipfSkewMatchesTheory(t *testing.T) {
 }
 
 func TestZipfHighSkew(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+	rng := NewRand(2)
 	z := NewZipf(rng, 2.0, 10_000)
 	counts := sample(z, 100_000)
 	// s=2: P(0) = 1/zeta-ish over bounded n: top item dominates.
@@ -64,7 +63,7 @@ func TestZipfHighSkew(t *testing.T) {
 }
 
 func TestZipfDegenerate(t *testing.T) {
-	z := NewZipf(rand.New(rand.NewSource(3)), 0.99, 1)
+	z := NewZipf(NewRand(3), 0.99, 1)
 	for i := 0; i < 10; i++ {
 		if z.Next() != 0 {
 			t.Fatal("n=1 must always return 0")
@@ -74,7 +73,7 @@ func TestZipfDegenerate(t *testing.T) {
 		t.Fatal("N")
 	}
 	// Non-positive s is clamped, not a crash.
-	z2 := NewZipf(rand.New(rand.NewSource(4)), -1, 100)
+	z2 := NewZipf(NewRand(4), -1, 100)
 	if v := z2.Next(); v >= 100 {
 		t.Fatal("clamped s out of range")
 	}
@@ -82,7 +81,7 @@ func TestZipfDegenerate(t *testing.T) {
 
 func TestZipfNearOne(t *testing.T) {
 	// s exactly 1 exercises the log branch.
-	rng := rand.New(rand.NewSource(5))
+	rng := NewRand(5)
 	z := NewZipf(rng, 1.0, 100)
 	counts := sample(z, 50_000)
 	if counts[0] <= counts[50] {
@@ -91,7 +90,7 @@ func TestZipfNearOne(t *testing.T) {
 }
 
 func TestUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
+	rng := NewRand(6)
 	u := NewUniform(rng, 10)
 	counts := sample(u, 100_000)
 	for k := uint64(0); k < 10; k++ {
@@ -117,9 +116,9 @@ func TestSequential(t *testing.T) {
 }
 
 func TestScrambledPreservesMassMovesIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+	rng := NewRand(7)
 	z := NewZipf(rng, 1.2, 1000)
-	sc := NewScrambled(NewZipf(rand.New(rand.NewSource(7)), 1.2, 1000))
+	sc := NewScrambled(NewZipf(NewRand(7), 1.2, 1000))
 	plain := sample(z, 100_000)
 	scr := sample(sc, 100_000)
 	// The scrambled hot index is not 0 anymore...

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -31,7 +30,7 @@ func TestZipfPropertySamplesInRange(t *testing.T) {
 	for _, s := range []float64{0.99, 1.2} {
 		for _, seed := range propSeeds {
 			for _, n := range []uint64{1, 2, 17, 1000, 1 << 20} {
-				z := NewZipf(rand.New(rand.NewSource(seed)), s, n)
+				z := NewZipf(NewRand(seed), s, n)
 				for i := 0; i < 2000; i++ {
 					if v := z.Next(); v >= n {
 						t.Fatalf("s=%v seed=%d n=%d: sample %d out of [0, n)", s, seed, n, v)
@@ -47,7 +46,7 @@ func TestZipfPropertyRankFrequenciesNonIncreasing(t *testing.T) {
 	const draws = 300_000
 	for _, s := range []float64{0.99, 1.2} {
 		for _, seed := range propSeeds {
-			z := NewZipf(rand.New(rand.NewSource(seed)), s, n)
+			z := NewZipf(NewRand(seed), s, n)
 			counts := make([]float64, n)
 			for i := 0; i < draws; i++ {
 				counts[z.Next()]++
@@ -78,7 +77,7 @@ func TestZipfPropertyHeadMassMatchesCDF(t *testing.T) {
 	const draws = 200_000
 	for _, s := range []float64{0.99, 1.2} {
 		for _, seed := range propSeeds {
-			z := NewZipf(rand.New(rand.NewSource(seed)), s, n)
+			z := NewZipf(NewRand(seed), s, n)
 			counts := make([]uint64, n)
 			for i := 0; i < draws; i++ {
 				counts[z.Next()]++

@@ -1,8 +1,7 @@
 package workload
 
 import (
-	"math/rand"
-
+	"memtis/internal/dist"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
 	"memtis/internal/vm"
@@ -18,11 +17,11 @@ type blockZipf struct {
 	r      region
 	bperm  perm
 	z      zipf
-	rng    *rand.Rand
+	rng    *dist.Rand
 	blocks uint64
 }
 
-func newBlockZipf(rng *rand.Rand, s float64, r region) blockZipf {
+func newBlockZipf(rng *dist.Rand, s float64, r region) blockZipf {
 	blocks := r.pages / tier.SubPages
 	if blocks < 1 {
 		blocks = 1

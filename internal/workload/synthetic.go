@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"memtis/internal/dist"
 	"memtis/internal/sim"
@@ -114,7 +113,7 @@ func (s *Synthetic) Run(m *sim.Machine, accesses uint64) { Run(m, s, accesses) }
 // initialised ones page by page (budget checked before every access),
 // then draw the steady mix until the budget is exhausted.
 func (s *Synthetic) Stream(m *sim.Machine, accesses uint64) Stream {
-	rng := rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(s.spec.Name))<<7))
+	rng := dist.NewRand(m.Cfg.Seed ^ int64(len(s.spec.Name))<<7)
 	regions := map[string]vm.Region{}
 	var parts []Stream
 	for _, rs := range s.spec.Regions {
@@ -134,8 +133,9 @@ func (s *Synthetic) Stream(m *sim.Machine, accesses uint64) Stream {
 // the current space has issued target accesses. The distributions are
 // built from rng in phase order, and each access draws from rng the
 // pick, then the page, then the store, so two callers that pass equal
-// seeds and phases issue the same stream.
-func Mix(rng *rand.Rand, phases []SyntheticPhase, regions map[string]vm.Region, target uint64) Stream {
+// seeds and phases issue the same stream. The pick and the store are
+// rand.Rand.Intn's values, from bounds prepared once.
+func Mix(rng *dist.Rand, phases []SyntheticPhase, regions map[string]vm.Region, target uint64) Stream {
 	type arm struct {
 		base  uint64
 		src   dist.Source
@@ -162,14 +162,15 @@ func Mix(rng *rand.Rand, phases []SyntheticPhase, regions map[string]vm.Region, 
 		total += p.Weight
 		weights[i] = total
 	}
+	pick, store := dist.NewIntn(total), dist.NewIntn(100)
 	return Sweep(func() (uint64, bool) {
-		pick := rng.Intn(total)
+		w := pick.Draw(rng)
 		idx := 0
-		for weights[idx] <= pick {
+		for weights[idx] <= w {
 			idx++
 		}
 		a := &arms[idx]
-		return a.base + a.src.Next(), rng.Intn(100) < a.write
+		return a.base + a.src.Next(), store.Draw(rng) < a.write
 	}, target, Unbounded, BatchSize)
 }
 

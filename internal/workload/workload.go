@@ -97,7 +97,7 @@ func (w *W) Run(m *sim.Machine, accesses uint64) { Run(m, w, accesses) }
 func (w *W) Stream(m *sim.Machine, budget uint64) Stream {
 	c := &ctx{
 		m:      m,
-		rng:    rand.New(rand.NewSource(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8))),
+		rng:    dist.NewRand(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8)),
 		budget: budget,
 		spec:   w.spec,
 	}
@@ -169,7 +169,7 @@ func All() []*W {
 // phase queued so far.
 type ctx struct {
 	m      *sim.Machine
-	rng    *rand.Rand
+	rng    *dist.Rand
 	budget uint64
 	spec   Spec
 	init   []Stream
@@ -241,7 +241,7 @@ type zipf struct {
 // builds it.
 var zipfBuilt func(s float64, n uint64)
 
-func newZipf(rng *rand.Rand, s float64, n uint64) zipf {
+func newZipf(rng *dist.Rand, s float64, n uint64) zipf {
 	if n < 1 {
 		n = 1
 	}
@@ -259,12 +259,12 @@ type perm struct {
 	p []uint32
 }
 
-func newPerm(rng *rand.Rand, n uint64) perm {
+func newPerm(rng *dist.Rand, n uint64) perm {
 	p := make([]uint32, n)
 	for i := range p {
 		p[i] = uint32(i)
 	}
-	rng.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	rand.New(rng).Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
 	return perm{p: p}
 }
 
