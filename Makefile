@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzTopologySpec$$' -fuzztime=$(FUZZTIME) ./internal/tier
 	$(GO) test -fuzz='^FuzzScenarioSpec$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -fuzz='^FuzzScenarioConformance$$' -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzHuntBypass$$' -fuzztime=$(FUZZTIME) ./internal/bench
 
 # Continuous benchmarking: run the hot-loop benchmark suite, write a
 # schema-stable BENCH_<n>.json snapshot, and compare against the

@@ -111,29 +111,16 @@ func driveTraceRecords() []trace.Record {
 // driveHuntCell reproduces the scenario leg of HuntScenario for seed,
 // traced.
 func driveHuntCell(seed uint64) driveEquivCell {
-	pol, rt := HuntParams(seed)
-	depth, admit, mover, _ := HuntShape(seed)
-	cfg := DefaultConfig()
-	cfg.Seed = int64(splitmix64(seed ^ fnv1a("hunt-machine")))
-	var err error
-	if admit {
-		if cfg.Admission, err = tier.ParseAdmission("benefit"); err != nil {
-			panic(err)
-		}
+	h, cfg, err := huntSetup(seed, 100_000)
+	if err != nil {
+		panic(err)
 	}
-	if mover {
-		if cfg.Mover, err = tier.ParseMoverSpec("8m/1ms"); err != nil {
-			panic(err)
-		}
+	sc, mc, err := huntMachine(h.Spec, h.Ratio, h.Depth, cfg)
+	if err != nil {
+		panic(err)
 	}
-	sc := scenario.MustCompile(scenario.Generate(seed), scenario.Options{})
-	if depth > 2 {
-		if cfg.Topology, err = TopologyForDepth(sc.RSSBytes(), rt, depth, cfg.CapKind); err != nil {
-			panic(err)
-		}
-	}
-	probe := scenario.NewProbe(NewPolicy(pol), seed, sc.FaultConfig())
-	return runDriveCell(ScenarioMachine(sc, rt, cfg), probe, sc, 100_000)
+	probe := scenario.NewProbe(NewPolicy(h.Policy), seed, sc.FaultConfig())
+	return runDriveCell(mc, probe, sc, cfg.Accesses)
 }
 
 // driveEquivCells enumerates the golden cells. dir holds the trace file

@@ -147,43 +147,16 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 	if accesses == 0 {
 		accesses = 100_000
 	}
-	pol, rt := HuntParams(seed)
-	depth, admit, mover, _ := HuntShape(seed)
-	cfg := DefaultConfig()
-	cfg.Accesses = accesses
-	cfg.Seed = int64(splitmix64(seed ^ fnv1a("hunt-machine")))
-	if admit {
-		adm, err := tier.ParseAdmission("benefit")
-		if err != nil {
-			return HuntResult{}, fmt.Errorf("bench: hunt admission: %w", err)
-		}
-		cfg.Admission = adm
+	out, cfg, err := huntSetup(seed, accesses)
+	if err != nil {
+		return out, err
 	}
-	if mover {
-		mc, err := tier.ParseMoverSpec("8m/1ms")
-		if err != nil {
-			return HuntResult{}, fmt.Errorf("bench: hunt mover: %w", err)
-		}
-		cfg.Mover = mc
-	}
-	out := HuntResult{Seed: seed, Policy: pol, Ratio: rt,
-		Depth: depth, Admission: admit, Mover: mover, Shards: 1,
-		Spec: scenario.Generate(seed)}
+	pol, rt, depth := out.Policy, out.Ratio, out.Depth
 	run := func(spec scenario.Spec) ([]string, sim.Result, error) {
-		sc, err := scenario.Compile(spec, scenario.Options{})
+		sc, mc, err := huntMachine(spec, rt, depth, cfg)
 		if err != nil {
 			return nil, sim.Result{}, err
 		}
-		if depth > 2 {
-			// Derived per-candidate: shrinking can change the RSS the
-			// intermediate tier sizes come from.
-			topo, err := TopologyForDepth(sc.RSSBytes(), rt, depth, cfg.CapKind)
-			if err != nil {
-				return nil, sim.Result{}, err
-			}
-			cfg.Topology = topo
-		}
-		mc := ScenarioMachine(sc, rt, cfg)
 		probe := scenario.NewProbe(NewPolicy(pol), seed, sc.FaultConfig())
 		res := sim.Run(mc, probe, sc, cfg.Accesses)
 		probe.FinalCheck()
@@ -203,7 +176,6 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		}
 		return v, res, nil
 	}
-	var err error
 	out.Violations, out.Result, err = run(out.Spec)
 	if err != nil {
 		// Generate promises compilable specs; surface the bug, don't hunt on.
@@ -217,7 +189,7 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		return err == nil && len(v) > 0
 	})
 	out.Minimal.Note = fmt.Sprintf("seed=%#x policy=%s ratio=%s depth=%d admission=%t mover=%t accesses=%d: %s",
-		seed, pol, rt.Name, depth, admit, mover, accesses, out.Violations[0])
+		seed, pol, rt.Name, depth, out.Admission, out.Mover, accesses, out.Violations[0])
 	if reproDir != "" {
 		if err := os.MkdirAll(reproDir, 0o755); err != nil {
 			return out, fmt.Errorf("bench: hunt repro dir: %w", err)
@@ -233,4 +205,50 @@ func HuntScenario(seed uint64, accesses uint64, reproDir string) (HuntResult, er
 		out.ReproPath = path
 	}
 	return out, nil
+}
+
+// huntSetup derives everything a hunt iteration runs from its seed
+// except the machine: the result's identity (policy, ratio, machine
+// shape, generated spec) and the harness config with the seed's
+// machine seed, admission and mover.
+func huntSetup(seed, accesses uint64) (HuntResult, Config, error) {
+	pol, rt := HuntParams(seed)
+	depth, admit, mover, _ := HuntShape(seed)
+	out := HuntResult{Seed: seed, Policy: pol, Ratio: rt,
+		Depth: depth, Admission: admit, Mover: mover, Shards: 1,
+		Spec: scenario.Generate(seed)}
+	cfg := DefaultConfig()
+	cfg.Accesses = accesses
+	cfg.Seed = int64(splitmix64(seed ^ fnv1a("hunt-machine")))
+	if admit {
+		adm, err := tier.ParseAdmission("benefit")
+		if err != nil {
+			return out, cfg, fmt.Errorf("bench: hunt admission: %w", err)
+		}
+		cfg.Admission = adm
+	}
+	if mover {
+		mc, err := tier.ParseMoverSpec("8m/1ms")
+		if err != nil {
+			return out, cfg, fmt.Errorf("bench: hunt mover: %w", err)
+		}
+		cfg.Mover = mc
+	}
+	return out, cfg, nil
+}
+
+// huntMachine compiles a hunt candidate spec and sizes its machine.
+// The intermediate tiers of a deeper hierarchy are derived per
+// candidate: shrinking can change the RSS their sizes come from.
+func huntMachine(spec scenario.Spec, rt Ratio, depth int, cfg Config) (*scenario.Runner, sim.Config, error) {
+	sc, err := scenario.Compile(spec, scenario.Options{})
+	if err != nil {
+		return nil, sim.Config{}, err
+	}
+	if depth > 2 {
+		if cfg.Topology, err = TopologyForDepth(sc.RSSBytes(), rt, depth, cfg.CapKind); err != nil {
+			return nil, sim.Config{}, err
+		}
+	}
+	return sc, ScenarioMachine(sc, rt, cfg), nil
 }

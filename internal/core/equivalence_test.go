@@ -227,7 +227,7 @@ func TestStaleDemotionEntriesNeverMigrated(t *testing.T) {
 		}
 		t.Fatalf("popDemo returned invalid victim vpn=%d tier=%v", pg.VPN, pg.Tier)
 	}
-	if err := m2.AS.Audit(); err != nil {
+	if err := m2.Audit(); err != nil {
 		t.Fatalf("address-space audit after split: %v", err)
 	}
 }

@@ -19,10 +19,15 @@ const maxViolations = 32
 // bounded by the fault-aware policy.MaxSyncStallNS, BackgroundNS
 // monotonic, PlaceNew never targeting a tier that cannot hold the page
 // (unless the policy declares CapPinnedPlacement), reported hot sets
-// within RSS, and — via periodic vm.Audit — no page lost, leaked or
-// double-mapped across aborted migrations. Violations are recorded,
-// not panicked, and every message carries the scenario seed, so a fuzz
-// failure is reproducible from the test log alone.
+// within RSS, and — via periodic sim.Machine.Audit — no page lost,
+// leaked or double-mapped across aborted migrations. Violations are
+// recorded, not panicked, and every message carries the scenario seed,
+// so a fuzz failure is reproducible from the test log alone.
+//
+// The probe keeps its policy's access bypass (sim.FastSampled): its
+// OnAccess adds only the stall check, which an access the bypass skips
+// passes by the contract, and its periodic checks run on the machine's
+// access count (sim.Machine.EveryAccesses), not on OnAccess calls.
 type Probe struct {
 	inner sim.Policy
 	m     *sim.Machine
@@ -32,10 +37,13 @@ type Probe struct {
 	auditEvery uint64
 
 	lastBG     uint64
-	accesses   uint64
 	violations []string
 	dropped    int
 }
+
+// checkEvery is the probe's check period in machine-wide accesses; the
+// audit periods are multiples of it.
+const checkEvery = 1024
 
 // NewProbe wraps a policy for a scenario run derived from seed. The
 // stall bound and audit cadence are derived from the fault plan: a
@@ -79,11 +87,15 @@ func (p *Probe) Violations() []string {
 // Name implements sim.Policy.
 func (p *Probe) Name() string { return p.inner.Name() }
 
-// Attach implements sim.Policy.
+// Attach implements sim.Policy, and schedules the periodic checks.
 func (p *Probe) Attach(m *sim.Machine) {
 	p.m = m
 	p.inner.Attach(m)
+	m.EveryAccesses(checkEvery, p.periodic)
 }
+
+// SampleGate implements sim.FastSampled with the inner policy's gate.
+func (p *Probe) SampleGate() *pebs.Sampler { return sim.GateOf(p.inner) }
 
 // PlaceNew implements sim.Policy, checking the full-tier contract.
 func (p *Probe) PlaceNew(huge bool, vpn uint64) tier.ID {
@@ -107,23 +119,25 @@ func (p *Probe) PlaceNew(huge bool, vpn uint64) tier.ID {
 	return id
 }
 
-// OnAccess implements sim.Policy, checking the stall bound and running
-// the periodic address-space audit.
+// OnAccess implements sim.Policy, checking the stall bound.
 func (p *Probe) OnAccess(tr vm.TouchResult, vpn uint64, write bool) uint64 {
 	stall := p.inner.OnAccess(tr, vpn, write)
 	if stall > p.maxStall {
 		p.violatef("OnAccess stalled the app %d ns (bound %d)", stall, p.maxStall)
 	}
-	p.accesses++
-	if p.accesses%1024 == 0 {
-		p.check("OnAccess")
-	}
-	if p.accesses%p.auditEvery == 0 {
+	return stall
+}
+
+// periodic runs after every checkEvery-th machine-wide access: the
+// monotonicity and hot-set check, and every auditEvery accesses the
+// address-space audit.
+func (p *Probe) periodic() {
+	p.check("periodic check")
+	if n := p.m.TotalAccesses(); n%p.auditEvery == 0 {
 		if err := p.m.Audit(); err != nil {
-			p.violatef("address-space audit after %d accesses: %v", p.accesses, err)
+			p.violatef("address-space audit after %d accesses: %v", n, err)
 		}
 	}
-	return stall
 }
 
 // Tick implements sim.Policy.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -118,6 +119,37 @@ func TestAccessBatchMatchesSequentialMultiSpace(t *testing.T) {
 	}
 }
 
+// driveSpaces reserves a region in each of spaces address spaces (1 to
+// 3) and issues 80 seeded runs of up to 700 ops, each in a randomly
+// chosen space: one AccessBatch per run, or one Access per op.
+func driveSpaces(m *Machine, spaces int, batched bool) {
+	regions := make([]vm.Region, spaces)
+	for i, bytes := range []uint64{2 << 20, 1 << 20, 2 << 20}[:spaces] {
+		if i > 0 {
+			m.UseSpace(m.AddSpace(fmt.Sprintf("s%d", i)))
+		}
+		regions[i] = m.Reserve(bytes)
+	}
+	rng := rand.New(rand.NewSource(7))
+	ops := make([]Op, 700)
+	for step := 0; step < 80; step++ {
+		sp := rng.Intn(len(regions))
+		m.UseSpace(sp)
+		r := regions[sp]
+		n := 1 + rng.Intn(len(ops))
+		for i := range ops[:n] {
+			ops[i] = Op{VPN: r.BaseVPN + rng.Uint64()%r.Pages, Write: rng.Intn(8) == 0}
+		}
+		if batched {
+			m.AccessBatch(ops[:n])
+		} else {
+			for _, op := range ops[:n] {
+				m.Access(op.VPN, op.Write)
+			}
+		}
+	}
+}
+
 func testBatchSpaces(t *testing.T, spaces int) {
 	type outcome struct {
 		now, total uint64
@@ -129,31 +161,7 @@ func testBatchSpaces(t *testing.T, spaces int) {
 		cfg.TickNS = 20_000
 		pol := &snapshotPolicy{countingPolicy: countingPolicy{place: tier.NoTier}}
 		m := NewMachine(cfg, pol)
-		regions := make([]vm.Region, spaces)
-		for i, bytes := range []uint64{2 << 20, 1 << 20, 2 << 20}[:spaces] {
-			if i > 0 {
-				m.UseSpace(m.AddSpace(fmt.Sprintf("s%d", i)))
-			}
-			regions[i] = m.Reserve(bytes)
-		}
-		rng := rand.New(rand.NewSource(7))
-		ops := make([]Op, 700)
-		for step := 0; step < 80; step++ {
-			sp := rng.Intn(len(regions))
-			m.UseSpace(sp)
-			r := regions[sp]
-			n := 1 + rng.Intn(len(ops))
-			for i := range ops[:n] {
-				ops[i] = Op{VPN: r.BaseVPN + rng.Uint64()%r.Pages, Write: rng.Intn(8) == 0}
-			}
-			if batched {
-				m.AccessBatch(ops[:n])
-			} else {
-				for _, op := range ops[:n] {
-					m.Access(op.VPN, op.Write)
-				}
-			}
-		}
+		driveSpaces(m, spaces, batched)
 		o := outcome{now: m.Now(), total: m.TotalAccesses(), ticks: pol.ticks}
 		for i := range spaces {
 			o.perSpace[i] = m.SpaceAccesses(i)
@@ -190,5 +198,145 @@ func testBatchSpaces(t *testing.T, spaces int) {
 	}
 	if seq != bat {
 		t.Fatalf("state diverged: sequential %+v vs batched %+v", seq, bat)
+	}
+}
+
+// windowFaults is a fault plan whose throttle windows and fast-tier
+// stall bursts open and close every few dozen accesses, inside the
+// batches driveSpaces issues.
+func windowFaults() tier.FaultConfig {
+	return tier.FaultConfig{
+		ThrottlePeriodNS: 30_000, ThrottleDutyNS: 7_000,
+		StallPeriodNS: 23_000, StallDutyNS: 5_000, StallTier: tier.FastTier, StallNS: 40,
+	}
+}
+
+// TestEveryAccessesFiresOnCount: the EveryAccesses callback runs after
+// exactly every n-th machine-wide access, at the same clock and tick
+// as when every op goes through Access: through AccessBatch's fast
+// loop and its Access fallback (first touches and first writes), with
+// spaces switched between batches, under a fault plan, and with a
+// policy that declares no bypass, whose batches all fall back.
+func TestEveryAccessesFiresOnCount(t *testing.T) {
+	const n = 97
+	type call struct {
+		total, now uint64
+		ticks      int
+	}
+	for _, tc := range []struct {
+		name     string
+		spaces   int
+		faults   bool
+		fullPath bool
+	}{
+		{"one space", 1, false, false},
+		{"three spaces", 3, false, false},
+		{"fault plan", 1, true, false},
+		{"three spaces under a fault plan", 3, true, false},
+		{"no bypass", 1, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(batched bool) ([]call, uint64) {
+				cfg := testCfg()
+				cfg.TickNS = 20_000
+				if tc.faults {
+					cfg.Faults = windowFaults()
+				}
+				snap := &snapshotPolicy{countingPolicy: countingPolicy{place: tier.NoTier}}
+				counting := &snap.countingPolicy
+				var pol Policy = snap
+				if tc.fullPath {
+					pol = counting
+				}
+				m := NewMachine(cfg, pol)
+				var calls []call
+				m.EveryAccesses(n, func() {
+					calls = append(calls, call{m.TotalAccesses(), m.Now(), counting.ticks})
+				})
+				driveSpaces(m, tc.spaces, batched)
+				return calls, m.TotalAccesses()
+			}
+			seq, total := run(false)
+			bat, _ := run(true)
+			if want := total / n; uint64(len(seq)) != want || want < 100 {
+				t.Fatalf("callback ran %d times over %d accesses, want %d (and at least 100)", len(seq), total, want)
+			}
+			for i, c := range seq {
+				if c.total != uint64(i+1)*n {
+					t.Fatalf("call %d at access %d, want %d", i, c.total, uint64(i+1)*n)
+				}
+			}
+			if !slices.Equal(seq, bat) {
+				for i := range min(len(seq), len(bat)) {
+					if seq[i] != bat[i] {
+						t.Fatalf("call %d: access at a time %+v, batched %+v", i, seq[i], bat[i])
+					}
+				}
+				t.Fatalf("batched run made %d calls, access at a time %d", len(bat), len(seq))
+			}
+		})
+	}
+}
+
+// TestEveryAccessesReplaces: a later EveryAccesses call replaces the
+// callback and counts from the machine's current total; n == 0 removes
+// it.
+func TestEveryAccessesReplaces(t *testing.T) {
+	m := NewMachine(testCfg(), nil)
+	r := m.Reserve(tier.HugePageSize)
+	var a, b []uint64
+	m.EveryAccesses(10, func() { a = append(a, m.TotalAccesses()) })
+	for range 25 {
+		m.Access(r.BaseVPN, false)
+	}
+	m.EveryAccesses(7, func() { b = append(b, m.TotalAccesses()) })
+	m.AccessBatch(make([]Op, 20))
+	m.EveryAccesses(0, nil)
+	m.AccessBatch(make([]Op, 50))
+	if !slices.Equal(a, []uint64{10, 20}) || !slices.Equal(b, []uint64{28, 35, 42}) {
+		t.Fatalf("calls at %v then %v, want [10 20] then [28 35 42]", a, b)
+	}
+}
+
+// TestAccessBatchMatchesSequentialUnderFaults: with throttle windows
+// and stall bursts opening and closing mid-batch, AccessBatch runs its
+// fast loop between them and still simulates what one Access per op
+// does: the same result, fault/* counters included, and the same event
+// trace, fault_window events included.
+func TestAccessBatchMatchesSequentialUnderFaults(t *testing.T) {
+	run := func(batched bool) (Result, []byte) {
+		var buf bytes.Buffer
+		sink := obs.NewJSONL(&buf)
+		cfg := testCfg()
+		cfg.TickNS = 20_000
+		cfg.Faults = windowFaults()
+		cfg.Trace = obs.NewTracer(sink)
+		m := NewMachine(cfg, &snapshotPolicy{countingPolicy: countingPolicy{place: tier.NoTier}})
+		driveSpaces(m, 1, batched)
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return m.Finish("faults"), buf.Bytes()
+	}
+	seqRes, seqTrace := run(false)
+	batRes, batTrace := run(true)
+	if !reflect.DeepEqual(seqRes, batRes) {
+		t.Fatalf("batched result differs from access at a time:\n seq app_ns %d %v\n bat app_ns %d %v",
+			seqRes.AppNS, seqRes.Counters, batRes.AppNS, batRes.Counters)
+	}
+	if !bytes.Equal(seqTrace, batTrace) {
+		t.Fatal("batched event trace differs from access at a time")
+	}
+	counters := map[string]uint64{}
+	for _, c := range seqRes.Counters {
+		counters[c.Name] = c.Value
+	}
+	for _, name := range []string{"fault/throttle_windows", "fault/stall_windows", "fault/stall_ns"} {
+		if counters[name] < 20 {
+			t.Fatalf("%s = %d: too few windows to land inside batches", name, counters[name])
+		}
+	}
+	if n := bytes.Count(seqTrace, []byte("fault_window")); uint64(n) != counters["fault/throttle_windows"]+counters["fault/stall_windows"] {
+		t.Fatalf("%d fault_window events for %v", n, counters)
 	}
 }

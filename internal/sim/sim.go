@@ -97,10 +97,22 @@ type HotSetReporter interface {
 // on (arms a hint fault, clears an accessed flag). The machine serves
 // the exempt accesses with TouchFast and FeedFast alone, leaving every
 // result and trace byte-identical. A policy that does not implement
-// FastSampled sees every access.
+// FastSampled sees every access. A wrapper around a policy keeps the
+// inner policy's contract, whatever it is, by returning GateOf(inner).
 type FastSampled interface {
 	// SampleGate returns the policy's sampler, or nil when it has none.
 	SampleGate() *pebs.Sampler
+}
+
+// GateOf returns the sampler the machine gates pol's accesses with: its
+// SampleGate when pol implements FastSampled (nil: no sampler, so every
+// steady-state access bypasses), and otherwise a shared sampler that
+// declines every access, which keeps pol on the full path.
+func GateOf(pol Policy) *pebs.Sampler {
+	if fs, ok := pol.(FastSampled); ok {
+		return fs.SampleGate()
+	}
+	return declineAll
 }
 
 // Config describes the simulated machine.
@@ -219,9 +231,9 @@ type Machine struct {
 	Rand  *rand.Rand
 	reg   *obs.Registry
 
-	// gate is the attached policy's FastSampled sampler: nil when the
-	// policy has none or there is no policy, declineAll when the policy
-	// declares no bypass contract.
+	// gate is GateOf the attached policy: nil when the policy has no
+	// sampler or there is no policy, declineAll when the policy declares
+	// no bypass contract.
 	gate *pebs.Sampler
 
 	// topo is Cfg.Topology (nil on the historical two-tier path); new
@@ -284,6 +296,13 @@ type Machine struct {
 	// and trace-analysis experiments). The vpn carries the current
 	// space tag, like the vpn fed to the TLB and policy.
 	AccessObserver func(vpn uint64, write bool, now uint64)
+
+	// The EveryAccesses callback: onCount runs when the machine-wide
+	// access count reaches nextCount, which then steps by countEvery.
+	// nextCount is math.MaxUint64 while no callback is set.
+	onCount    func()
+	countEvery uint64
+	nextCount  uint64
 }
 
 // SpaceTagShift positions an address-space index above the VPN bits of
@@ -368,16 +387,36 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 	if cfg.RecordNS > 0 {
 		m.nextRecord = cfg.RecordNS
 	}
+	m.nextCount = math.MaxUint64
 	// A nil policy is a nil placer: the address space's default.
 	m.AS.SetPlacer(pol)
 	if pol != nil {
 		pol.Attach(m)
-		m.gate = declineAll
-		if fs, ok := pol.(FastSampled); ok {
-			m.gate = fs.SampleGate()
-		}
+		m.gate = GateOf(pol)
 	}
 	return m
+}
+
+// EveryAccesses makes fn run after every n-th machine-wide access, that
+// is whenever TotalAccesses reaches a multiple of n: after the access
+// and the ticks and series samples it made due, before the next access
+// starts, whichever of Access and AccessBatch serves it. Periodic
+// checks that must not ride on Policy.OnAccess, which the FastSampled
+// bypass skips, hang here. A machine holds one callback; a later call
+// replaces it, and n == 0 removes it. Call it between accesses, as
+// Policy.Attach does, not from a tick or from the callback.
+func (m *Machine) EveryAccesses(n uint64, fn func()) {
+	m.onCount, m.countEvery, m.nextCount = fn, n, math.MaxUint64
+	if n > 0 {
+		m.nextCount = (m.accesses/n + 1) * n
+	}
+}
+
+// deliverCount runs the EveryAccesses callback. Out of line: the hot
+// path pays only the m.accesses == m.nextCount compare.
+func (m *Machine) deliverCount() {
+	m.nextCount += m.countEvery
+	m.onCount()
 }
 
 // Now returns the current virtual time in nanoseconds.
@@ -618,8 +657,9 @@ func (m *Machine) deliverRecords() {
 //
 // Hot-path invariants (DESIGN.md §7): no allocations on the non-fault
 // path, no tracing cost when tracing is disabled, and rare-path work
-// (fault injection, tick delivery, series sampling, RSS accounting)
-// hidden behind single predictable compares.
+// (fault injection, tick delivery, series sampling, RSS accounting,
+// the EveryAccesses callback) hidden behind single predictable
+// compares.
 func (m *Machine) Access(vpn uint64, write bool) {
 	var tr vm.TouchResult
 	pol := m.Pol
@@ -689,6 +729,9 @@ func (m *Machine) Access(vpn uint64, write bool) {
 			m.rssPeak = rss
 		}
 	}
+	if m.accesses == m.nextCount {
+		m.deliverCount()
+	}
 }
 
 // Op is one element of an AccessBatch: the access Machine.Access(VPN,
@@ -709,13 +752,44 @@ type Op struct {
 // The inner loop is Access's bypass unrolled across the batch: one op
 // costs a TouchFast, a FeedFast, a TLB probe and the counter updates,
 // with the call into Access (and its rare-path branches) paid only by
-// ops the bypass refuses, or that run under a fault plan or observer.
-// The operations and their order are identical to Access's per op —
-// the tenant_equiv goldens pin this.
+// ops the bypass refuses, ops that start inside a fault plan's stall
+// burst or unreported window (tier.FaultPlan.QuietUntil), and every op
+// under an observer. The operations and their order are identical to
+// Access's per op — the tenant_equiv goldens pin this.
 func (m *Machine) AccessBatch(ops []Op) {
+	for len(ops) > 0 {
+		// Split the batch after the op that brings the access count to
+		// the next EveryAccesses call, so no loop compares the count
+		// per op. Access fires the call when it serves that op.
+		n := len(ops)
+		if c := m.nextCount - m.accesses; c < uint64(n) {
+			n = int(c)
+		}
+		m.accessRun(ops[:n])
+		if m.accesses == m.nextCount {
+			m.deliverCount()
+		}
+		ops = ops[n:]
+	}
+}
+
+// fastStop is the one fused boundary of AccessBatch's steady-state
+// loop: the next tick, the next series sample or the end of the fault
+// plan's quiet span, whichever comes first. Ticks and samples are
+// delivered whenever the clock passes them, so the loop starts or goes
+// on only while m.now is short of the quiet span's end; an op that
+// starts at or past it goes through Access.
+func (m *Machine) fastStop() uint64 {
+	return min(m.nextTick, m.nextRecord, m.faults.QuietUntil(m.now))
+}
+
+// accessRun is AccessBatch over ops that bring the access count to the
+// next EveryAccesses call at their last op at the earliest.
+func (m *Machine) accessRun(ops []Op) {
 	i := 0
 	for i < len(ops) {
-		if m.gate != declineAll && m.faults == nil && m.AccessObserver == nil {
+		stop := m.fastStop()
+		if m.gate != declineAll && m.AccessObserver == nil && m.now < stop {
 			// Batch-invariant fields and the hot counters live in
 			// locals, so the loop keeps them in registers across the
 			// (non-inlined) TLB probe instead of reloading the Machine
@@ -729,12 +803,6 @@ func (m *Machine) AccessBatch(ops []Op) {
 			cur, tag, smp, tl := m.cur, m.curTag, m.gate, m.TLB
 			ldp, stp := &m.loadNS, &m.storeNS
 			now, acc, fh := m.now, m.accesses, m.fastHits
-			// One fused boundary guards both tick and record delivery;
-			// the delivery block re-checks each exactly like Access.
-			stop := m.nextTick
-			if m.nextRecord < stop {
-				stop = m.nextRecord
-			}
 			for i < len(ops) {
 				vpn, write := ops[i].VPN, ops[i].Write
 				t, huge, ok := cur.TouchFast(vpn, write)
@@ -768,9 +836,8 @@ func (m *Machine) AccessBatch(ops []Op) {
 					// A policy tick may advance time (AdvanceBackground);
 					// re-sync the register copies with the machine.
 					now, acc, fh = m.now, m.accesses, m.fastHits
-					stop = m.nextTick
-					if m.nextRecord < stop {
-						stop = m.nextRecord
+					if stop = m.fastStop(); now >= stop {
+						break
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package tier
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -256,6 +257,37 @@ func (f *FaultPlan) PollWindows(now uint64) (throttleStarted, stallStarted bool)
 		}
 	}
 	return throttleStarted, stallStarted
+}
+
+// QuietUntil returns the first virtual time at or after now from which
+// an access could pay a stall (AccessStallNS) or start a window
+// PollWindows has not reported: an access that starts before it needs
+// neither call, which lets the machine's batch loop run under a fault
+// plan. It returns now inside a stall burst or an unreported throttle
+// window, and MaxUint64 on a nil plan or one without windows. On a nil
+// plan it inlines to one compare.
+func (f *FaultPlan) QuietUntil(now uint64) uint64 {
+	if f == nil {
+		return math.MaxUint64
+	}
+	return f.quietUntil(now)
+}
+
+func (f *FaultPlan) quietUntil(now uint64) uint64 {
+	q := uint64(math.MaxUint64)
+	if p, d := f.cfg.ThrottlePeriodNS, f.cfg.ThrottleDutyNS; p > 0 && d > 0 {
+		if now%p < d && now/p+1 != f.seenThrottle {
+			return now
+		}
+		q = now - now%p + p
+	}
+	if p, d := f.cfg.StallPeriodNS, f.cfg.StallDutyNS; p > 0 && d > 0 {
+		if now%p < d {
+			return now
+		}
+		q = min(q, now-now%p+p)
+	}
+	return q
 }
 
 // ParseFaultSpec decodes the CLI fault specification: comma-separated

@@ -1,6 +1,8 @@
 package tier
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -94,6 +96,58 @@ func TestFaultPlanWindows(t *testing.T) {
 	}
 	if thr, _ = p.PollWindows(1100); !thr {
 		t.Fatal("second throttle window not reported")
+	}
+}
+
+// TestFaultPlanQuietUntil walks a machine's access start times through
+// fault plans with overlapping, duty-free and missing windows, polling
+// the plan at each start as Machine.Access does. An access that starts
+// before QuietUntil pays no stall on any tier and reports no window;
+// at the boundary itself one of the two happens, so the batch loop
+// leaves its fast path no earlier than it must.
+func TestFaultPlanQuietUntil(t *testing.T) {
+	if q := (*FaultPlan)(nil).QuietUntil(123); q != math.MaxUint64 {
+		t.Fatalf("nil plan quiet until %d", q)
+	}
+	for _, cfg := range []FaultConfig{
+		{ThrottlePeriodNS: 1000, ThrottleDutyNS: 200, StallPeriodNS: 700, StallDutyNS: 90, StallTier: CapacityTier, StallNS: 77},
+		{ThrottlePeriodNS: 1000, ThrottleDutyNS: 1000},
+		{StallPeriodNS: 500, StallDutyNS: 100, StallNS: 5},
+		{ThrottlePeriodNS: 1000, StallPeriodNS: 300, StallNS: 9}, // zero duties: no window ever
+		{MigrateFailPpm: 10},
+	} {
+		p := NewFaultPlan(cfg)
+		rng := rand.New(rand.NewSource(int64(cfg.ThrottlePeriodNS + cfg.StallPeriodNS)))
+		bounded := 0
+		for now := uint64(0); now < 20_000; now += 1 + uint64(rng.Intn(150)) {
+			q := p.QuietUntil(now)
+			if q < now {
+				t.Fatalf("%+v: quiet until %d before now %d", cfg, q, now)
+			}
+			for at := now; at < q && at < now+2000; at++ {
+				probe := *p
+				if thr, stl := probe.PollWindows(at); thr || stl {
+					t.Fatalf("%+v: quiet until %d at %d, but an access at %d starts a window", cfg, q, now, at)
+				}
+				for id := FastTier; id < MaxTiers; id++ {
+					if s := p.AccessStallNS(id, at); s != 0 {
+						t.Fatalf("%+v: quiet until %d at %d, but an access at %d to %v stalls %d ns", cfg, q, now, at, id, s)
+					}
+				}
+			}
+			if q != math.MaxUint64 {
+				bounded++
+				probe := *p
+				thr, stl := probe.PollWindows(q)
+				if !thr && !stl && p.AccessStallNS(cfg.StallTier, q) == 0 {
+					t.Fatalf("%+v: quiet until %d at %d, but nothing happens there", cfg, q, now)
+				}
+			}
+			p.PollWindows(now)
+		}
+		if windows := cfg.ThrottleDutyNS > 0 || cfg.StallDutyNS > 0; windows != (bounded > 0) {
+			t.Fatalf("%+v: %d bounded quiet spans", cfg, bounded)
+		}
 	}
 }
 

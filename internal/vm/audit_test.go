@@ -48,10 +48,10 @@ func newAuditFixture(t *testing.T) auditFixture {
 		t.Fatalf("fixture layout: h vpn %d huge=%v on %v, b vpn %d on %v, c vpn %d on %v",
 			fx.h.VPN, fx.h.IsHuge(), fx.h.Tier, fx.b.VPN, fx.b.Tier, fx.c.VPN, fx.c.Tier)
 	}
-	if err := as.refAudit(); err != nil {
+	if err := refAuditSpace(as); err != nil {
 		t.Fatalf("clean fixture failed the reference audit: %v", err)
 	}
-	if err := as.Audit(); err != nil {
+	if err := auditSpace(as); err != nil {
 		t.Fatalf("clean fixture failed the audit: %v", err)
 	}
 	return fx
@@ -74,7 +74,7 @@ func sameAuditError(t *testing.T, got, ref error, want string) {
 }
 
 // TestAuditMatchesReferenceOnCorruption breaks each invariant of a
-// clean space in turn and requires Audit to return exactly the error
+// clean space in turn and requires the audit to return exactly the error
 // string of the map-based reference audit.
 func TestAuditMatchesReferenceOnCorruption(t *testing.T) {
 	for _, tc := range []struct {
@@ -116,6 +116,17 @@ func TestAuditMatchesReferenceOnCorruption(t *testing.T) {
 		{"huge page maps fewer slots than its units", func(fx auditFixture) {
 			fx.as.pt[fx.h.VPN+7] = 0
 		}, "maps 511 of its 512 slots"},
+		// A slot that breaks a huge mapping's run of equal slots ends the
+		// audit's run check and takes the per-slot checks.
+		{"huge slot caches another tier", func(fx auditFixture) {
+			fx.as.pt[fx.h.VPN+9] = fx.as.pt[fx.h.VPN+9]&^pteTierMask | 1<<pteTierShift
+		}, "pte at vpn 9 caches tier capacity but page 0"},
+		{"huge slot maps another page", func(fx auditFixture) {
+			fx.as.pt[fx.h.VPN+9] = fx.as.pt[fx.b.VPN]
+		}, "page 512 (units 1) mapped out of range at vpn 9"},
+		{"huge slot unseen under a seen block", func(fx auditFixture) {
+			fx.as.pt[fx.h.VPN+11] &^= pteSeen
+		}, "pte at vpn 11 disagrees with block table entry 0"},
 		{"stale block-table entry", func(fx auditFixture) {
 			fx.as.bt[fx.b.VPN/tier.SubPages] = pteFor(fx.h)
 		}, "is stale"},
@@ -125,13 +136,14 @@ func TestAuditMatchesReferenceOnCorruption(t *testing.T) {
 			if _, err := fx.as.TierAt(2).AllocBase(); err != nil {
 				panic(err)
 			}
-		}, "tier2 tier has 2 frames allocated but 1 mapped (lost or leaked)"},
-		{"lost frame", func(fx auditFixture) { fx.as.TierAt(2).FreeBase(fx.d.Frame) }, "lost or leaked"},
+		}, "tier2 tier has 2 frames allocated but 1 mapped across 1 spaces"},
+		{"lost frame", func(fx auditFixture) { fx.as.TierAt(2).FreeBase(fx.d.Frame) },
+			"tier2 tier has 0 frames allocated but 1 mapped across 1 spaces"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newAuditFixture(t)
 			tc.corrupt(fx)
-			sameAuditError(t, fx.as.Audit(), fx.as.refAudit(), tc.want)
+			sameAuditError(t, auditSpace(fx.as), refAuditSpace(fx.as), tc.want)
 		})
 	}
 }
@@ -171,6 +183,17 @@ func TestAuditSharedMatchesReference(t *testing.T) {
 		pb.Frame = pa.Frame
 		want := fmt.Sprintf("space 1: vm: frame %v double-mapped by pages %d and %d",
 			tier.PhysAddr{Tier: pa.Tier, Frame: pa.Frame}, pa.VPN, pb.VPN)
+		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces), want)
+	})
+	t.Run("huge page over an earlier base page's frame", func(t *testing.T) {
+		ts, spaces, _, pb := sharedSpaces(t)
+		hb := spaces[1].Lookup(tier.SubPages)
+		if hb == nil || !hb.IsHuge() || hb.Tier != pb.Tier {
+			t.Fatalf("setup: no huge page on %v at vpn %d of space 1", pb.Tier, tier.SubPages)
+		}
+		pb.Frame = hb.Frame + 3
+		want := fmt.Sprintf("space 1: vm: frame %v double-mapped by pages %d and %d",
+			tier.PhysAddr{Tier: hb.Tier, Frame: hb.Frame + 3}, pb.VPN, hb.VPN)
 		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces), want)
 	})
 	t.Run("owner mismatch in the second space", func(t *testing.T) {
@@ -218,11 +241,11 @@ func TestAuditRejectsFrameBeyondCapacity(t *testing.T) {
 	fx := newAuditFixture(t)
 	capF := fx.as.Fast.CapacityFrames()
 	fx.h.Frame = tier.Frame(capF - 256)
-	if err := fx.as.refAudit(); err != nil {
+	if err := refAuditSpace(fx.as); err != nil {
 		t.Fatalf("reference audit now rejects the state: %v", err)
 	}
-	want := fmt.Sprintf("vm: page %d maps frames %d..%d beyond the fast tier's %d", fx.h.VPN, capF-256, capF+255, capF)
-	if err := fx.as.Audit(); err == nil || err.Error() != want {
+	want := fmt.Sprintf("space 0: vm: page %d maps frames %d..%d beyond the fast tier's %d", fx.h.VPN, capF-256, capF+255, capF)
+	if err := auditSpace(fx.as); err == nil || err.Error() != want {
 		t.Fatalf("audit = %v, want %q", err, want)
 	}
 }
@@ -247,16 +270,11 @@ func TestAuditMatchesReferenceOnChurn(t *testing.T) {
 					as.Owners = spaces
 				}
 			}
-			audit, ref := AuditSharedTiers, refAuditSharedTiers
-			if n == 1 {
-				audit = func([]*tier.Tier, []*AddressSpace) error { return spaces[0].Audit() }
-				ref = func([]*tier.Tier, []*AddressSpace) error { return spaces[0].refAudit() }
-			}
 			frees := churn(t, rand.New(rand.NewSource(int64(n))), ts, spaces, func(step int) {
-				if err := ref(ts, spaces); err != nil {
+				if err := refAuditSharedTiers(ts, spaces); err != nil {
 					t.Fatalf("step %d: reference audit: %v", step, err)
 				}
-				if err := audit(ts, spaces); err != nil {
+				if err := AuditSharedTiers(ts, spaces); err != nil {
 					t.Fatalf("step %d: audit: %v", step, err)
 				}
 			})
@@ -322,7 +340,7 @@ func churn(t *testing.T, rng *rand.Rand, ts []*tier.Tier, spaces []*AddressSpace
 	return frees
 }
 
-// TestAuditAllocsFlat is the allocation tripwire: Audit makes the same
+// TestAuditAllocsFlat is the allocation tripwire: the audit makes the same
 // number of allocations on a space of about 16K base pages as on a
 // 64-page space over the same tiers. An owner or slot table that grows
 // per mapped page fails it.
@@ -334,12 +352,12 @@ func TestAuditAllocsFlat(t *testing.T) {
 			as.Touch(vpn, true)
 		}
 		return testing.AllocsPerRun(5, func() {
-			if err := as.Audit(); err != nil {
+			if err := auditSpace(as); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if small, large := allocs(64), allocs(16<<10); small != large {
-		t.Fatalf("Audit allocates %.0f objects on 64 pages but %.0f on 16K pages", small, large)
+		t.Fatalf("the audit allocates %.0f objects on 64 pages but %.0f on 16K pages", small, large)
 	}
 }

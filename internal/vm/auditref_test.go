@@ -8,24 +8,16 @@ import (
 
 // This file keeps the map-based audit the package used before the
 // bitmap one, verbatim apart from the names, as the naive reference
-// the differential tests in audit_test.go hold Audit and
-// AuditSharedTiers against: a frame-owner map and a per-page slot map,
-// rebuilt on every call.
+// the differential tests in audit_test.go hold AuditSharedTiers
+// against: a frame-owner map and a per-page slot map, rebuilt on every
+// call, and a slot-by-slot walk of every huge mapping.
 
-// refAudit is the reference Audit.
-func (as *AddressSpace) refAudit() error {
-	owner := make(map[tier.PhysAddr]uint64)
-	units, err := as.refAuditMapped(owner)
-	if err != nil {
-		return err
-	}
-	for id, t := range as.tiers {
-		if got := t.UsedFrames(); got != units[id] {
-			return fmt.Errorf("vm: %s tier has %d frames allocated but %d mapped (lost or leaked)",
-				tier.ID(id), got, units[id])
-		}
-	}
-	return nil
+// auditSpace is AuditSharedTiers over as alone, and refAuditSpace its
+// reference.
+func auditSpace(as *AddressSpace) error { return AuditSharedTiers(as.tiers, []*AddressSpace{as}) }
+
+func refAuditSpace(as *AddressSpace) error {
+	return refAuditSharedTiers(as.tiers, []*AddressSpace{as})
 }
 
 // refAuditSharedTiers is the reference AuditSharedTiers.

@@ -54,7 +54,7 @@ func TestMigrateTxAbortRollsBack(t *testing.T) {
 	if ns2, ok := as.Migrate(pg, tier.CapacityTier); ok || ns2 != MigrateHugeNS {
 		t.Fatalf("Migrate on abort = (%d, %v)", ns2, ok)
 	}
-	if err := as.Audit(); err != nil {
+	if err := auditSpace(as); err != nil {
 		t.Fatalf("audit after aborts: %v", err)
 	}
 }
@@ -100,7 +100,7 @@ func TestMigrateTxThrottleChargesCopyFactor(t *testing.T) {
 	if ns, ok := as.Migrate(b, tier.CapacityTier); !ok || ns != MigrateHugeNS+ShootdownNS {
 		t.Fatalf("unthrottled migration = (%d, %v)", ns, ok)
 	}
-	if err := as.Audit(); err != nil {
+	if err := auditSpace(as); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,7 +138,7 @@ func TestSplitChargesAbortedSubpageMoves(t *testing.T) {
 	if s := as.Stats(); s.MigrateAborts != uint64(moved) {
 		t.Fatalf("aborts = %d, want %d", s.MigrateAborts, moved)
 	}
-	if err := as.Audit(); err != nil {
+	if err := auditSpace(as); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,24 +151,24 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		r := as.Reserve(8 * tier.BasePageSize)
 		a := as.Touch(r.BaseVPN, true).Page
 		b := as.Touch(r.BaseVPN+1, true).Page
-		if err := as.Audit(); err != nil {
+		if err := auditSpace(as); err != nil {
 			t.Fatalf("clean space failed audit: %v", err)
 		}
 		return as, a, b
 	}
 	as, a, b := build()
 	b.Frame = a.Frame // double-map
-	if err := as.Audit(); err == nil {
+	if err := auditSpace(as); err == nil {
 		t.Error("audit missed a double-mapped frame")
 	}
 	as, a, _ = build()
 	a.dead = true // dead page reachable
-	if err := as.Audit(); err == nil {
+	if err := auditSpace(as); err == nil {
 		t.Error("audit missed a mapped dead page")
 	}
 	as, a, _ = build()
 	as.pt[a.VPN] = 0 // frame leak: allocated but unmapped
-	if err := as.Audit(); err == nil {
+	if err := auditSpace(as); err == nil {
 		t.Error("audit missed a leaked frame")
 	}
 }

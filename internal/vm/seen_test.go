@@ -26,7 +26,7 @@ func fastServes(as *AddressSpace, vpn uint64) (read, write bool) {
 
 func mustAudit(t *testing.T, as *AddressSpace, step string) {
 	t.Helper()
-	if err := as.Audit(); err != nil {
+	if err := auditSpace(as); err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
 }
@@ -126,7 +126,7 @@ func TestSeenBitHugePage(t *testing.T) {
 
 	// Audit rejects a slot that disagrees with its block entry.
 	as.pt[base+42] &^= pteSeen
-	if err := as.Audit(); err == nil {
+	if err := auditSpace(as); err == nil {
 		t.Fatal("audit missed a huge slot unseen under a seen block entry")
 	}
 }

@@ -11,13 +11,14 @@
 // copy at the fault plan's current bandwidth → commit or abort with
 // rollback; DESIGN.md §6), so a page is never lost or double-mapped
 // even when the machine's fault plan injects transient copy failures;
-// Audit verifies the frame-accounting invariants on demand.
+// AuditSharedTiers verifies the frame-accounting invariants on demand.
 package vm
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"memtis/internal/obs"
 	"memtis/internal/tier"
@@ -1293,38 +1294,7 @@ func (p *Page) EnsureSubCount() {
 	}
 }
 
-// Audit verifies the address space's frame-accounting invariants — the
-// properties a migration abort, split or collapse must never break:
-//
-//   - no dead page is reachable through the page table;
-//   - every live page maps exactly its own VPN range (huge pages cover
-//     all 512 slots, base pages exactly one);
-//   - no physical frame backs two pages (no double-mapping), and none
-//     lies beyond its tier's capacity;
-//   - per-tier allocated-frame counts equal the sum of live page sizes
-//     (no frame lost by an aborted transaction, none leaked).
-//
-// It is O(address space + tier capacity) and makes the same few slice
-// allocations per call however many pages are mapped (one bit per tier
-// frame, one counter per page record): a test-time invariant checker
-// (the conformance probes run it every few thousand accesses), not a
-// production path.
-func (as *AddressSpace) Audit() error {
-	a := newFrameAudit(as.tiers, []*AddressSpace{as})
-	units, err := as.auditMapped(&a)
-	if err != nil {
-		return err
-	}
-	for id, t := range as.tiers {
-		if got := t.UsedFrames(); got != units[id] {
-			return fmt.Errorf("vm: %s tier has %d frames allocated but %d mapped (lost or leaked)",
-				tier.ID(id), got, units[id])
-		}
-	}
-	return nil
-}
-
-// frameAudit is the scratch of one Audit or AuditSharedTiers call,
+// frameAudit is the scratch of one AuditSharedTiers call,
 // allocated per call so that AddressSpace carries no audit state. used
 // holds one bit per frame of each tier, set when a mapped page claims
 // the frame; slots counts the page-table slots mapping each record of
@@ -1361,6 +1331,18 @@ func (a *frameAudit) claim(pg *Page) error {
 	if capF := uint64(len(bm)) * 64; end > capF {
 		return fmt.Errorf("vm: page %d maps frames %d..%d beyond the %s tier's %d",
 			pg.VPN, pg.Frame, end-1, pg.Tier, capF)
+	}
+	// A huge page's aligned frames fill whole bitmap words: claim them a
+	// word at a time when all are free, and otherwise bit by bit, which
+	// finds the first frame claimed twice.
+	if pg.Frame%64 == 0 && end%64 == 0 {
+		ws := bm[pg.Frame/64 : end/64]
+		if !slices.ContainsFunc(ws, func(w uint64) bool { return w != 0 }) {
+			for i := range ws {
+				ws[i] = ^uint64(0)
+			}
+			return nil
+		}
 	}
 	for f := uint64(pg.Frame); f < end; f++ {
 		w, b := f/64, f%64
@@ -1409,7 +1391,9 @@ func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 	clear(slots)
 	blocks := a.blocks[:len(as.bt)]
 	clear(blocks)
-	for vpn, e := range as.pt {
+	pt := as.pt
+	for vpn := 0; vpn < len(pt); vpn++ {
+		e := pt[vpn]
 		if e == 0 {
 			continue
 		}
@@ -1465,12 +1449,27 @@ func (as *AddressSpace) auditMapped(a *frameAudit) ([]uint64, error) {
 			}
 		}
 		slots[pg.arIdx]++
+		if !pg.IsHuge() {
+			continue
+		}
 		// A huge mapping's slots mirror its block entry's tier and seen
 		// bit; TouchFast reads either.
-		if pg.IsHuge() && (e^as.bt[vpn/tier.SubPages])&(pteTierMask|pteSeen) != 0 {
+		if (e^as.bt[vpn/tier.SubPages])&(pteTierMask|pteSeen) != 0 {
 			return nil, fmt.Errorf("vm: pte at vpn %d disagrees with block table entry %d on tier or seen",
 				vpn, vpn/tier.SubPages)
 		}
+		// The page's next slots that repeat this one apart from the
+		// touched bit pass every check above but the touched-bit one:
+		// check that alone and count them. The first slot that differs
+		// takes the per-slot path, which reports it as the reference
+		// audit does.
+		n, end := vpn+1, min(int(pg.VPN)+tier.SubPages, len(pt))
+		for n < end && pt[n]&^pteTouched == e&^pteTouched &&
+			(pt[n]&pteTouched == 0 || pg.Touched(n-int(pg.VPN))) {
+			n++
+		}
+		slots[pg.arIdx] += uint32(n - vpn - 1)
+		vpn = n - 1
 	}
 	for i, n := range slots {
 		if n == 0 {
@@ -1537,12 +1536,25 @@ func dirtyTail[E pte | uint16](s []E) int {
 	return -1
 }
 
-// AuditSharedTiers verifies the frame-accounting invariants of several
-// address spaces sharing one N-deep tier chain: each space individually
-// clean, no frame mapped by two spaces, and every tier's
-// allocated-frame count equal to the sum of all spaces' live mappings
-// on it — no page lost across any hop. With no spaces, every tier must
-// have no frame allocated.
+// AuditSharedTiers verifies the frame-accounting invariants of the
+// address spaces sharing one N-deep tier chain — the properties a
+// migration abort, split or collapse must never break:
+//
+//   - no dead page is reachable through a page table;
+//   - every live page maps exactly its own VPN range in its own space
+//     (huge pages cover all 512 slots, base pages exactly one);
+//   - no physical frame backs two pages of any spaces (no
+//     double-mapping), and none lies beyond its tier's capacity;
+//   - every tier's allocated-frame count equals the sum of all spaces'
+//     live page sizes on it (no frame lost across any hop or by an
+//     aborted transaction, none leaked). With no spaces, every tier
+//     must have no frame allocated.
+//
+// It is O(address spaces + tier capacity) and makes the same few slice
+// allocations per call however many pages are mapped (one bit per tier
+// frame, one counter per page record): a test-time invariant checker
+// (the conformance probes run it every few thousand accesses), not a
+// production path.
 func AuditSharedTiers(tiers []*tier.Tier, spaces []*AddressSpace) error {
 	a := newFrameAudit(tiers, spaces)
 	units := make([]uint64, len(tiers))

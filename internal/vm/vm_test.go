@@ -406,7 +406,7 @@ func TestHugeFaultWithoutHugeFrameMapsTheFaultingVPN(t *testing.T) {
 		t.Fatalf("second touch: %+v", res2)
 	}
 	as.Cap.FreeBase(stray)
-	if err := as.Audit(); err != nil {
+	if err := auditSpace(as); err != nil {
 		t.Fatal(err)
 	}
 }
