@@ -78,14 +78,19 @@ figpins:
 
 # Race smoke: the parallel-runner determinism regressions (matrix and
 # every figure that simulates), the per-machine shared-state audit,
-# the codec/dist suites, and the multi-tenant scheduler (whole
-# package: the scheduler runs inline on the caller's goroutine, with
-# no goroutine of its own, which -race checks), all with CI-sized
-# budgets.
+# steady-phase run-ahead (the Steady/Sweep differential and a silo
+# cell and a tenant mix drawn ahead and inline), the codec suites, the
+# shared Zipf tables (the differential sampler tests are
+# single-goroutine and stay in tier-1), and the multi-tenant scheduler
+# (whole package: the scheduler runs inline on the caller's goroutine,
+# with no goroutine of its own, which -race checks), all with
+# CI-sized budgets.
 race:
-	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestFiguresParallelMatchSequential' ./internal/bench ./internal/sim
+	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestFiguresParallelMatchSequential|TestSteadyRunAheadInvisible' ./internal/bench ./internal/sim
 	$(GO) test -race -run 'TestSharedRunnerParallelDeterminism' ./internal/scenario
-	$(GO) test -race ./internal/trace ./internal/dist ./internal/obs ./internal/tenant
+	$(GO) test -race -run 'TestSteady' ./internal/workload
+	$(GO) test -race -run 'TestTables' ./internal/dist
+	$(GO) test -race ./internal/trace ./internal/obs ./internal/tenant
 
 # Replayed continuously by `go test`; this explores beyond the seed
 # corpus for a bounded time per target.

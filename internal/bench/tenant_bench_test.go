@@ -31,7 +31,10 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,5 +137,49 @@ func TestChurnLinearGate(t *testing.T) {
 	if long > short*1.5 {
 		t.Fatalf("per-access cost at 4M accesses %.1fns is %.2fx the cost at 1M (%.1fns); gate is 1.5x",
 			long, long/short, short)
+	}
+}
+
+// TestRunAheadGate is the CI gate on steady-phase run-ahead (DESIGN.md
+// §7): a lone silo/memtis cell, whose generator is its largest layer,
+// must take at most 0.8x the wall time per access at 4M accesses with
+// its steady phase drawing ahead on a second CPU as with every draw
+// inline (GOMAXPROCS 1). Best-of-three on each side, the sides
+// alternating, defends against scheduler noise. A gate that never
+// opens, or a hand-off that serialises the generator with the machine,
+// reads about 1x on any runner. The gate times an idle second CPU,
+// which `go test ./...` hands to other packages' tests, so it runs
+// only when named by -run, as CI's bench job does.
+func TestRunAheadGate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark gate")
+	}
+	if !strings.Contains(flag.Lookup("test.run").Value.String(), "TestRunAheadGate") {
+		t.Skip("needs an idle CPU; run it by name: go test -run TestRunAheadGate ./internal/bench")
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skip("run-ahead needs GOMAXPROCS >= 2")
+	}
+	defer runtime.GOMAXPROCS(procs)
+	cfg := DefaultConfig()
+	cfg.Accesses = 4_000_000
+	var best [2]float64 // inline, ahead
+	for i := 0; i < 3; i++ {
+		for side, p := range []int{1, procs} {
+			runtime.GOMAXPROCS(p)
+			start := time.Now()
+			RunOne("silo", "memtis", Ratio1to8, cfg)
+			ns := float64(time.Since(start).Nanoseconds()) / float64(cfg.Accesses)
+			if best[side] == 0 || ns < best[side] {
+				best[side] = ns
+			}
+		}
+	}
+	inline, ahead := best[0], best[1]
+	t.Logf("per-access: inline %.1fns, run-ahead %.1fns (%.2fx)", inline, ahead, ahead/inline)
+	if ahead > inline*0.8 {
+		t.Fatalf("run-ahead per-access cost %.1fns is %.2fx inline (%.1fns); gate is 0.8x",
+			ahead, ahead/inline, inline)
 	}
 }

@@ -2,6 +2,8 @@ package workload
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"memtis/internal/sim"
 )
@@ -43,8 +45,12 @@ type Streamer interface {
 // accesses to m's current space in maximal batches of up to len(buf),
 // until the stream ends (false) or m's machine-wide count reaches end
 // (true, the stream is suspended and may be driven again). Reservations
-// and frees land between batches at their exact stream position.
+// and frees land between batches at their exact stream position. Drive
+// loops in progress are counted process-wide: a Steady phase draws
+// ahead only while they leave a CPU idle.
 func Drive(m *sim.Machine, s Stream, end uint64, buf []sim.Op) bool {
+	running.Add(1)
+	defer running.Add(-1)
 	for {
 		total := m.TotalAccesses()
 		if total >= end {
@@ -84,31 +90,180 @@ func Sweep(gen func() (vpn uint64, write bool), limit, count, round uint64) Stre
 	return &sweep{gen: gen, limit: limit, count: count, round: round}
 }
 
+// Steady returns a steady phase: Sweep(gen, limit, Unbounded,
+// BatchSize), with one more contract: gen's state is the stream's own,
+// and nothing reads it once the stream ends. A long steady phase may
+// then draw ahead of the machine on a CPU the process leaves idle and
+// hand the same values over in chunks. gen is still called once per
+// value, in stream order, and never concurrently with itself. Values
+// drawn past the stream's end are discarded; that happens only when
+// another agent advances the space's count. Nothing the machine
+// records depends on whether a stream drew ahead.
+//
+// A fill draws ahead only when the process runs fewer Drive loops and
+// fills than GOMAXPROCS and at least aheadMin gen calls may still
+// come, counted as the current round's rest or the limit less the
+// space's count, whichever is more, less the values already drawn. A
+// lone stream therefore draws nothing past its end.
+func Steady(gen func() (vpn uint64, write bool), limit uint64) Stream {
+	return &sweep{gen: gen, limit: limit, count: Unbounded, round: BatchSize, ra: new(runAhead)}
+}
+
 type sweep struct {
 	gen                 func() (uint64, bool)
 	limit, count, round uint64
 	issued, left        uint64
+	ra                  *runAhead // a Steady phase's drawn values; nil draws inline
 }
 
 func (p *sweep) Next(dst []sim.Op, done uint64) int {
 	n := 0
 	for n < len(dst) {
+		at := done + uint64(n)
 		if p.left == 0 {
-			cur := done + uint64(n)
-			if cur >= p.limit || p.issued >= p.count {
+			if at >= p.limit || p.issued >= p.count {
+				if p.ra != nil {
+					p.ra.release()
+				}
 				break
 			}
-			p.left = min(p.round, p.limit-cur, p.count-p.issued)
+			p.left = min(p.round, p.limit-at, p.count-p.issued)
 		}
 		k := min(p.left, uint64(len(dst)-n))
-		for i := n; i < n+int(k); i++ {
-			dst[i].VPN, dst[i].Write = p.gen()
+		if p.ra == nil {
+			fill(dst[n:n+int(k)], p.gen)
+		} else {
+			// The round's rest keeps the bound at least k when another
+			// agent has carried the space past the limit mid-round.
+			p.ra.draw(dst[n:n+int(k)], p.gen, max(p.left, p.limit-min(at, p.limit)))
 		}
 		n += int(k)
 		p.left -= k
 		p.issued += k
 	}
 	return n
+}
+
+func fill(out []sim.Op, gen func() (uint64, bool)) {
+	for i := range out {
+		out[i].VPN, out[i].Write = gen()
+	}
+}
+
+// Run-ahead sizing. A fill costs a goroutine start, a hand-off and the
+// chunk's move to the issuing core (DESIGN.md §7). Tests lower them.
+var (
+	// chunkOps is the values one fill draws.
+	chunkOps = 1 << 14
+	// aheadMin is the least bound on the gen calls still to come for
+	// which a fill draws ahead; at least 1.
+	aheadMin uint64 = 1 << 18
+	// cpuIdle reports whether a CPU the process may use runs no Drive
+	// loop and no fill.
+	cpuIdle = func() bool { return int(running.Load()) < runtime.GOMAXPROCS(0) }
+)
+
+// running counts the Drive loops and fills in progress, process-wide.
+var running atomic.Int32
+
+// spare is the free list of chunks, bounded at four streams' worth. A
+// sync.Pool is emptied by every collection; this list keeps its chunks
+// across them.
+var spare = make(chan []sim.Op, 8)
+
+func getChunk() []sim.Op {
+	select {
+	case c := <-spare:
+		if len(c) == chunkOps {
+			return c
+		}
+	default:
+	}
+	return make([]sim.Op, chunkOps)
+}
+
+func putChunk(c []sim.Op) {
+	select {
+	case spare <- c:
+	default:
+	}
+}
+
+// runAhead holds a Steady phase's values drawn ahead of the machine.
+// Once it draws ahead it holds two chunks: cur, whose values
+// cur[pos:end] are drawn and not yet issued, and next, which a fill
+// goroutine writes while pending is set.
+type runAhead struct {
+	cur, next []sim.Op
+	pos, end  int
+	pending   bool
+	filled    chan int // the size of the fill in flight, once it is done
+}
+
+// draw writes gen's next len(out) values into out. bound caps the gen
+// calls still to come, out's included.
+func (r *runAhead) draw(out []sim.Op, gen func() (uint64, bool), bound uint64) {
+	for len(out) > 0 {
+		if r.pos == r.end && !r.refill(gen, bound) {
+			fill(out, gen)
+			return
+		}
+		k := copy(out, r.cur[r.pos:r.end])
+		r.pos += k
+		out = out[k:]
+		bound -= uint64(k)
+	}
+}
+
+// refill makes the next drawn values current, from the fill in flight
+// or from a chunk drawn here when a fill may follow it, and starts the
+// fill after them. It reports false when the stream draws inline.
+func (r *runAhead) refill(gen func() (uint64, bool), bound uint64) bool {
+	if r.pending {
+		k := <-r.filled
+		r.pending = false
+		r.cur, r.next = r.next, r.cur
+		r.pos, r.end = 0, k
+	} else {
+		if !ahead(bound) {
+			return false
+		}
+		if r.cur == nil {
+			r.cur, r.next, r.filled = getChunk(), getChunk(), make(chan int, 1)
+		}
+		r.pos, r.end = 0, int(min(uint64(len(r.cur)), bound))
+		fill(r.cur[:r.end], gen)
+	}
+	if rest := bound - min(bound, uint64(r.end)); ahead(rest) {
+		running.Add(1)
+		r.pending = true
+		go fillAhead(r.next[:min(uint64(len(r.next)), rest)], gen, r.filled)
+	}
+	return true
+}
+
+// release hands the chunks back when the stream ends. The chunk a fill
+// still writes is left to the collector.
+func (r *runAhead) release() {
+	if r.cur == nil {
+		return
+	}
+	putChunk(r.cur)
+	if !r.pending {
+		putChunk(r.next)
+	}
+	r.cur, r.next = nil, nil
+}
+
+func ahead(bound uint64) bool { return bound >= aheadMin && cpuIdle() }
+
+// fillAhead is one fill's goroutine. The send never blocks: a stream
+// has one fill in flight and filled holds one value, so a fill whose
+// stream was abandoned still finishes.
+func fillAhead(out []sim.Op, gen func() (uint64, bool), filled chan<- int) {
+	fill(out, gen)
+	running.Add(-1)
+	filled <- len(out)
 }
 
 // Lazy returns a stream built when it is first pulled, from the space's

@@ -134,7 +134,9 @@ func (s *Synthetic) Stream(m *sim.Machine, accesses uint64) Stream {
 // built from rng in phase order, and each access draws from rng the
 // pick, then the page, then the store, so two callers that pass equal
 // seeds and phases issue the same stream. The pick and the store are
-// rand.Rand.Intn's values, from bounds prepared once.
+// rand.Rand.Intn's values, from bounds prepared once. The mix is a
+// Steady phase, so rng becomes its own: nothing else may draw from it
+// once Mix returns.
 func Mix(rng *dist.Rand, phases []SyntheticPhase, regions map[string]vm.Region, target uint64) Stream {
 	type arm struct {
 		base  uint64
@@ -163,7 +165,7 @@ func Mix(rng *dist.Rand, phases []SyntheticPhase, regions map[string]vm.Region, 
 		weights[i] = total
 	}
 	pick, store := dist.NewIntn(total), dist.NewIntn(100)
-	return Sweep(func() (uint64, bool) {
+	return Steady(func() (uint64, bool) {
 		w := pick.Draw(rng)
 		idx := 0
 		for weights[idx] <= w {
@@ -171,7 +173,7 @@ func Mix(rng *dist.Rand, phases []SyntheticPhase, regions map[string]vm.Region, 
 		}
 		a := &arms[idx]
 		return a.base + a.src.Next(), store.Draw(rng) < a.write
-	}, target, Unbounded, BatchSize)
+	}, target)
 }
 
 var _ Streamer = (*Synthetic)(nil)

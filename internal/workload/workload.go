@@ -228,8 +228,10 @@ func (c *ctx) touchSmall(rs []region) {
 }
 
 // steady is the steady phase of a pure stepper: driven until the budget
-// is exhausted, checked once per batch.
-func (c *ctx) steady(step stepper) Stream { return Sweep(step, c.budget, Unbounded, BatchSize) }
+// is exhausted, checked once per batch. The stepper's state (c.rng
+// among it) is the phase's own, as Steady requires: nothing draws from
+// it once the steady phase starts but the stepper.
+func (c *ctx) steady(step stepper) Stream { return Steady(step, c.budget) }
 
 // zipf draws skewed indexes in [0, n): rand.Zipf's value stream
 // (s > 1), from dist's guide-table copy of it.
