@@ -2,12 +2,13 @@
 # `make race` is the short-budget race smoke over the concurrency
 # surface (parallel experiment runner, per-machine independence audit,
 # codec and sampler tests); `make digests` pins the simulated bytes of
-# the benchmark's four workloads; `make figpins` pins every byte
-# paperfigs writes at a reduced budget.
+# the benchmark's four workloads at two seeds; `make figpins` pins
+# every byte paperfigs writes at a reduced budget; `make repin`
+# rewrites every byte pin and lists what moved.
 
 GO ?= go
 
-.PHONY: check fmt vet build docs test benchmod digests figpins race fuzz bench benchdry figures clean
+.PHONY: check fmt vet build docs test benchmod digests figpins repin race fuzz bench benchdry figures clean
 
 check: fmt vet build docs test benchmod
 
@@ -42,32 +43,46 @@ docs:
 	$(GO) run ./cmd/doclint ./internal ./cmd ./examples
 	$(GO) run ./cmd/doclint -md README.md DESIGN.md EXPERIMENTS.md docs
 
-# Simulated-bytes pin: every benchmark workload, run once at seed 42,
-# must print the sim_digest listed here (each takes seconds; all four
-# about half a minute). A change that moves simulated bytes updates
-# this list in the same diff.
-DIGESTS = fig5=da9d758ebe3cf190 memtis-silo=8a6c6f99c561cdd2 tenants=89e946e9946b237e hunt=410e5430a7b607ae
+# Byte pins live side by side in internal/bench/testdata: the golden
+# cells' manifest (pins.txt, read by the golden suites in
+# internal/bench), the benchmark's sim_digests and the paperfigs
+# manifest. When PINS_REWRITE is set, each pin's check (those suites,
+# `make digests`, `make figpins`) writes its file from the working tree
+# instead of comparing; `make repin` does that for every pin.
+DIGESTS = internal/bench/testdata/digests.txt
+FIGPINS = internal/bench/testdata/figpins.sha256
+
+# Simulated-bytes pin: each `workload seed digest` line of DIGESTS
+# runs that benchmark workload once at that seed, which must print
+# that sim_digest (each run takes seconds; all eight about half a
+# minute).
 digests:
-	@fail=0; for pin in $(DIGESTS); do \
-		w=$${pin%%=*}; want=$${pin#*=}; \
-		got=$$(bash benchmark/run.sh --workload $$w --seed 42 --seconds 0 | awk '$$1 == "sim_digest" { print $$2 }'); \
-		if [ "$$got" = "$$want" ]; then echo "sim_digest $$w $$got ok"; \
-		else echo "sim_digest $$w: got '$$got', want $$want"; fail=1; fi; \
-	done; exit $$fail
+	@fail=0; new=$$(mktemp) && trap 'rm -f "$$new"' EXIT && \
+	while read -r w seed want; do \
+		got=$$(bash benchmark/run.sh --workload $$w --seed $$seed --seconds 0 < /dev/null | awk '$$1 == "sim_digest" { print $$2 }'); \
+		if [ -z "$$got" ]; then echo "sim_digest $$w $$seed: the run printed none"; exit 1; fi; \
+		echo "$$w $$seed $$got" >> "$$new"; \
+		if [ "$$got" = "$$want" ]; then echo "sim_digest $$w $$seed $$got ok"; \
+		elif [ -n "$(PINS_REWRITE)" ]; then echo "sim_digest $$w $$seed $$got, was $$want"; \
+		else echo "sim_digest $$w $$seed: got $$got, want $$want"; fail=1; fi; \
+	done < $(DIGESTS); \
+	if [ -n "$(PINS_REWRITE)" ]; then cp "$$new" $(DIGESTS); fi; \
+	exit $$fail
 
 # Pipeline pin: every paperfigs job at 200k accesses per run, once at
 # one worker and once at two, must write exactly the files and bytes
-# FIGPINS lists (about 10-20 s each on two cores). A change that moves
-# simulated bytes regenerates the list in the same diff: run
-# `paperfigs -accesses 200000 -quiet -out DIR`, then in DIR
-# `LC_ALL=C sha256sum $(LC_ALL=C ls) > FIGPINS`.
-FIGPINS = cmd/paperfigs/testdata/figpins.sha256
+# FIGPINS lists (about 10-20 s each on two cores). A rewrite writes
+# FIGPINS from the one-worker run and still checks the two-worker run
+# against it, so a parallel nondeterminism is never pinned.
 figpins:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -o $$tmp/paperfigs ./cmd/paperfigs && \
 	for p in 1 2; do \
 		d=$$tmp/out$$p; \
 		$$tmp/paperfigs -accesses 200000 -quiet -parallel $$p -out $$d > /dev/null || exit 1; \
+		if [ $$p = 1 ] && [ -n "$(PINS_REWRITE)" ]; then \
+			(cd $$d && LC_ALL=C sha256sum $$(LC_ALL=C ls)) > $(FIGPINS) || exit 1; \
+		fi; \
 		if [ $$(ls $$d | wc -l) -ne $$(wc -l < $(FIGPINS)) ]; then \
 			echo "figpins -parallel $$p: files written differ from $(FIGPINS)"; exit 1; \
 		fi; \
@@ -75,6 +90,30 @@ figpins:
 			{ echo "figpins -parallel $$p: bytes moved"; exit 1; }; \
 		echo "figpins -parallel $$p ok"; \
 	done
+
+# Rewrites every byte pin from the working tree (the golden cells, the
+# sim_digests, the figpins and results/; about three minutes on two
+# cores), then lists each entry that moved: cells by name, digests by
+# workload and seed, figpins and results/ by file. A change that moves
+# simulated bytes runs this and says why they moved.
+repin:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	snap() { \
+		awk '{ print "cell " $$1 "\t" $$0 }' internal/bench/testdata/pins.txt; \
+		awk '{ print "digest " $$1 " " $$2 "\t" $$3 }' $(DIGESTS); \
+		awk '{ print "figpin " $$2 "\t" $$1 }' $(FIGPINS); \
+		(cd results && sha256sum *) | awk '{ print "results " $$2 "\t" $$1 }'; \
+	} && \
+	snap > $$tmp/before && \
+	PINS_REWRITE=1 $(GO) test -count=1 ./internal/bench \
+		-run '^(TestDriveEquivalence|TestPageStoreEquivalence|TestTenantSchedulerEquivalence|TestSingleTenantGolden)$$' && \
+	$(MAKE) --no-print-directory digests PINS_REWRITE=1 && \
+	$(MAKE) --no-print-directory figpins PINS_REWRITE=1 && \
+	$(MAKE) --no-print-directory figures > /dev/null && \
+	snap > $$tmp/after && \
+	awk -F '\t' 'FNR == NR { was[$$1] = $$2; next } { now[$$1] = 1; if (!($$1 in was)) print "added", $$1; else if (was[$$1] != $$2) print "moved", $$1 } END { for (k in was) if (!(k in now)) print "gone", k }' \
+		$$tmp/before $$tmp/after | LC_ALL=C sort > $$tmp/moved && \
+	if [ -s $$tmp/moved ]; then cat $$tmp/moved; cut -d' ' -f1,2 $$tmp/moved | uniq -c; else echo "nothing moved"; fi
 
 # Race smoke: the parallel-runner determinism regressions (matrix and
 # every figure that simulates), the per-machine shared-state audit,

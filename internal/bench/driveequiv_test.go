@@ -1,16 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
-	"memtis/internal/obs"
 	"memtis/internal/scenario"
 	"memtis/internal/sim"
 	"memtis/internal/tenant"
@@ -20,28 +14,16 @@ import (
 )
 
 // The drive-model equivalence suite pins how every workload drives the
-// machine: the golden hashes in testdata/drive_equiv.json were recorded
-// before the workloads became op streams under one driver, and every
-// later drive mechanism must reproduce them bit for bit — same event
-// trace, same counters, same per-tenant rows, same virtual clock. The
-// cells cover the eight Table 2 models under two policies, a Synthetic
-// spec, a trace replay, fixed conformance-hunt seeds (multi-tenant
-// specs, free/grow churn, 603.bwaves phases), trace-phase scenarios and
-// a multi-tenant mix of Table 2 models whose tenants grow, shrink,
-// spawn and exit while mid-phase.
-//
-// Regenerate with DRIVE_EQUIV_REWRITE=1 only when a change is *meant*
-// to alter what a workload issues; a drive-machinery change must never
-// need it.
-
-// driveEquivCell is one golden entry.
-type driveEquivCell struct {
-	TraceSHA    string `json:"trace_sha"`
-	CountersSHA string `json:"counters_sha"`
-	TenantsSHA  string `json:"tenants_sha"`
-	Accesses    uint64 `json:"accesses"`
-	AppNS       uint64 `json:"app_ns"`
-}
+// machine: its pins (the drive/ lines of testdata/pins.txt) were first
+// recorded before the workloads became op streams under one driver,
+// and every later drive mechanism must reproduce them bit for bit —
+// same event trace, same result, same virtual clock. The cells cover
+// the eight Table 2 models under two policies, a Synthetic spec, a
+// trace replay, fixed conformance-hunt seeds (multi-tenant specs,
+// free/grow churn, 603.bwaves phases), trace-phase scenarios and a
+// multi-tenant mix of Table 2 models whose tenants grow, shrink, spawn
+// and exit while mid-phase. A drive-machinery change must never move
+// a pin.
 
 // driveEquivHuntSeeds are conformance-hunt seeds whose generated specs
 // span the drive surface: multi-tenant mixes with grow churn landing
@@ -49,36 +31,6 @@ type driveEquivCell struct {
 // (5, 10, 21, 42, 95, 101, 117), and free/grow phase churn (25, 43,
 // 101, 117).
 var driveEquivHuntSeeds = []uint64{2, 4, 5, 10, 21, 25, 34, 42, 43, 95, 101, 117}
-
-// runDriveCell runs w for n accesses on a fresh machine with an event
-// tracer attached and hashes what the run left behind.
-func runDriveCell(mc sim.Config, pol sim.Policy, w sim.Workload, n uint64) driveEquivCell {
-	th := sha256.New()
-	sink := obs.NewJSONL(th)
-	mc.Trace = obs.NewTracer(sink)
-	m := sim.NewMachine(mc, pol)
-	w.Run(m, n)
-	res := m.Finish(w.Name())
-	if err := sink.Flush(); err != nil {
-		panic(err)
-	}
-	var cb bytes.Buffer
-	for _, c := range res.Counters {
-		fmt.Fprintf(&cb, "%s=%d\n", c.Name, c.Value)
-	}
-	var rb bytes.Buffer
-	for _, row := range res.Tenants {
-		fmt.Fprintf(&rb, "%d %s %d %d %d\n", row.ID, row.Name, row.Accesses, row.ResidentBytes, row.FastBytes)
-	}
-	cs, rs := sha256.Sum256(cb.Bytes()), sha256.Sum256(rb.Bytes())
-	return driveEquivCell{
-		TraceSHA:    hex.EncodeToString(th.Sum(nil)),
-		CountersSHA: hex.EncodeToString(cs[:]),
-		TenantsSHA:  hex.EncodeToString(rs[:]),
-		Accesses:    res.Accesses,
-		AppNS:       res.AppNS,
-	}
-}
 
 // smallMachine is a fixed 1:8-ish machine for the hand-built cells.
 func smallMachine(rss uint64, seed int64) sim.Config {
@@ -110,7 +62,7 @@ func driveTraceRecords() []trace.Record {
 
 // driveHuntCell reproduces the scenario leg of HuntScenario for seed,
 // traced.
-func driveHuntCell(seed uint64) driveEquivCell {
+func driveHuntCell(seed uint64) (pin, sim.Result) {
 	h, cfg, err := huntSetup(seed, 100_000)
 	if err != nil {
 		panic(err)
@@ -120,23 +72,22 @@ func driveHuntCell(seed uint64) driveEquivCell {
 		panic(err)
 	}
 	probe := scenario.NewProbe(NewPolicy(h.Policy), seed, sc.FaultConfig())
-	return runDriveCell(mc, probe, sc, cfg.Accesses)
+	return runPin(mc, probe, sc, cfg.Accesses)
 }
 
 // driveEquivCells enumerates the golden cells. dir holds the trace file
 // the trace-phase scenarios reference.
-func driveEquivCells(dir string) map[string]func() driveEquivCell {
-	cells := map[string]func() driveEquivCell{}
+func driveEquivCells(dir string) map[string]pinCell {
+	cells := map[string]pinCell{}
 	for _, s := range workload.Specs() {
 		for _, p := range []string{"memtis", "tpp"} {
-			s, p := s, p
-			cells["model/"+s.Name+"/"+p] = func() driveEquivCell {
+			cells["model/"+s.Name+"/"+p] = func() (pin, sim.Result) {
 				w := workload.MustNew(s.Name)
-				return runDriveCell(MachineFor(s, Ratio1to8, p, DefaultConfig()), NewPolicy(p), w, 300_000)
+				return runPin(MachineFor(s, Ratio1to8, p, DefaultConfig()), NewPolicy(p), w, 300_000)
 			}
 		}
 	}
-	cells["synthetic"] = func() driveEquivCell {
+	cells["synthetic"] = func() (pin, sim.Result) {
 		syn, err := workload.NewSynthetic(workload.SyntheticSpec{
 			Name: "drive-synth",
 			Regions: []workload.SyntheticRegion{
@@ -153,19 +104,18 @@ func driveEquivCells(dir string) map[string]func() driveEquivCell {
 		if err != nil {
 			panic(err)
 		}
-		return runDriveCell(smallMachine(syn.TotalBytes(), 42), NewPolicy("memtis"), syn, 200_000)
+		return runPin(smallMachine(syn.TotalBytes(), 42), NewPolicy("memtis"), syn, 200_000)
 	}
-	cells["replay"] = func() driveEquivCell {
+	cells["replay"] = func() (pin, sim.Result) {
 		rep := trace.NewReplay("drive-replay", driveTraceRecords())
-		return runDriveCell(smallMachine(rep.SpanPages()*tier.BasePageSize, 43), NewPolicy("tpp"), rep, 70_000)
+		return runPin(smallMachine(rep.SpanPages()*tier.BasePageSize, 43), NewPolicy("tpp"), rep, 70_000)
 	}
 	for _, seed := range driveEquivHuntSeeds {
-		seed := seed
-		cells[fmt.Sprintf("hunt/%d", seed)] = func() driveEquivCell { return driveHuntCell(seed) }
+		cells[fmt.Sprintf("hunt/%d", seed)] = func() (pin, sim.Result) { return driveHuntCell(seed) }
 	}
 	// A single-tenant scenario walking every phase kind, trace phases
 	// included (generated specs never carry one).
-	cells["scenario/trace"] = func() driveEquivCell {
+	cells["scenario/trace"] = func() (pin, sim.Result) {
 		sc := scenario.MustCompile(scenario.Spec{
 			Name: "drive-trace",
 			Phases: []scenario.Phase{
@@ -179,11 +129,11 @@ func driveEquivCells(dir string) map[string]func() driveEquivCell {
 				{Mix: []scenario.MixEntry{{Region: "b", Dist: "seq"}, {Region: "c", Dist: "uniform", WritePercent: 60}}},
 			},
 		}, scenario.Options{Dir: dir})
-		return runDriveCell(ScenarioMachine(sc, Ratio1to8, DefaultConfig()), NewPolicy("memtis"), sc, 150_000)
+		return runPin(ScenarioMachine(sc, Ratio1to8, DefaultConfig()), NewPolicy("memtis"), sc, 150_000)
 	}
 	// The multi-tenant form with trace phases, and grow/shrink churn on
 	// tenants that are mid-phase when it fires.
-	cells["scenario/tenants_trace"] = func() driveEquivCell {
+	cells["scenario/tenants_trace"] = func() (pin, sim.Result) {
 		sc := scenario.MustCompile(scenario.Spec{
 			Name: "drive-tenants",
 			Tenants: []scenario.TenantSpec{
@@ -201,11 +151,11 @@ func driveEquivCells(dir string) map[string]func() driveEquivCell {
 				}},
 			},
 		}, scenario.Options{Dir: dir})
-		return runDriveCell(ScenarioMachine(sc, Ratio1to8, DefaultConfig()), NewPolicy("memtis"), sc, 200_000)
+		return runPin(ScenarioMachine(sc, Ratio1to8, DefaultConfig()), NewPolicy("memtis"), sc, 200_000)
 	}
 	// Three Table 2 models as tenants: a graph500 grow fires during its
 	// edge-generation sweep, bwaves spawns late and exits mid-churn.
-	cells["tenants/models3"] = func() driveEquivCell {
+	cells["tenants/models3"] = func() (pin, sim.Result) {
 		scaled := func(name string, gb float64) *workload.W {
 			w, err := workload.NewScaled(name, gb)
 			if err != nil {
@@ -223,53 +173,16 @@ func driveEquivCells(dir string) map[string]func() driveEquivCell {
 			panic(err)
 		}
 		rss := silo.Spec().RSSBytes() + graph.Spec().RSSBytes() + bwaves.Spec().RSSBytes() + 2<<20
-		return runDriveCell(tenantMachine(rss, Ratio1to8, 44, 0), NewPolicy("memtis"), tn, 300_000)
+		return runPin(tenantMachine(rss, Ratio1to8, 44, 0), NewPolicy("memtis"), tn, 300_000)
 	}
 	return cells
 }
 
-// TestDriveEquivalence drives every cell and compares against the
-// goldens recorded before the drive-model rewrite.
+// TestDriveEquivalence drives every cell and checks its pin.
 func TestDriveEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	if err := trace.SaveFile(filepath.Join(dir, "drive.trace"), driveTraceRecords()); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "drive_equiv.json")
-	cells := driveEquivCells(dir)
-	if os.Getenv("DRIVE_EQUIV_REWRITE") != "" {
-		out := map[string]driveEquivCell{}
-		for name, run := range cells {
-			out[name] = run()
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d cells", path, len(out))
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (%v); regenerate with DRIVE_EQUIV_REWRITE=1", err)
-	}
-	want := map[string]driveEquivCell{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(cells) {
-		t.Fatalf("golden has %d cells, suite has %d", len(want), len(cells))
-	}
-	for name, run := range cells {
-		w, ok := want[name]
-		if !ok {
-			t.Fatalf("cell %s missing from golden", name)
-		}
-		if got := run(); got != w {
-			t.Errorf("cell %s diverged from the drive golden:\n got %+v\nwant %+v", name, got, w)
-		}
-	}
+	checkPins(t, "drive", driveEquivCells(dir))
 }

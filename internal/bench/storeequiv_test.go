@@ -1,17 +1,10 @@
 package bench
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	memtis "memtis/internal/core"
-	"memtis/internal/obs"
 	"memtis/internal/pebs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
@@ -20,31 +13,15 @@ import (
 )
 
 // The page-store equivalence suite pins the struct-of-arrays migration
-// of internal/vm (DESIGN.md §12): the golden hashes in
-// testdata/store_equiv.json were generated from the historical
+// of internal/vm (DESIGN.md §12): its pins (the store/ lines of
+// testdata/pins.txt) were first recorded from the historical
 // pointer-linked vm.Page layout, and every later representation of the
 // page store must reproduce them bit for bit — same event traces, same
 // counters, same end-state stats — across seeds and across workloads
 // that exercise every structural mutation of the table (demand faults,
 // promotion/demotion, huge-page split, collapse, region churn, and
-// fault-aborted migration transactions).
-//
-// Regenerate with STORE_EQUIV_REWRITE=1 only when a change is *meant*
-// to alter simulation behaviour; a layout-only change must never need
-// it.
-
-// storeEquivCell is one golden entry.
-type storeEquivCell struct {
-	TraceSHA    string `json:"trace_sha"`
-	CountersSHA string `json:"counters_sha"`
-	Accesses    uint64 `json:"accesses"`
-	AppNS       uint64 `json:"app_ns"`
-	Splits      uint64 `json:"splits"`
-	Collapses   uint64 `json:"collapses"`
-	Migrations  uint64 `json:"migrations_4k"`
-	Aborts      uint64 `json:"migrate_aborts"`
-	RSSFinal    uint64 `json:"rss_final"`
-}
+// fault-aborted migration transactions). A layout-only change must
+// never move a pin.
 
 // churnWorkload drives every structural page-table mutation in one
 // deterministic stream: a THP region (huge pages, split candidates), a
@@ -106,10 +83,8 @@ func (c churnWorkload) Run(m *sim.Machine, accesses uint64) {
 	}
 }
 
-// runStoreEquivCell executes one cell and returns its golden entry.
-func runStoreEquivCell(name string, seed int64, faults bool) storeEquivCell {
-	var buf bytes.Buffer
-	sink := obs.NewJSONL(&buf)
+// runStoreEquivCell runs one cell.
+func runStoreEquivCell(name string, seed int64, faults bool) (pin, sim.Result) {
 	var w sim.Workload
 	fastBytes, capBytes := uint64(8<<20), uint64(64<<20)
 	if name == "silo" {
@@ -127,7 +102,6 @@ func runStoreEquivCell(name string, seed int64, faults bool) storeEquivCell {
 		THP:       true,
 		Seed:      seed,
 		RecordNS:  2_000_000,
-		Trace:     obs.NewTracer(sink),
 	}
 	if faults {
 		cfg.Faults = tier.FaultConfig{MigrateFailPpm: 50_000, MaxRetries: 2}
@@ -141,96 +115,38 @@ func runStoreEquivCell(name string, seed int64, faults bool) storeEquivCell {
 	smp := pebs.DefaultConfig()
 	smp.LoadPeriod, smp.MinPeriod, smp.MaxPeriod = 8, 8, 8
 	pol := memtis.New(memtis.Config{Sampler: smp, CoolEvery: 12_000})
-	m := sim.NewMachine(cfg, pol)
-	w.Run(m, 400_000)
-	res := m.Finish(w.Name())
-	if err := sink.Flush(); err != nil {
-		panic(err)
-	}
-	ts := sha256.Sum256(buf.Bytes())
-	var cb bytes.Buffer
-	for _, c := range res.Counters {
-		fmt.Fprintf(&cb, "%s=%d\n", c.Name, c.Value)
-	}
-	cs := sha256.Sum256(cb.Bytes())
-	return storeEquivCell{
-		TraceSHA:    hex.EncodeToString(ts[:]),
-		CountersSHA: hex.EncodeToString(cs[:]),
-		Accesses:    res.Accesses,
-		AppNS:       res.AppNS,
-		Splits:      res.VM.Splits,
-		Collapses:   res.VM.Collapses,
-		Migrations:  res.VM.Migrations4K,
-		Aborts:      res.VM.MigrateAborts,
-		RSSFinal:    res.RSSFinal,
-	}
+	return runPin(cfg, pol, w, 400_000)
 }
 
 // storeEquivCells enumerates the golden cells: 5 seeds of the churn
 // workload, plus silo (the Table 2 split-heavy model) and a
 // fault-injected churn cell covering the abort/rollback paths.
-func storeEquivCells() map[string]func() storeEquivCell {
-	cells := map[string]func() storeEquivCell{}
-	for s := int64(42); s < 47; s++ {
-		seed := s
-		cells[fmt.Sprintf("churn_seed%d", seed)] = func() storeEquivCell {
+func storeEquivCells() map[string]pinCell {
+	cells := map[string]pinCell{}
+	for seed := int64(42); seed < 47; seed++ {
+		cells[fmt.Sprintf("churn_seed%d", seed)] = func() (pin, sim.Result) {
 			return runStoreEquivCell("churn", seed, false)
 		}
 	}
-	cells["silo_seed42"] = func() storeEquivCell { return runStoreEquivCell("silo", 42, false) }
-	cells["churn_faults_seed42"] = func() storeEquivCell { return runStoreEquivCell("churn", 42, true) }
+	cells["silo_seed42"] = func() (pin, sim.Result) { return runStoreEquivCell("silo", 42, false) }
+	cells["churn_faults_seed42"] = func() (pin, sim.Result) { return runStoreEquivCell("churn", 42, true) }
 	return cells
 }
 
-// TestPageStoreEquivalence drives the equivalence cells and compares
-// against the pointer-layout goldens.
+// TestPageStoreEquivalence drives the equivalence cells and checks
+// their pins.
 func TestPageStoreEquivalence(t *testing.T) {
-	path := filepath.Join("testdata", "store_equiv.json")
-	cells := storeEquivCells()
-	if os.Getenv("STORE_EQUIV_REWRITE") != "" {
-		out := map[string]storeEquivCell{}
-		for name, run := range cells {
-			out[name] = run()
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s with %d cells", path, len(out))
-		return
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (%v); regenerate with STORE_EQUIV_REWRITE=1", err)
-	}
-	want := map[string]storeEquivCell{}
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(cells) {
-		t.Fatalf("golden has %d cells, suite has %d", len(want), len(cells))
-	}
 	// Coverage floor: the suite is only meaningful if the cells really
 	// exercise the structural mutations it claims to pin.
-	var tot storeEquivCell
-	for name, run := range cells {
-		got := run()
-		w, ok := want[name]
-		if !ok {
-			t.Fatalf("cell %s missing from golden", name)
-		}
-		if got != w {
-			t.Errorf("cell %s diverged from the pointer-layout golden:\n got %+v\nwant %+v", name, got, w)
-		}
-		tot.Splits += got.Splits
-		tot.Collapses += got.Collapses
-		tot.Migrations += got.Migrations
-		tot.Aborts += got.Aborts
+	var tot vm.Stats
+	for _, res := range checkPins(t, "store", storeEquivCells()) {
+		tot.Splits += res.VM.Splits
+		tot.Collapses += res.VM.Collapses
+		tot.Migrations4K += res.VM.Migrations4K
+		tot.MigrateAborts += res.VM.MigrateAborts
 	}
-	if tot.Splits == 0 || tot.Collapses == 0 || tot.Migrations == 0 || tot.Aborts == 0 {
-		t.Fatalf("suite lost structural coverage: %+v", tot)
+	if tot.Splits == 0 || tot.Collapses == 0 || tot.Migrations4K == 0 || tot.MigrateAborts == 0 {
+		t.Fatalf("suite lost structural coverage: splits %d, collapses %d, migrations %d, aborts %d",
+			tot.Splits, tot.Collapses, tot.Migrations4K, tot.MigrateAborts)
 	}
 }

@@ -755,7 +755,7 @@ type Op struct {
 // ops the bypass refuses, ops that start inside a fault plan's stall
 // burst or unreported window (tier.FaultPlan.QuietUntil), and every op
 // under an observer. The operations and their order are identical to
-// Access's per op — the tenant_equiv goldens pin this.
+// Access's per op — the golden cells in internal/bench pin this.
 func (m *Machine) AccessBatch(ops []Op) {
 	for len(ops) > 0 {
 		// Split the batch after the op that brings the access count to

@@ -17,8 +17,7 @@
 // Determinism is by construction: the interleaving is a pure function
 // of the machine seed and the config, so the same seed produces
 // byte-identical event traces sequential or under a parallel matrix
-// (the tenant_equiv.json and drive_equiv.json goldens in internal/bench
-// pin this).
+// (the tenant/ and drive/ golden cells in internal/bench pin this).
 package tenant
 
 import (
