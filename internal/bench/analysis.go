@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -134,8 +135,12 @@ func runDAMON(cfg Config, dc damonConfig) (Fig1Result, uint64) {
 		scattered[i] = rng.Uint64() % pages
 	}
 	zsc := rand.NewZipf(rng, 1.2, 1, uint64(len(scattered)-1))
-	for i := uint64(0); m.Accesses() < cfg.Accesses; i++ {
-		phase := (m.Accesses() * phases) / cfg.Accesses
+	// The band's phase follows the draw count, which is the machine's
+	// access count at each access: the machine runs this stream alone.
+	var drawn uint64
+	gen := func() (uint64, bool) {
+		phase := (drawn * phases) / cfg.Accesses
+		drawn++
 		base := (phase * (pages - band)) / (phases - 1)
 		var vpn uint64
 		switch r := rng.Intn(100); {
@@ -151,8 +156,10 @@ func runDAMON(cfg Config, dc damonConfig) (Fig1Result, uint64) {
 		default:
 			vpn = reg.BaseVPN + rng.Uint64()%pages
 		}
-		m.Access(vpn, rng.Intn(4) == 0)
+		return vpn, rng.Intn(4) == 0
 	}
+	workload.Drive(m, workload.Sweep(gen, cfg.Accesses, workload.Unbounded, workload.BatchSize),
+		math.MaxUint64, make([]sim.Op, workload.BatchSize))
 	mon.Finish(m.Now())
 	return Fig1Result{
 		Config:   dc.name,

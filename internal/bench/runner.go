@@ -28,6 +28,7 @@ import (
 	"strings"
 	"sync"
 
+	"memtis/internal/dist"
 	"memtis/internal/obs"
 	"memtis/internal/sim"
 )
@@ -38,30 +39,10 @@ import (
 // matrix get statistically independent streams; the same coordinates
 // and base seed always yield the same stream.
 func CellSeed(base int64, workload, ratio, policy string) int64 {
-	h := splitmix64(uint64(base) ^ fnv1a(workload))
-	h = splitmix64(h ^ fnv1a(ratio))
-	h = splitmix64(h ^ fnv1a(policy))
+	h := dist.SplitMix64(uint64(base) ^ dist.FNV1a(workload))
+	h = dist.SplitMix64(h ^ dist.FNV1a(ratio))
+	h = dist.SplitMix64(h ^ dist.FNV1a(policy))
 	return int64(h)
-}
-
-// splitmix64 is the SplitMix64 finalizer (Steele et al., "Fast
-// splittable pseudorandom number generators"): a bijective avalanche
-// mix, so distinct inputs cannot collide by construction.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// fnv1a hashes a coordinate string (FNV-1a 64-bit).
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // CellConfig returns cfg with Seed replaced by the cell-derived seed.

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"memtis/internal/dist"
 	"memtis/internal/scenario"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
@@ -79,9 +80,9 @@ func (r *Runner) RunScenarioMatrix(ctx context.Context, cfg Config, scs []*scena
 // full policy registry so fuzzing covers every system, not just the
 // Figure 5 set.
 func HuntParams(seed uint64) (string, Ratio) {
-	h := splitmix64(seed ^ fnv1a("hunt-params"))
+	h := dist.SplitMix64(seed ^ dist.FNV1a("hunt-params"))
 	pol := AllPolicies[h%uint64(len(AllPolicies))]
-	rt := MainRatios[splitmix64(h)%uint64(len(MainRatios))]
+	rt := MainRatios[dist.SplitMix64(h)%uint64(len(MainRatios))]
 	return pol, rt
 }
 
@@ -96,11 +97,11 @@ func HuntParams(seed uint64) (string, Ratio) {
 // The fourth result is always 1. It is kept only because the benchmark
 // module (benchmark/workloads.go) compiles against it.
 func HuntShape(seed uint64) (depth int, admission, mover bool, shards int) {
-	h := splitmix64(seed ^ fnv1a("hunt-shape"))
+	h := dist.SplitMix64(seed ^ dist.FNV1a("hunt-shape"))
 	depth = 2 + int(h%3)
-	h = splitmix64(h)
+	h = dist.SplitMix64(h)
 	admission = h%2 == 1
-	h = splitmix64(h)
+	h = dist.SplitMix64(h)
 	mover = h%2 == 1
 	return depth, admission, mover, 1
 }
@@ -219,7 +220,7 @@ func huntSetup(seed, accesses uint64) (HuntResult, Config, error) {
 		Spec: scenario.Generate(seed)}
 	cfg := DefaultConfig()
 	cfg.Accesses = accesses
-	cfg.Seed = int64(splitmix64(seed ^ fnv1a("hunt-machine")))
+	cfg.Seed = int64(dist.SplitMix64(seed ^ dist.FNV1a("hunt-machine")))
 	if admit {
 		adm, err := tier.ParseAdmission("benefit")
 		if err != nil {

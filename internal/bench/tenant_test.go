@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"memtis/internal/dist"
 	"memtis/internal/scenario"
 	"memtis/internal/sim"
 	"memtis/internal/tenant"
@@ -57,7 +58,7 @@ func runTenantCell(t *testing.T, pol string, n int, budget uint64) sim.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := int64(splitmix64(fnv1a(pol)^uint64(n)) | 1)
+	seed := int64(dist.SplitMix64(dist.FNV1a(pol)^uint64(n)) | 1)
 	m := sim.NewMachine(tenantMachine(rss, Ratio1to8, seed, 50_000), NewPolicy(pol))
 	tn.Run(m, budget)
 	if err := m.Audit(); err != nil {
@@ -247,11 +248,11 @@ func (h zipfHammer) Run(m *sim.Machine, accesses uint64) { workload.Run(m, h, ac
 
 func (zipfHammer) Stream(m *sim.Machine, budget uint64) workload.Stream {
 	r := m.Reserve(48 << 20)
-	base := splitmix64(uint64(m.Cfg.Seed) ^ fnv1a("hammer"))
+	base := dist.SplitMix64(uint64(m.Cfg.Seed) ^ dist.FNV1a("hammer"))
 	var ctr uint64
 	return workload.Sweep(func() (uint64, bool) {
 		ctr++
-		x := splitmix64(base + ctr)
+		x := dist.SplitMix64(base + ctr)
 		// Geometric-ish skew: most probes land in the first pages.
 		span := r.Pages >> (x % 10)
 		if span == 0 {

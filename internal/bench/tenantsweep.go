@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 
+	"memtis/internal/dist"
 	"memtis/internal/fastmod"
 	"memtis/internal/sim"
 	"memtis/internal/tenant"
@@ -57,7 +58,7 @@ func (t *TenantLoad) Stream(m *sim.Machine, budget uint64) workload.Stream {
 	// Reciprocal remainders (exact, see internal/fastmod): the two span
 	// reductions are the only hardware divides left on the access path.
 	return &tenantStream{
-		base:   splitmix64(uint64(m.Cfg.Seed) ^ fnv1a(t.name)),
+		base:   dist.SplitMix64(uint64(m.Cfg.Seed) ^ dist.FNV1a(t.name)),
 		vpn:    r.BaseVPN,
 		spans:  [2]fastmod.M{fastmod.New(hot), fastmod.New(r.Pages)},
 		budget: budget,
@@ -81,7 +82,7 @@ func (s *tenantStream) Next(dst []sim.Op, done uint64) int {
 	c := s.ctr
 	for i := range dst {
 		c++
-		x := splitmix64(s.base + c)
+		x := dist.SplitMix64(s.base + c)
 		k := 0
 		if x%5 == 4 { // 20% of probes roam the full region
 			k = 1

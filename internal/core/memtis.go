@@ -1084,7 +1084,7 @@ func (p *Policy) migrate(pg *vm.Page, dst tier.ID) bool {
 	if p.gate.Installed() && !p.gate.Allow(pg, dst, false) {
 		return false
 	}
-	if mv := p.m.Mover(); mv.Enabled() && mv.Enqueue(p.m.AS, pg, dst) {
+	if mv := p.m.Mover(); mv.Enabled() && mv.Enqueue(pg, dst) {
 		if dst != tier.FastTier {
 			p.fastListRemove(pg, pg.Bin)
 		}

@@ -179,3 +179,28 @@ func (b *Intn) Draw(r *Rand) int {
 		}
 	}
 }
+
+// SplitMix64 returns the SplitMix64 output for state x (Steele et al.,
+// "Fast splittable pseudorandom number generators"): x advanced by the
+// golden-gamma increment, then the bijective avalanche finalizer, so
+// distinct inputs never collide. Seed derivation folds inputs through
+// it, a counter fed to it is a counter-mode generator, and a sequence
+// generator steps its state by the same increment:
+// x := s; s += 0x9e3779b97f4a7c15; return SplitMix64(x).
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// FNV1a is the 64-bit FNV-1a hash of s: how seed derivation folds a
+// name (a workload, a policy, a tenant) into a seed.
+func FNV1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}

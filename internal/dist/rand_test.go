@@ -98,3 +98,22 @@ func TestNewRandAllocates(t *testing.T) {
 }
 
 var sinkRand *Rand
+
+// TestSplitMix64FNV1aVectors pins both hashes to their published
+// reference values: SplitMix64 seeded with 0 and 1, FNV-1a over "" and
+// "a".
+func TestSplitMix64FNV1aVectors(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"SplitMix64(0)", SplitMix64(0), 0xe220a8397b1dcdaf},
+		{"SplitMix64(1)", SplitMix64(1), 0x910a2dec89025cc1},
+		{`FNV1a("")`, FNV1a(""), 0xcbf29ce484222325},
+		{`FNV1a("a")`, FNV1a("a"), 0xaf63dc4c8601ec8c},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %#x, want %#x", c.name, c.got, c.want)
+		}
+	}
+}

@@ -273,7 +273,7 @@ func (b *Base) MigrateAsync(pg *vm.Page, dst tier.ID) bool {
 		*mc.asyncRejAdm++
 		return false
 	}
-	if mv := b.M.Mover(); mv.Enabled() && mv.Enqueue(b.M.AS, pg, dst) {
+	if mv := b.M.Mover(); mv.Enabled() && mv.Enqueue(pg, dst) {
 		*mc.asyncPages += pg.Units()
 		*mc.asyncBytes += pg.Bytes()
 		return true

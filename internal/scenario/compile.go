@@ -279,7 +279,7 @@ func (r *Runner) Stream(m *sim.Machine, accesses uint64) workload.Stream {
 // mix is one mix phase's stream: draws until the space reaches target
 // cumulative accesses. An omitted arm weight counts as 1.
 func (r *Runner) mix(seed int64, phase int, mix []MixEntry, regions map[string]vm.Region, target uint64) workload.Stream {
-	rng := dist.NewRand(int64(splitmix64(uint64(seed) ^ splitmix64(fnv1a(r.spec.Name)+uint64(phase)+1))))
+	rng := dist.NewRand(int64(dist.SplitMix64(uint64(seed) ^ dist.SplitMix64(dist.FNV1a(r.spec.Name)+uint64(phase)+1))))
 	phases := make([]workload.SyntheticPhase, len(mix))
 	for i, e := range mix {
 		// MixEntry has SyntheticPhase's fields, in its order.

@@ -3,23 +3,22 @@ package scenario
 import (
 	"fmt"
 
+	"memtis/internal/dist"
 	"memtis/internal/tier"
 	"memtis/internal/workload"
 )
 
-// genRNG is a SplitMix64 sequence generator — the canonical SplitMix64,
-// the same discipline as bench's per-cell seeds and tier's fault
-// decision stream — so Generate(seed) is a pure function of its seed.
+// genRNG is a SplitMix64 sequence generator (dist.SplitMix64, as in
+// bench's per-cell seeds and tier's fault decision stream), so
+// Generate(seed) is a pure function of its seed.
 type genRNG struct{ s uint64 }
 
-func newGenRNG(seed uint64) *genRNG { return &genRNG{s: splitmix64(seed ^ 0x5ce4a210)} }
+func newGenRNG(seed uint64) *genRNG { return &genRNG{s: dist.SplitMix64(seed ^ 0x5ce4a210)} }
 
 func (g *genRNG) next() uint64 {
-	g.s += 0x9e3779b97f4a7c15
 	x := g.s
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	g.s += 0x9e3779b97f4a7c15
+	return dist.SplitMix64(x)
 }
 
 // intn draws uniformly from [0, n).

@@ -483,23 +483,3 @@ func (s Spec) FaultConfig() tier.FaultConfig {
 }
 
 func isFinite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
-
-// splitmix64 is the SplitMix64 finalizer — the same seed-derivation
-// discipline as bench.CellSeed and tier's fault plans, copied rather
-// than imported to keep this package free of harness dependencies.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// fnv1a hashes a name for seed derivation (FNV-1a 64-bit).
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}

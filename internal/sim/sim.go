@@ -16,7 +16,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 
 	"memtis/internal/obs"
 	"memtis/internal/pebs"
@@ -225,20 +224,18 @@ type Machine struct {
 	// Tiers is the tier chain, fastest first (Tiers[0] == Fast,
 	// Tiers[len-1] == Cap; exactly those two on a default machine).
 	Tiers []*tier.Tier
-	AS    *vm.AddressSpace
-	TLB   *tlb.TLB
-	Pol   Policy
-	Rand  *rand.Rand
-	reg   *obs.Registry
+	// AS is the root address space. Its embedded vm.Memory is the
+	// machine's one memory: the tier chain, the hooks, the VM counters
+	// and the list of every space (AS.Spaces()).
+	AS  *vm.AddressSpace
+	TLB *tlb.TLB
+	Pol Policy
+	reg *obs.Registry
 
 	// gate is GateOf the attached policy: nil when the policy has no
 	// sampler or there is no policy, declineAll when the policy declares
 	// no bypass contract.
 	gate *pebs.Sampler
-
-	// topo is Cfg.Topology (nil on the historical two-tier path); new
-	// address spaces inherit its hop-cost model.
-	topo *tier.Topology
 
 	// mover is the rate-limited background mover (nil when disabled).
 	mover *vm.Mover
@@ -283,9 +280,9 @@ type Machine struct {
 	rssPeak uint64
 	series  []SeriesPoint
 
-	// Address spaces. Every machine starts with the root space alone
-	// (spaces[0] == AS == cur, curTag == 0); AddSpace appends tenants.
-	spaces      []*vm.AddressSpace
+	// Address spaces, listed in AS's memory. Every machine starts with
+	// the root space alone (AS == cur, curTag == 0); AddSpace appends
+	// tenants, and the slices below follow the list's indexes.
 	spaceAcc    []uint64 // per-space access counts
 	spaceLabels []string
 	cur         *vm.AddressSpace
@@ -338,15 +335,12 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 		Fast:  tiers[0],
 		Cap:   tiers[len(tiers)-1],
 		Tiers: tiers,
-		topo:  cfg.Topology,
 		AS:    vm.NewAddressSpaceTiers(tiers, cfg.Topology, cfg.THP),
 		TLB:   tlb.New(cfg.TLB),
 		Pol:   pol,
-		Rand:  rand.New(rand.NewSource(cfg.Seed + 7)),
 		reg:   obs.NewRegistry(),
 	}
 	m.cur = m.AS
-	m.spaces = []*vm.AddressSpace{m.AS}
 	m.spaceAcc = []uint64{0}
 	m.spaceLabels = []string{""}
 	if cfg.Trace != nil {
@@ -376,7 +370,7 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 		g.Counter("abort_ns")
 	}
 	if cfg.Mover.Enabled() {
-		m.mover = vm.NewMover(cfg.Mover, m.faults, m.reg.Group("mover"))
+		m.mover = vm.NewMover(cfg.Mover, m.AS.Memory, m.reg.Group("mover"))
 	}
 	for i, t := range tiers {
 		m.loadNS[i] = t.AccessNS(false)
@@ -486,33 +480,22 @@ func (m *Machine) Accesses() uint64 { return m.spaceAcc[m.curID] }
 // the current space.
 func (m *Machine) TotalAccesses() uint64 { return m.accesses }
 
-// AddSpace creates an additional address space sharing the machine's
-// tiers, fault plan, tracer and policy hooks, and returns its index.
-// The root space (index 0) is m.AS. Call before or between runs, not
-// mid-access.
+// AddSpace creates an additional address space in the machine's
+// memory, so it shares the tiers, fault plan, tracer, policy hooks and
+// VM counters of every other space, and returns its index. The root
+// space (index 0) is m.AS. Call before or between runs, not mid-access.
 func (m *Machine) AddSpace(label string) int {
-	as := vm.NewAddressSpaceTiers(m.Tiers, m.topo, m.Cfg.THP)
-	as.Tenant = uint32(len(m.spaces))
-	as.Trace = m.AS.Trace
-	as.Faults = m.AS.Faults
-	as.Clock = m.AS.Clock
-	as.OnUnmap = m.AS.OnUnmap
-	as.MigrateVeto = m.AS.MigrateVeto
-	as.SetPlacer(m.Pol)
-	m.spaces = append(m.spaces, as)
+	as := m.AS.AddSpace()
 	m.spaceAcc = append(m.spaceAcc, 0)
 	m.spaceLabels = append(m.spaceLabels, label)
-	for _, s := range m.spaces {
-		s.Owners = m.spaces
-	}
-	return len(m.spaces) - 1
+	return int(as.Tenant)
 }
 
 // UseSpace makes space id the target of subsequent accesses,
 // reservations and frees. The tenant scheduler calls it on every
 // context switch.
 func (m *Machine) UseSpace(id int) {
-	m.cur = m.spaces[id]
+	m.cur = m.AS.Spaces()[id]
 	m.curID = uint32(id)
 	m.curTag = uint64(id) << SpaceTagShift
 }
@@ -521,24 +504,22 @@ func (m *Machine) UseSpace(id int) {
 func (m *Machine) SetSpaceLabel(id int, label string) { m.spaceLabels[id] = label }
 
 // NumSpaces returns the number of address spaces the machine hosts.
-func (m *Machine) NumSpaces() int { return len(m.spaces) }
+func (m *Machine) NumSpaces() int { return len(m.AS.Spaces()) }
 
 // Space returns address space id (0 is m.AS).
-func (m *Machine) Space(id int) *vm.AddressSpace { return m.spaces[id] }
+func (m *Machine) Space(id int) *vm.AddressSpace { return m.AS.Spaces()[id] }
 
 // SpaceOf returns the address space owning p. Policies must route
 // page-table operations (Split, Collapse, Lookup by VPN) through the
 // owner; migrations may go through any space handle.
-func (m *Machine) SpaceOf(p *vm.Page) *vm.AddressSpace { return m.spaces[p.Owner] }
+func (m *Machine) SpaceOf(p *vm.Page) *vm.AddressSpace { return m.AS.Spaces()[p.Owner] }
 
 // SpaceAccesses returns the access count issued by space id.
 func (m *Machine) SpaceAccesses(id int) uint64 { return m.spaceAcc[id] }
 
-// RSSBytes returns the machine-wide resident set. Spaces share the
-// two tier objects and an AddressSpace's RSS is their combined used
-// frames, so the root space's figure is already machine-wide on a
-// multi-tenant machine; per-tenant residency is ResidentUnits on the
-// individual spaces.
+// RSSBytes returns the machine-wide resident set: the used frames of
+// the memory every space shares. Per-tenant residency is ResidentUnits
+// on the individual spaces.
 func (m *Machine) RSSBytes() uint64 {
 	return m.AS.RSSBytes()
 }
@@ -547,7 +528,7 @@ func (m *Machine) RSSBytes() uint64 {
 // ascending-VPN order, spaces in index order, under
 // vm.AddressSpace.ForEachPage's callback contract.
 func (m *Machine) ForEachPage(fn func(p *vm.Page)) {
-	for _, s := range m.spaces {
+	for _, s := range m.AS.Spaces() {
 		s.ForEachPage(fn)
 	}
 }
@@ -563,20 +544,21 @@ func (m *Machine) ForEachPage(fn func(p *vm.Page)) {
 // not yet stop after one round: a call that finishes the last space
 // may come back to its start space and walk it again from VPN 0.
 func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) uint64 {
-	if len(m.spaces) == 1 {
+	spaces := m.AS.Spaces()
+	if len(spaces) == 1 {
 		return m.AS.ForEachPageFrom(cursor, max, fn)
 	}
 	sid := int(cursor >> SpaceTagShift)
 	vc := cursor & (1<<SpaceTagShift - 1)
-	if sid >= len(m.spaces) {
+	if sid >= len(spaces) {
 		sid, vc = 0, 0
 	}
 	remaining := max
 	// Bound the walk to one full cycle over the spaces so a machine of
 	// empty (exited) tenants terminates without visiting max pages.
-	for hops := 0; hops <= len(m.spaces) && remaining > 0; {
+	for hops := 0; hops <= len(spaces) && remaining > 0; {
 		visited := 0
-		next, done := m.spaces[sid].ForEachPageSlice(vc, remaining, func(p *vm.Page) {
+		next, done := spaces[sid].ForEachPageSlice(vc, remaining, func(p *vm.Page) {
 			visited++
 			fn(p)
 		})
@@ -586,7 +568,7 @@ func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) u
 			continue
 		}
 		sid++
-		if sid >= len(m.spaces) {
+		if sid >= len(spaces) {
 			sid = 0
 		}
 		vc = 0
@@ -597,7 +579,7 @@ func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) u
 
 // Audit verifies the frame-accounting invariants across every address
 // space the machine hosts (vm.AuditSharedTiers).
-func (m *Machine) Audit() error { return vm.AuditSharedTiers(m.Tiers, m.spaces) }
+func (m *Machine) Audit() error { return vm.AuditSharedTiers(m.Tiers, m.AS.Spaces()) }
 
 // AdvanceBackground lets policies charge additional critical-path time
 // (used by trackers that stall the app outside OnAccess's return path).
@@ -898,13 +880,7 @@ func (m *Machine) Finish(workload string) Result {
 	// The mover's copy work is daemon CPU like any other background
 	// machinery (zero when the mover is disabled).
 	daemonNS += m.moverNS
-	// Policies migrate through arbitrary space handles, so the VM
-	// counters are spread across the spaces; the result (and the fault
-	// counter folding below) reports their sum.
-	var vmStats vm.Stats
-	for _, s := range m.spaces {
-		vmStats.Add(s.Stats())
-	}
+	vmStats := m.AS.Stats()
 	if m.faults != nil {
 		// Fold the VM's transaction outcomes into the fault counter
 		// group (Finish runs once; counters stay monotonic).
@@ -949,9 +925,9 @@ func (m *Machine) Finish(workload string) Result {
 		Series:       m.series,
 		Counters:     m.reg.Snapshot(),
 	}
-	if len(m.spaces) > 1 {
-		res.Tenants = make([]TenantResult, len(m.spaces))
-		for i, s := range m.spaces {
+	if spaces := m.AS.Spaces(); len(spaces) > 1 {
+		res.Tenants = make([]TenantResult, len(spaces))
+		for i, s := range spaces {
 			res.Tenants[i] = TenantResult{
 				ID:            i,
 				Name:          m.spaceLabels[i],

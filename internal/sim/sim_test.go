@@ -289,3 +289,70 @@ func TestTierDepthBound(t *testing.T) {
 	cfg.Topology = topo(tier.MaxTiers + 1)
 	NewMachine(cfg, nil)
 }
+
+// tenantPage builds a machine with one added space and faults that
+// space's first base page into the fast tier.
+func tenantPage(t *testing.T) (*Machine, vm.Region, *vm.Page) {
+	t.Helper()
+	m := NewMachine(testCfg(), nil)
+	id := m.AddSpace("tenant")
+	m.UseSpace(id)
+	r := m.Reserve(tier.BasePageSize)
+	m.Access(r.BaseVPN, true)
+	pg := m.Space(id).Lookup(r.BaseVPN)
+	if pg == nil || pg.Owner != uint32(id) || pg.Tier != tier.FastTier {
+		t.Fatalf("setup: space %d's page is %+v", id, pg)
+	}
+	return m, r, pg
+}
+
+// TestVetoSetAfterAddSpace: the migration veto is machine-wide, so one
+// set on the root space after a tenant exists governs the tenant's
+// pages too.
+func TestVetoSetAfterAddSpace(t *testing.T) {
+	m, _, pg := tenantPage(t)
+	var asked []*vm.Page
+	m.AS.MigrateVeto = func(p *vm.Page, dst tier.ID, units uint64) bool {
+		asked = append(asked, p)
+		return false
+	}
+	if _, st := m.Space(1).MigrateTx(pg, tier.CapacityTier); st != vm.MigrateDenied {
+		t.Fatalf("migration through the tenant's handle = %v, want %v", st, vm.MigrateDenied)
+	}
+	if len(asked) != 1 || asked[0] != pg || pg.Tier != tier.FastTier {
+		t.Fatalf("veto consulted for %v, page now on %v", asked, pg.Tier)
+	}
+}
+
+// TestOnUnmapSetAfterAddSpace: the unmap hook is machine-wide, so one
+// set on the root space after a tenant exists sees the tenant's frees.
+func TestOnUnmapSetAfterAddSpace(t *testing.T) {
+	m, r, pg := tenantPage(t)
+	var unmapped []*vm.Page
+	m.AS.OnUnmap = func(p *vm.Page) { unmapped = append(unmapped, p) }
+	m.FreeRegion(r)
+	if len(unmapped) != 1 || unmapped[0] != pg || !pg.Dead() {
+		t.Fatalf("OnUnmap saw %v for the tenant's free", unmapped)
+	}
+}
+
+// TestTenantMigrationCountsOnce: the machine holds one set of VM
+// counters, so a tenant's fault and a migration through its handle
+// read in the root space's Stats, and Finish reports exactly those.
+func TestTenantMigrationCountsOnce(t *testing.T) {
+	m, _, pg := tenantPage(t)
+	if _, st := m.Space(1).MigrateTx(pg, tier.CapacityTier); st != vm.MigrateOK {
+		t.Fatalf("migration = %v", st)
+	}
+	st := m.AS.Stats()
+	if st.Faults != 1 || st.Migrations4K != 1 || st.Demotions != 1 {
+		t.Fatalf("machine stats %+v, want 1 fault and 1 base-page demotion", st)
+	}
+	if m.Space(1).FastUnits() != 0 || m.Space(1).ResidentUnits() != 1 {
+		t.Fatalf("tenant counts %d fast of %d resident units, want 0 of 1",
+			m.Space(1).FastUnits(), m.Space(1).ResidentUnits())
+	}
+	if res := m.Finish("tenant"); res.VM != st {
+		t.Fatalf("Finish().VM = %+v, want %+v", res.VM, st)
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"memtis/internal/dist"
 	"memtis/internal/obs"
 	"memtis/internal/sim"
 	"memtis/internal/tier"
@@ -236,8 +237,8 @@ func (r *Runner) Name() string { return "tenants" }
 //
 // Tenant i runs in space i, the id its trace events carry; the first
 // tenant keeps the root space, so a lone tenant adds no space. The QoS
-// arbiter is installed as the migration veto on the root space first,
-// so AddSpace copies it onto every additional space.
+// arbiter is the migration veto of the machine's one vm.Memory, which
+// every space shares, whenever it is added.
 func (r *Runner) Run(m *sim.Machine, accesses uint64) {
 	n := len(r.cfg.Tenants)
 	names := make([]string, n)
@@ -356,13 +357,9 @@ func (st *run) frac(f float64) uint64 { return uint64(f * float64(st.target)) }
 // rand is a SplitMix64 step — the scheduler's only randomness, fully
 // determined by the machine seed.
 func (st *run) rand() uint64 {
+	x := st.rng
 	st.rng += 0x9e3779b97f4a7c15
-	z := st.rng
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	return z ^ z>>31
+	return dist.SplitMix64(x)
 }
 
 // fireChurn applies every lifecycle event whose threshold has passed.

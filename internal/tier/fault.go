@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"memtis/internal/dist"
 )
 
 // This file is the fault-injection schedule of the simulated machine:
@@ -158,26 +160,18 @@ func (f *FaultPlan) Config() FaultConfig {
 	return f.cfg
 }
 
-// faultMix is the SplitMix64 finalizer: a bijective avalanche mix over
-// the decision counter, so the failure stream is a counter-mode PRNG —
-// reproducible, seekable and independent of the machine's main RNG.
-func faultMix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // FailCopy consumes one decision of the failure stream and reports
-// whether the current migration copy faults. Each call advances the
-// stream, so the n-th migration attempt of a run always sees the n-th
-// decision no matter when in virtual time it happens.
+// whether the current migration copy faults. The stream is SplitMix64
+// in counter mode over the plan's seed — reproducible, seekable and
+// independent of every other random source. Each call advances it, so
+// the n-th migration attempt of a run always sees the n-th decision no
+// matter when in virtual time it happens.
 func (f *FaultPlan) FailCopy() bool {
 	if f == nil || f.cfg.MigrateFailPpm == 0 {
 		return false
 	}
 	f.seq++
-	return faultMix(uint64(f.cfg.Seed)^f.seq)%1_000_000 < uint64(f.cfg.MigrateFailPpm)
+	return dist.SplitMix64(uint64(f.cfg.Seed)^f.seq)%1_000_000 < uint64(f.cfg.MigrateFailPpm)
 }
 
 // ThrottleActive reports whether now falls inside a bandwidth-

@@ -153,10 +153,9 @@ func TestAuditMatchesReferenceOnCorruption(t *testing.T) {
 func sharedSpaces(t *testing.T) ([]*tier.Tier, []*AddressSpace, *Page, *Page) {
 	t.Helper()
 	ts := auditTiers(4, 4, 8)
-	a, b := NewAddressSpaceTiers(ts, nil, true), NewAddressSpaceTiers(ts, nil, true)
-	b.Tenant = 1
-	spaces := []*AddressSpace{a, b}
-	a.Owners, b.Owners = spaces, spaces
+	a := NewAddressSpaceTiers(ts, nil, true)
+	b := a.AddSpace()
+	spaces := a.Spaces()
 	a.Touch(a.Reserve(tier.HugePageSize).BaseVPN, true)
 	pa := a.Touch(a.Reserve(4*tier.BasePageSize).BaseVPN, true).Page
 	pb := b.Touch(b.Reserve(4*tier.BasePageSize).BaseVPN+2, true).Page
@@ -259,17 +258,12 @@ func TestAuditMatchesReferenceOnChurn(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("spaces=%d", n), func(t *testing.T) {
 			ts := auditTiers(8, 8, 32)
-			fp := tier.NewFaultPlan(tier.FaultConfig{Seed: 3, MigrateFailPpm: 300_000})
-			spaces := make([]*AddressSpace, n)
-			for i := range spaces {
-				spaces[i] = NewAddressSpaceTiers(ts, nil, true)
-				spaces[i].Tenant, spaces[i].Faults = uint32(i), fp
+			root := NewAddressSpaceTiers(ts, nil, true)
+			root.Faults = tier.NewFaultPlan(tier.FaultConfig{Seed: 3, MigrateFailPpm: 300_000})
+			for len(root.Spaces()) < n {
+				root.AddSpace()
 			}
-			if n > 1 {
-				for _, as := range spaces {
-					as.Owners = spaces
-				}
-			}
+			spaces := root.Spaces()
 			frees := churn(t, rand.New(rand.NewSource(int64(n))), ts, spaces, func(step int) {
 				if err := refAuditSharedTiers(ts, spaces); err != nil {
 					t.Fatalf("step %d: reference audit: %v", step, err)
@@ -278,10 +272,7 @@ func TestAuditMatchesReferenceOnChurn(t *testing.T) {
 					t.Fatalf("step %d: audit: %v", step, err)
 				}
 			})
-			var st Stats
-			for _, as := range spaces {
-				st.Add(as.Stats())
-			}
+			st := root.Stats()
 			if st.Splits == 0 || st.Collapses == 0 || st.MigrateAborts == 0 || frees == 0 {
 				t.Fatalf("churn missed an operation: %d splits, %d collapses, %d aborts, %d frees",
 					st.Splits, st.Collapses, st.MigrateAborts, frees)

@@ -20,7 +20,6 @@ import (
 // policy scored.
 type moverTask struct {
 	pg       *Page
-	as       *AddressSpace
 	src, dst tier.ID
 	attempts int
 }
@@ -29,8 +28,8 @@ type moverTask struct {
 // budget. A nil *Mover is valid: every method is the disabled case, so
 // the policy helpers need no guards.
 type Mover struct {
-	cfg    tier.MoverConfig
-	faults *tier.FaultPlan
+	cfg tier.MoverConfig
+	mem *Memory
 
 	queue []moverTask
 	head  int
@@ -55,11 +54,11 @@ type Mover struct {
 // nothing — for a disabled config. Its counters are registered under
 // g: enqueued, rejected_full, moved_pages, moved_bytes, wasted_bytes,
 // granted_bytes, stale_dropped, no_space, denied, aborted, dropped,
-// deferred_throttle and the queue_len gauge. faults may be nil; when
-// set, Advance defers work inside bandwidth-throttle windows (the
-// mover competes with foreground migration for the same throttled
-// link).
-func NewMover(cfg tier.MoverConfig, faults *tier.FaultPlan, g obs.Group) *Mover {
+// deferred_throttle and the queue_len gauge. The mover migrates through
+// mem; when mem has a fault plan, Advance defers work inside its
+// bandwidth-throttle windows (the mover competes with foreground
+// migration for the same throttled link).
+func NewMover(cfg tier.MoverConfig, mem *Memory, g obs.Group) *Mover {
 	if !cfg.Enabled() {
 		return nil
 	}
@@ -68,7 +67,7 @@ func NewMover(cfg tier.MoverConfig, faults *tier.FaultPlan, g obs.Group) *Mover 
 	}
 	return &Mover{
 		cfg:           cfg.FillDefaults(),
-		faults:        faults,
+		mem:           mem,
 		ctrEnq:        g.Counter("enqueued"),
 		ctrRejFull:    g.Counter("rejected_full"),
 		ctrMoved:      g.Counter("moved_pages"),
@@ -96,12 +95,11 @@ func (mv *Mover) QueueLen() int {
 	return len(mv.queue) - mv.head
 }
 
-// Enqueue queues a migration of p to dst through space as (the handle
-// the policy holds; the page may belong to any space sharing the
-// tiers). It reports whether the task was accepted — false when the
-// mover is disabled (the caller must migrate inline) or the queue is
-// full.
-func (mv *Mover) Enqueue(as *AddressSpace, p *Page, dst tier.ID) bool {
+// Enqueue queues a migration of p, a page of any space sharing the
+// mover's memory, to dst. It reports whether the task was accepted —
+// false when the mover is disabled (the caller must migrate inline) or
+// the queue is full.
+func (mv *Mover) Enqueue(p *Page, dst tier.ID) bool {
 	if mv == nil {
 		return false
 	}
@@ -112,7 +110,7 @@ func (mv *Mover) Enqueue(as *AddressSpace, p *Page, dst tier.ID) bool {
 		*mv.ctrRejFull++
 		return false
 	}
-	mv.queue = append(mv.queue, moverTask{pg: p, as: as, src: p.Tier, dst: dst})
+	mv.queue = append(mv.queue, moverTask{pg: p, src: p.Tier, dst: dst})
 	*mv.ctrEnq++
 	*mv.gQueueLen = uint64(mv.QueueLen())
 	return true
@@ -182,7 +180,7 @@ func (mv *Mover) Advance(now uint64) (spentNS uint64) {
 	if mv.QueueLen() == 0 {
 		return 0
 	}
-	if mv.faults.ThrottleActive(now) {
+	if mv.mem.Faults.ThrottleActive(now) {
 		// The link is throttled: hold queued work for the window's end
 		// rather than paying the inflated copy cost (budget keeps
 		// accruing, bounded by the burst cap).
@@ -200,7 +198,7 @@ func (mv *Mover) Advance(now uint64) (spentNS uint64) {
 		if bytes > mv.tokens {
 			break // out of budget; resume next window
 		}
-		ns, st := t.as.MigrateTx(t.pg, t.dst)
+		ns, st := mv.mem.MigrateTx(t.pg, t.dst)
 		spentNS += ns
 		switch st {
 		case MigrateOK:
@@ -215,7 +213,7 @@ func (mv *Mover) Advance(now uint64) (spentNS uint64) {
 			*mv.ctrWasted += bytes
 			*mv.ctrAborted++
 			t.attempts++
-			if t.attempts > mv.faults.MaxRetries() {
+			if t.attempts > mv.mem.Faults.MaxRetries() {
 				*mv.ctrDropped++
 				mv.head++
 			}

@@ -21,7 +21,7 @@ func newMoverRig(t *testing.T, cfg tier.MoverConfig, faults *tier.FaultPlan, fas
 	as := newAS(t, fastBlocks, capBlocks, true)
 	as.Faults = faults
 	reg := obs.NewRegistry()
-	return &moverRig{t: t, as: as, mv: NewMover(cfg, faults, reg.Group("mover")), reg: reg}
+	return &moverRig{t: t, as: as, mv: NewMover(cfg, as.Memory, reg.Group("mover")), reg: reg}
 }
 
 // huge faults n huge pages in, fast tier first.
@@ -58,7 +58,7 @@ func TestMoverMovesWithinBudget(t *testing.T) {
 	r := newMoverRig(t, tier.MoverConfig{BytesPerWindow: 2 * hugeBytes, WindowNS: 1_000_000}, nil, 4, 8)
 	pgs := r.huge(3)
 	for _, pg := range pgs {
-		if !r.mv.Enqueue(r.as, pg, tier.CapacityTier) {
+		if !r.mv.Enqueue(pg, tier.CapacityTier) {
 			t.Fatal("enqueue refused below the queue bound")
 		}
 	}
@@ -92,11 +92,11 @@ func TestMoverDropsStaleTasks(t *testing.T) {
 	r := newMoverRig(t, tier.MoverConfig{BytesPerWindow: 4 * hugeBytes}, nil, 4, 8)
 	pgs := r.huge(3)
 	for _, pg := range pgs {
-		r.mv.Enqueue(r.as, pg, tier.CapacityTier)
+		r.mv.Enqueue(pg, tier.CapacityTier)
 	}
 	// A page already on its destination is accepted and settled
 	// without queueing.
-	if !r.mv.Enqueue(r.as, pgs[0], tier.FastTier) {
+	if !r.mv.Enqueue(pgs[0], tier.FastTier) {
 		t.Fatal("enqueue to the page's own tier refused")
 	}
 	r.as.Free(Region{BaseVPN: pgs[0].VPN, Pages: tier.SubPages})
@@ -114,12 +114,12 @@ func TestMoverNoSpaceAndDenied(t *testing.T) {
 	if pgs[0].Tier != tier.FastTier || pgs[1].Tier != tier.CapacityTier {
 		t.Fatalf("pages faulted onto %v and %v", pgs[0].Tier, pgs[1].Tier)
 	}
-	r.mv.Enqueue(r.as, pgs[1], tier.FastTier)
+	r.mv.Enqueue(pgs[1], tier.FastTier)
 	r.mv.Advance(0)
 	r.want(map[string]uint64{"enqueued": 1, "no_space": 1, "granted_bytes": 4 * hugeBytes})
 
 	r.as.MigrateVeto = func(*Page, tier.ID, uint64) bool { return false }
-	r.mv.Enqueue(r.as, pgs[0], tier.CapacityTier)
+	r.mv.Enqueue(pgs[0], tier.CapacityTier)
 	r.mv.Advance(0)
 	r.want(map[string]uint64{"enqueued": 2, "no_space": 1, "denied": 1, "granted_bytes": 4 * hugeBytes})
 	if pgs[0].Tier != tier.FastTier || pgs[1].Tier != tier.CapacityTier {
@@ -131,7 +131,7 @@ func TestMoverAbortsThenDrops(t *testing.T) {
 	plan := alwaysFail()
 	r := newMoverRig(t, tier.MoverConfig{BytesPerWindow: 8 * hugeBytes}, plan, 4, 8)
 	pg := r.huge(1)[0]
-	r.mv.Enqueue(r.as, pg, tier.CapacityTier)
+	r.mv.Enqueue(pg, tier.CapacityTier)
 	attempts := uint64(plan.MaxRetries() + 1)
 	if ns := r.mv.Advance(0); ns != attempts*MigrateHugeNS {
 		t.Fatalf("Advance spent %d ns, want %d wasted copies", ns, attempts)
@@ -149,7 +149,7 @@ func TestMoverDefersInThrottleWindow(t *testing.T) {
 	r.mv.Advance(0) // an empty queue defers nothing
 	r.want(map[string]uint64{"granted_bytes": hugeBytes})
 
-	r.mv.Enqueue(r.as, r.huge(1)[0], tier.CapacityTier)
+	r.mv.Enqueue(r.huge(1)[0], tier.CapacityTier)
 	r.mv.Advance(500_000)
 	r.want(map[string]uint64{"enqueued": 1, "queue_len": 1, "deferred_throttle": 1, "granted_bytes": hugeBytes})
 
@@ -162,7 +162,7 @@ func TestMoverRejectsFullQueue(t *testing.T) {
 	r := newMoverRig(t, tier.MoverConfig{BytesPerWindow: hugeBytes, QueueCap: 2}, nil, 4, 8)
 	pgs := r.huge(3)
 	for i, pg := range pgs {
-		if ok := r.mv.Enqueue(r.as, pg, tier.CapacityTier); ok != (i < 2) {
+		if ok := r.mv.Enqueue(pg, tier.CapacityTier); ok != (i < 2) {
 			t.Fatalf("enqueue %d accepted=%v at QueueCap 2", i, ok)
 		}
 	}
@@ -177,7 +177,7 @@ func TestMoverBudgetConservation(t *testing.T) {
 	plan := tier.NewFaultPlan(tier.FaultConfig{Seed: 3, MigrateFailPpm: 400_000})
 	r := newMoverRig(t, tier.MoverConfig{BytesPerWindow: perWindow, WindowNS: 1_000_000}, plan, 8, 16)
 	for _, pg := range r.huge(6) {
-		r.mv.Enqueue(r.as, pg, tier.CapacityTier)
+		r.mv.Enqueue(pg, tier.CapacityTier)
 	}
 	get := func(name string) uint64 { v, _ := r.reg.Value("mover/" + name); return v }
 	var now uint64

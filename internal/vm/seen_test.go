@@ -184,10 +184,8 @@ func TestSeenBitSplitCollapse(t *testing.T) {
 func TestWatchReachesOwnerSpace(t *testing.T) {
 	fast := tier.MustNew(tier.Config{Name: "fast", Kind: tier.DRAM, Bytes: 8 * tier.HugePageSize})
 	capT := tier.MustNew(tier.Config{Name: "cap", Kind: tier.NVM, Bytes: 16 * tier.HugePageSize})
-	a, b := NewAddressSpace(fast, capT, false), NewAddressSpace(fast, capT, false)
-	b.Tenant = 1
-	owners := []*AddressSpace{a, b}
-	a.Owners, b.Owners = owners, owners
+	a := NewAddressSpace(fast, capT, false)
+	b := a.AddSpace()
 	ra, rb := a.Reserve(tier.BasePageSize), b.Reserve(tier.BasePageSize)
 	pa := a.Touch(ra.BaseVPN, false).Page
 	pb := b.Touch(rb.BaseVPN, false).Page
@@ -201,7 +199,7 @@ func TestWatchReachesOwnerSpace(t *testing.T) {
 	if a.pt[ra.BaseVPN]&pteSeen == 0 {
 		t.Fatal("Watch cleared the handle space's own slot at the same vpn")
 	}
-	if err := AuditSharedTiers([]*tier.Tier{fast, capT}, owners); err != nil {
+	if err := AuditSharedTiers([]*tier.Tier{fast, capT}, a.Spaces()); err != nil {
 		t.Fatal(err)
 	}
 	b.Watch(pa)

@@ -1,8 +1,8 @@
 // Package vm models the virtual-memory side of the simulated machine:
-// address spaces, first-touch demand paging with THP-style huge-page
-// allocation, page access metadata, transactional page migration
-// between tiers, and the huge-page split/collapse operations MEMTIS
-// performs in the background. All operations return their cost in
+// address spaces sharing one machine-wide Memory, first-touch demand
+// paging with THP-style huge-page allocation, page access metadata,
+// transactional page migration between tiers, and the huge-page
+// split/collapse operations MEMTIS performs in the background. All operations return their cost in
 // nanoseconds so the simulator can charge them to the application's
 // critical path or to a background daemon, whichever the invoking
 // policy mandates.
@@ -256,29 +256,14 @@ type Stats struct {
 	ReclaimedFrames uint64 // zero subpages freed by splits
 }
 
-// Add accumulates o into s. A machine aggregates its per-space stats
-// with it (policies migrate pages through whichever space handle they
-// hold, so counters spread across spaces).
-func (s *Stats) Add(o Stats) {
-	s.Faults += o.Faults
-	s.FaultNS += o.FaultNS
-	s.Migrations4K += o.Migrations4K
-	s.MigrationsHuge += o.MigrationsHuge
-	s.MigratedBytes += o.MigratedBytes
-	s.Promotions += o.Promotions
-	s.Demotions += o.Demotions
-	s.MigrateAborts += o.MigrateAborts
-	s.AbortNS += o.AbortNS
-	s.Splits += o.Splits
-	s.Collapses += o.Collapses
-	s.Shootdowns += o.Shootdowns
-	s.ReclaimedFrames += o.ReclaimedFrames
-}
-
-// AddressSpace is one process's virtual memory image over a tiered
-// machine. Virtual addresses are dense base-page numbers handed out by
-// a bump allocator; the page table is a flat slice for O(1) translation.
-type AddressSpace struct {
+// Memory is the machine-wide half of the virtual-memory model: the
+// tier chain with its migration cost model, the hooks the machine and
+// its policy install, the VM counters, and the list of address spaces
+// that share them. A machine builds one, and every AddressSpace embeds
+// it, so a hook set through any space handle reaches every space, added
+// before or after, and a migration counts once whichever handle a
+// policy moves the page through.
+type Memory struct {
 	// Fast and Cap alias the first and last tier of the chain — the
 	// endpoints every two-tier policy knows by name. On deeper chains
 	// the full ordering lives in tiers; use TierAt/TierCount.
@@ -292,6 +277,60 @@ type AddressSpace struct {
 	// (len(tiers)-1 entries).
 	hopBase []uint64
 	hopHuge []uint64
+
+	// THP controls whether 2MB-aligned, >=2MB reservations fault in as
+	// huge pages (Linux THP=always) or everything uses base pages.
+	THP bool
+
+	placer Placer
+
+	// OnUnmap, when set, is invoked for every live page released by
+	// Free so policies can drop the page from their bookkeeping.
+	OnUnmap func(p *Page)
+
+	// Trace receives fault/migration/split/collapse events. Set by the
+	// machine when tracing is enabled; nil otherwise (emits are no-ops
+	// on nil, so the paths below need no guards).
+	Trace *obs.Tracer
+
+	// Faults is the machine's fault-injection plan; migration
+	// transactions and the mover consult it for copy failures and
+	// bandwidth throttling. Nil (the default) disables fault injection
+	// — every FaultPlan method is nil-safe.
+	Faults *tier.FaultPlan
+	// Clock reads the machine's virtual time; the fault plan's
+	// throttle windows are functions of it. Nil reads as zero.
+	Clock func() uint64
+
+	// MigrateVeto, when set, may deny a tier-changing operation before
+	// any frame is reserved or cost charged. It is consulted only for
+	// moves that change fast-tier residency (dst or src is tier 0 —
+	// on a two-tier machine, every migration); hops between lower
+	// tiers are QoS-neutral. It receives a page of the affected range
+	// (for owner identity), the destination tier, and the number of
+	// 4KB units that would change tier. A false return
+	// turns MigrateTx into MigrateDenied and makes Collapse fail
+	// without side effects. This is the QoS arbitration hook: floors
+	// and weighted shares (DESIGN.md §10) are enforced here, below
+	// every policy, so no promotion or demotion path can bypass them.
+	MigrateVeto func(p *Page, dst tier.ID, units uint64) bool
+
+	// spaces lists the address spaces sharing the memory; Page.Owner
+	// indexes it. MigrateTx never reads a page table, so policies
+	// migrate any space's pages through whichever handle they hold, and
+	// per-space unit accounting follows the page's owner.
+	spaces []*AddressSpace
+
+	stats Stats
+}
+
+// AddressSpace is one process's virtual memory image over a tiered
+// machine. Virtual addresses are dense base-page numbers handed out by
+// a bump allocator; the page table is a flat slice for O(1) translation.
+// The machine-wide state — tiers, hooks, counters — is the embedded
+// Memory every space of the machine shares.
+type AddressSpace struct {
+	*Memory
 
 	// pt is the packed page table: one pte per reserved base VPN. Its
 	// length may be trimmed below nextVPN when Free releases a trailing
@@ -325,54 +364,10 @@ type AddressSpace struct {
 	nextVPN uint64
 	nPages  int // live Page objects
 
-	// THP controls whether 2MB-aligned, >=2MB reservations fault in as
-	// huge pages (Linux THP=always) or everything uses base pages.
-	THP bool
-
-	placer Placer
-
-	// OnUnmap, when set, is invoked for every live page released by
-	// Free so policies can drop the page from their bookkeeping.
-	OnUnmap func(p *Page)
-
-	// Trace receives fault/migration/split/collapse events. Set by the
-	// machine when tracing is enabled; nil otherwise (emits are no-ops
-	// on nil, so the paths below need no guards).
-	Trace *obs.Tracer
-
-	// Faults is the machine's fault-injection plan; migration
-	// transactions consult it for copy failures and bandwidth
-	// throttling. Nil (the default) disables fault injection — every
-	// FaultPlan method is nil-safe.
-	Faults *tier.FaultPlan
-	// Clock reads the machine's virtual time; the fault plan's
-	// throttle windows are functions of it. Nil reads as zero.
-	Clock func() uint64
-
-	// Tenant is this space's machine-wide index; pages mapped here
-	// carry it in Page.Owner. Zero for a machine's root space.
+	// Tenant is this space's index in its memory's space list; pages
+	// mapped here carry it in Page.Owner. Zero for a machine's root
+	// space.
 	Tenant uint32
-
-	// Owners maps a Page.Owner index to its address space. Policies
-	// migrate pages of any space through whichever space handle they
-	// hold (MigrateTx never reads the page table), so per-space unit
-	// accounting must follow the page's owner, not the receiver. A new
-	// space owns itself alone; the machine installs one slice of every
-	// space it hosts on each of them.
-	Owners []*AddressSpace
-
-	// MigrateVeto, when set, may deny a tier-changing operation before
-	// any frame is reserved or cost charged. It is consulted only for
-	// moves that change fast-tier residency (dst or src is tier 0 —
-	// on a two-tier machine, every migration); hops between lower
-	// tiers are QoS-neutral. It receives a page of the affected range
-	// (for owner identity), the destination tier, and the number of
-	// 4KB units that would change tier. A false return
-	// turns MigrateTx into MigrateDenied and makes Collapse fail
-	// without side effects. This is the QoS arbitration hook: floors
-	// and weighted shares (DESIGN.md §10) are enforced here, below
-	// every policy, so no promotion or demotion path can bypass them.
-	MigrateVeto func(p *Page, dst tier.ID, units uint64) bool
 
 	// residentUnits / fastUnits track this space's mapped 4KB units
 	// (total, and the subset on the fast tier) incrementally, so
@@ -387,8 +382,6 @@ type AddressSpace struct {
 	// below its floor; the QoS arbiter credits them when checking for
 	// floor violations.
 	fastFreed uint64
-
-	stats Stats
 }
 
 // NewAddressSpace creates an address space over the two tiers.
@@ -396,10 +389,10 @@ func NewAddressSpace(fast, cap *tier.Tier, thp bool) *AddressSpace {
 	return NewAddressSpaceTiers([]*tier.Tier{fast, cap}, nil, thp)
 }
 
-// NewAddressSpaceTiers creates an address space over an N-deep tier
-// chain (fastest first; at least two tiers). topo supplies the per-hop
-// migration cost model; nil charges every hop the default
-// MigrateBaseNS/MigrateHugeNS.
+// NewAddressSpaceTiers creates a memory over an N-deep tier chain
+// (fastest first; at least two tiers) and returns its root space;
+// AddSpace adds more. topo supplies the per-hop migration cost model;
+// nil charges every hop the default MigrateBaseNS/MigrateHugeNS.
 func NewAddressSpaceTiers(tiers []*tier.Tier, topo *tier.Topology, thp bool) *AddressSpace {
 	if len(tiers) < 2 {
 		panic("vm: address space needs at least two tiers")
@@ -407,41 +400,52 @@ func NewAddressSpaceTiers(tiers []*tier.Tier, topo *tier.Topology, thp bool) *Ad
 	if len(tiers) > tier.MaxTiers {
 		panic("vm: tier chain deeper than tier.MaxTiers")
 	}
-	as := &AddressSpace{
+	mem := &Memory{
 		Fast:  tiers[0],
 		Cap:   tiers[len(tiers)-1],
 		tiers: tiers,
 		THP:   thp,
 	}
-	as.Owners = []*AddressSpace{as}
 	if topo == nil {
 		topo = &tier.Topology{Tiers: make([]tier.Config, len(tiers))}
 	}
 	if topo.Depth() != len(tiers) {
 		panic("vm: topology depth does not match tier chain")
 	}
-	as.hopBase, as.hopHuge = topo.HopCosts()
+	mem.hopBase, mem.hopHuge = topo.HopCosts()
+	return mem.AddSpace()
+}
+
+// AddSpace appends an empty address space to the memory and returns
+// it; its Tenant is its index in Spaces.
+func (mem *Memory) AddSpace() *AddressSpace {
+	as := &AddressSpace{Memory: mem, Tenant: uint32(len(mem.spaces))}
+	mem.spaces = append(mem.spaces, as)
 	return as
 }
 
-// TierCount returns the depth of the space's tier chain.
-func (as *AddressSpace) TierCount() int { return len(as.tiers) }
+// Spaces returns the memory's address spaces in index order, the root
+// space first.
+func (mem *Memory) Spaces() []*AddressSpace { return mem.spaces }
+
+// TierCount returns the depth of the tier chain.
+func (mem *Memory) TierCount() int { return len(mem.tiers) }
 
 // TierAt returns the tier at chain position id (0 = fastest).
-func (as *AddressSpace) TierAt(id tier.ID) *tier.Tier { return as.tiers[id] }
+func (mem *Memory) TierAt(id tier.ID) *tier.Tier { return mem.tiers[id] }
 
 // LastTier returns the ID of the deepest tier of the chain.
-func (as *AddressSpace) LastTier() tier.ID { return tier.ID(len(as.tiers) - 1) }
+func (mem *Memory) LastTier() tier.ID { return tier.ID(len(mem.tiers) - 1) }
 
 // HopCostNS returns the migration copy cost of moving one page of the
 // given size from src to dst: the sum of the per-hop costs of every
 // hop crossed (adjacent tiers cross one). It is the unthrottled cost;
 // MigrateTx applies the fault plan's window factor on top.
-func (as *AddressSpace) HopCostNS(src, dst tier.ID, huge bool) uint64 {
+func (mem *Memory) HopCostNS(src, dst tier.ID, huge bool) uint64 {
 	lo, hi := min(src, dst), max(src, dst)
-	hops := as.hopBase
+	hops := mem.hopBase
 	if huge {
-		hops = as.hopHuge
+		hops = mem.hopHuge
 	}
 	var ns uint64
 	for _, c := range hops[lo:hi] {
@@ -451,10 +455,11 @@ func (as *AddressSpace) HopCostNS(src, dst tier.ID, huge bool) uint64 {
 }
 
 // SetPlacer installs the policy hook for initial page placement.
-func (as *AddressSpace) SetPlacer(p Placer) { as.placer = p }
+func (mem *Memory) SetPlacer(p Placer) { mem.placer = p }
 
-// Stats returns a snapshot of the VM counters.
-func (as *AddressSpace) Stats() Stats { return as.stats }
+// Stats returns a snapshot of the VM counters of every space sharing
+// the memory.
+func (mem *Memory) Stats() Stats { return mem.stats }
 
 // ResidentUnits returns the space's mapped 4KB units.
 func (as *AddressSpace) ResidentUnits() uint64 { return as.residentUnits }
@@ -471,9 +476,9 @@ func (as *AddressSpace) FastFreedUnits() uint64 { return as.fastFreed }
 // the space (tenant exit frees exactly that region).
 func (as *AddressSpace) ReservedPages() uint64 { return as.nextVPN }
 
-// ownerOf resolves the space whose resident/fast unit counters a
-// mutation of p must adjust.
-func (as *AddressSpace) ownerOf(p *Page) *AddressSpace { return as.Owners[p.Owner] }
+// ownerOf resolves the space whose page table maps p and whose
+// resident/fast unit counters a mutation of p must adjust.
+func (mem *Memory) ownerOf(p *Page) *AddressSpace { return mem.spaces[p.Owner] }
 
 // Region is a reserved virtual address range.
 type Region struct {
@@ -588,9 +593,9 @@ func (as *AddressSpace) setTierPTE(p *Page) {
 // it takes Touch (on a machine, OnAccess too): the model of clearing a
 // PTE's accessed bit or arming a NUMA-hint fault (sim.FastSampled).
 // Any space handle serves; a dead page is left alone.
-func (as *AddressSpace) Watch(p *Page) {
+func (mem *Memory) Watch(p *Page) {
 	if !p.dead {
-		as.ownerOf(p).setSeen(p, 0)
+		mem.ownerOf(p).setSeen(p, 0)
 	}
 }
 
@@ -623,8 +628,8 @@ func (as *AddressSpace) Lookup(vpn uint64) *Page {
 }
 
 // tierOf returns the tier object for id.
-func (as *AddressSpace) tierOf(id tier.ID) *tier.Tier {
-	return as.tiers[id]
+func (mem *Memory) tierOf(id tier.ID) *tier.Tier {
+	return mem.tiers[id]
 }
 
 // TouchResult describes the outcome of one memory access.
@@ -840,11 +845,11 @@ func (as *AddressSpace) allocFallback(failed tier.ID, huge bool) (tier.ID, tier.
 }
 
 // CanMigrate reports whether dst currently has room for the page.
-func (as *AddressSpace) CanMigrate(p *Page, dst tier.ID) bool {
+func (mem *Memory) CanMigrate(p *Page, dst tier.ID) bool {
 	if p.Tier == dst || p.dead {
 		return false
 	}
-	t := as.tierOf(dst)
+	t := mem.tierOf(dst)
 	if p.IsHuge() {
 		return t.HasHugeFrame()
 	}
@@ -867,7 +872,7 @@ const (
 	// source mapping, and the returned ns is the wasted copy cost.
 	// Transient — the caller may retry within the plan's retry bound.
 	MigrateAborted
-	// MigrateDenied: the space's MigrateVeto (QoS arbitration) refused
+	// MigrateDenied: the memory's MigrateVeto (QoS arbitration) refused
 	// the move before anything was reserved or charged. Like no-space
 	// this is an admission outcome, not a fault: retrying immediately
 	// is pointless, the arbiter's state must change first.
@@ -903,21 +908,21 @@ func (s MigrateStatus) String() string {
 //
 // The source mapping is only touched in commit, so an abort can never
 // lose the page or leave it double-mapped — Audit checks exactly that.
-func (as *AddressSpace) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateStatus) {
+func (mem *Memory) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateStatus) {
 	if p.dead || p.Tier == dst {
 		return 0, MigrateNoSpace
 	}
-	if as.MigrateVeto != nil && (dst == tier.FastTier || p.Tier == tier.FastTier) &&
-		!as.MigrateVeto(p, dst, p.Units()) {
+	if mem.MigrateVeto != nil && (dst == tier.FastTier || p.Tier == tier.FastTier) &&
+		!mem.MigrateVeto(p, dst, p.Units()) {
 		return 0, MigrateDenied
 	}
-	src := as.tierOf(p.Tier)
-	dt := as.tierOf(dst)
+	src := mem.tierOf(p.Tier)
+	dt := mem.tierOf(dst)
 
 	// Reserve.
 	var nf tier.Frame
 	var err error
-	copyNS := as.HopCostNS(p.Tier, dst, p.IsHuge())
+	copyNS := mem.HopCostNS(p.Tier, dst, p.IsHuge())
 	if p.IsHuge() {
 		nf, err = dt.AllocHuge()
 	} else {
@@ -928,13 +933,13 @@ func (as *AddressSpace) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateSt
 	}
 
 	// Copy, at the (possibly throttled) migration bandwidth.
-	if as.Faults != nil {
+	if mem.Faults != nil {
 		var now uint64
-		if as.Clock != nil {
-			now = as.Clock()
+		if mem.Clock != nil {
+			now = mem.Clock()
 		}
-		copyNS *= as.Faults.CopyCostFactor(now)
-		if as.Faults.FailCopy() {
+		copyNS *= mem.Faults.CopyCostFactor(now)
+		if mem.Faults.FailCopy() {
 			// Abort: roll back the reservation. The page was never
 			// remapped, so the source mapping is still authoritative.
 			if p.IsHuge() {
@@ -942,9 +947,9 @@ func (as *AddressSpace) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateSt
 			} else {
 				dt.FreeBase(nf)
 			}
-			as.stats.MigrateAborts++
-			as.stats.AbortNS += copyNS
-			as.Trace.Emit(obs.EvMigrateAbort, p.VPN, p.IsHuge(), p.Bytes(), copyNS)
+			mem.stats.MigrateAborts++
+			mem.stats.AbortNS += copyNS
+			mem.Trace.Emit(obs.EvMigrateAbort, p.VPN, p.IsHuge(), p.Bytes(), copyNS)
 			return copyNS, MigrateAborted
 		}
 	}
@@ -952,20 +957,20 @@ func (as *AddressSpace) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateSt
 	// Commit.
 	if p.IsHuge() {
 		src.FreeHuge(p.Frame)
-		as.stats.MigrationsHuge++
+		mem.stats.MigrationsHuge++
 	} else {
 		src.FreeBase(p.Frame)
-		as.stats.Migrations4K++
+		mem.stats.Migrations4K++
 	}
 	p.Frame = nf
 	ns = copyNS + ShootdownNS
-	ow := as.ownerOf(p)
+	ow := mem.ownerOf(p)
 	if dst < p.Tier {
-		as.stats.Promotions += p.Units()
-		as.Trace.Emit(obs.EvPromotion, p.VPN, p.IsHuge(), p.Bytes(), ns)
+		mem.stats.Promotions += p.Units()
+		mem.Trace.Emit(obs.EvPromotion, p.VPN, p.IsHuge(), p.Bytes(), ns)
 	} else {
-		as.stats.Demotions += p.Units()
-		as.Trace.Emit(obs.EvDemotion, p.VPN, p.IsHuge(), p.Bytes(), ns)
+		mem.stats.Demotions += p.Units()
+		mem.Trace.Emit(obs.EvDemotion, p.VPN, p.IsHuge(), p.Bytes(), ns)
 	}
 	// Fast-tier residency only changes when the move crosses the top
 	// boundary; hops between lower tiers leave fastUnits untouched.
@@ -974,11 +979,11 @@ func (as *AddressSpace) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateSt
 	} else if p.Tier == tier.FastTier {
 		ow.fastUnits -= p.Units()
 	}
-	as.stats.Shootdowns++
-	as.Trace.Emit(obs.EvShootdown, p.VPN, p.IsHuge(), 0, 0)
-	as.stats.MigratedBytes += p.Bytes()
+	mem.stats.Shootdowns++
+	mem.Trace.Emit(obs.EvShootdown, p.VPN, p.IsHuge(), 0, 0)
+	mem.stats.MigratedBytes += p.Bytes()
 	p.Tier = dst
-	as.ownerOf(p).setTierPTE(p)
+	ow.setTierPTE(p)
 	return ns, MigrateOK
 }
 
@@ -987,8 +992,8 @@ func (as *AddressSpace) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateSt
 // still returns its wasted copy cost, so callers must charge ns even
 // when ok is false (with faults disabled, ns is 0 whenever ok is
 // false, matching the historical contract).
-func (as *AddressSpace) Migrate(p *Page, dst tier.ID) (ns uint64, ok bool) {
-	ns, st := as.MigrateTx(p, dst)
+func (mem *Memory) Migrate(p *Page, dst tier.ID) (ns uint64, ok bool) {
+	ns, st := mem.MigrateTx(p, dst)
 	return ns, st == MigrateOK
 }
 
@@ -1189,17 +1194,18 @@ func (as *AddressSpace) Free(r Region) {
 // Dead reports whether the page has been split, collapsed or freed.
 func (p *Page) Dead() bool { return p.dead }
 
-// RSSFrames returns the resident set size in 4KB frames.
-func (as *AddressSpace) RSSFrames() uint64 {
+// RSSFrames returns the resident set size in 4KB frames: the frames
+// every space sharing the memory has mapped.
+func (mem *Memory) RSSFrames() uint64 {
 	var n uint64
-	for _, t := range as.tiers {
+	for _, t := range mem.tiers {
 		n += t.UsedFrames()
 	}
 	return n
 }
 
 // RSSBytes returns the resident set size in bytes.
-func (as *AddressSpace) RSSBytes() uint64 { return as.RSSFrames() * tier.BasePageSize }
+func (mem *Memory) RSSBytes() uint64 { return mem.RSSFrames() * tier.BasePageSize }
 
 // LivePages returns the number of live Page objects (huge counts as 1).
 func (as *AddressSpace) LivePages() int { return as.nPages }
