@@ -1,5 +1,6 @@
-# CI / developer entry points. `make check` is the tier-1 gate;
-# `make race` is the short-budget race smoke over the concurrency
+# CI / developer entry points. `make check` is the tier-1 gate, and
+# its `make inline` pins the hot path's inlining; `make race` is the
+# short-budget race smoke over the concurrency
 # surface (parallel experiment runner, per-machine independence audit,
 # codec and sampler tests); `make digests` pins the simulated bytes of
 # the benchmark's four workloads at two seeds; `make figpins` pins
@@ -8,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build docs test benchmod digests figpins repin race fuzz bench benchdry figures clean
+.PHONY: check fmt vet build docs inline test benchmod digests figpins repin race fuzz bench benchdry figures clean
 
-check: fmt vet build docs test benchmod
+check: fmt vet build docs inline test benchmod
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -23,6 +24,39 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# Hot-path inlining pin (DESIGN.md §7). Each site is `file|call|callee`:
+# call is source text found on exactly one line of file, and
+# `go build -gcflags=-m` must report inlining callee at that line.
+# The sites are TouchFast in both access loops (Machine.Access and
+# accessRun), fastStop and the fault plan's QuietUntil at accessRun's
+# two boundary checks, and SplitMix64 in the tenant stream and the
+# fault plan's failure stream. A lost site fails the target by name.
+INLINE_SITES = \
+	'internal/sim/sim.go|:= m.cur.TouchFast(vpn, write)|vm.(*AddressSpace).TouchFast' \
+	'internal/sim/sim.go|:= cur.TouchFast(vpn, write)|vm.(*AddressSpace).TouchFast' \
+	'internal/sim/sim.go|stop := m.fastStop()|(*Machine).fastStop' \
+	'internal/sim/sim.go|stop := m.fastStop()|tier.(*FaultPlan).QuietUntil' \
+	'internal/sim/sim.go|stop = m.fastStop();|(*Machine).fastStop' \
+	'internal/sim/sim.go|stop = m.fastStop();|tier.(*FaultPlan).QuietUntil' \
+	'internal/bench/tenantsweep.go|x := dist.SplitMix64(s.base + c)|dist.SplitMix64' \
+	'internal/tier/fault.go|return dist.SplitMix64(uint64(f.cfg.Seed)^f.seq)|dist.SplitMix64'
+
+inline:
+	@out=$$($(GO) build -gcflags=-m ./internal/sim ./internal/bench ./internal/tier 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; \
+	for site in $(INLINE_SITES); do \
+		file=$${site%%|*}; rest=$${site#*|}; call=$${rest%|*}; callee=$${rest##*|}; \
+		line=$$(grep -nF -- "$$call" $$file | cut -d: -f1); \
+		case $$line in \
+		''|*[!0-9]*) echo "inline: $$file: want one line with \"$$call\", found: $$(echo $$line)"; fail=1; continue;; \
+		esac; \
+		if printf '%s\n' "$$out" | awk -v p="$$file:$$line:" -v c=": inlining call to $$callee" \
+			'index($$0, p) == 1 && substr($$0, length($$0) - length(c) + 1) == c { f = 1 } END { exit !f }'; then \
+			echo "inline $$file:$$line $$callee ok"; \
+		else echo "inline: $$file:$$line no longer inlines $$callee"; fail=1; fi; \
+	done; \
+	exit $$fail
 
 # Includes the deterministic 10-scenario conformance smoke sweep
 # (TestScenarioSmokeSweep in internal/bench).

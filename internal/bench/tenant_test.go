@@ -304,7 +304,7 @@ func TestTenantChurnProperty(t *testing.T) {
 				t.Fatalf("final audit: %v", err)
 			}
 			var sum uint64
-			for i := 0; i < m.NumSpaces(); i++ {
+			for i := 0; i < len(m.Spaces()); i++ {
 				sum += m.Space(i).ResidentUnits() * tier.BasePageSize
 			}
 			if got := m.RSSBytes(); got != sum {

@@ -262,8 +262,8 @@ func (p *Policy) Attach(m *sim.Machine) {
 	fastUnits := m.Fast.CapacityFrames()
 	p.cfg.fillDefaults(fastUnits)
 	p.smp = pebs.NewSampler(p.cfg.Sampler)
-	p.trace = m.Cfg.Trace
-	p.smp.Trace = m.Cfg.Trace
+	p.trace = m.Trace
+	p.smp.Trace = m.Trace
 	g := m.Counters().Group(p.Name())
 	p.coolings = g.Counter("coolings")
 	p.adaptations = g.Counter("adaptations")

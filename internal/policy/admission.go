@@ -94,10 +94,10 @@ func (g *AdmissionGate) Request(pg *vm.Page, dst tier.ID, sync bool) tier.Admiss
 		Bytes:          pg.Bytes(),
 		Huge:           pg.IsHuge(),
 		Hotness:        pg.Count,
-		CostNS:         m.AS.HopCostNS(pg.Tier, dst, pg.IsHuge()) * m.Faults().CopyCostFactor(now),
+		CostNS:         m.HopCostNS(pg.Tier, dst, pg.IsHuge()) * m.Faults.CopyCostFactor(now),
 		GainNS:         m.AccessGainNS(pg.Tier, dst),
 		Sync:           sync,
-		ThrottleActive: m.Faults().ThrottleActive(now),
+		ThrottleActive: m.Faults.ThrottleActive(now),
 		Now:            now,
 	}
 }

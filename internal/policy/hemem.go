@@ -68,7 +68,7 @@ func (h *HeMem) Attach(m *sim.Machine) {
 		AdjustNS:    math.MaxUint64,
 	})
 	h.nextWake = h.wakeEvery
-	h.smp.Trace = m.Cfg.Trace
+	h.smp.Trace = m.Trace
 	g := h.Counters()
 	h.overAllocBytes = g.Counter("overalloc_bytes")
 	h.coolings = g.Counter("coolings")

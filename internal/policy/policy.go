@@ -85,7 +85,7 @@ func (b *Base) Counters() obs.Group {
 
 // Trace returns the machine's tracer; emitting on it is always safe
 // (nil when tracing is disabled).
-func (b *Base) Trace() *obs.Tracer { return b.M.Cfg.Trace }
+func (b *Base) Trace() *obs.Tracer { return b.M.Trace }
 
 // mig lazily binds the shared migration counters. Lazy because Attach
 // is often shadowed by the embedding policy, and because b.M.Pol (the
@@ -195,7 +195,7 @@ func (b *Base) admit(pg *vm.Page, dst tier.ID, sync bool) bool {
 	if g := b.Gate(); g.Installed() {
 		return g.Allow(pg, dst, sync)
 	}
-	if !sync && b.M.Faults().ThrottleActive(b.M.Now()) {
+	if !sync && b.M.Faults.ThrottleActive(b.M.Now()) {
 		return false
 	}
 	return true
@@ -211,7 +211,7 @@ func (b *Base) admit(pg *vm.Page, dst tier.ID, sync bool) bool {
 // status is MigrateAborted only after the retry budget is exhausted;
 // retries counts the attempts repeated on the way.
 func Transact(m *sim.Machine, pg *vm.Page, dst tier.ID) (ns uint64, st vm.MigrateStatus, retries uint64) {
-	fp := m.Faults()
+	fp := m.Faults
 	for attempt := 0; ; attempt++ {
 		cns, cst := m.AS.MigrateTx(pg, dst)
 		ns += cns
@@ -220,7 +220,7 @@ func Transact(m *sim.Machine, pg *vm.Page, dst tier.ID) (ns uint64, st vm.Migrat
 		}
 		ns += fp.RetryBackoffNS(attempt)
 		retries++
-		m.Tracer().Emit(obs.EvMigrateRetry, pg.VPN, pg.IsHuge(), pg.Bytes(), retries)
+		m.Trace.Emit(obs.EvMigrateRetry, pg.VPN, pg.IsHuge(), pg.Bytes(), retries)
 	}
 }
 

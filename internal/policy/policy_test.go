@@ -80,7 +80,7 @@ func TestAutoNUMAPromotesWhenRoomAvailable(t *testing.T) {
 	}
 	// Force one block to capacity via direct migration, then access it.
 	pg := m.AS.Lookup(r.BaseVPN)
-	m.AS.Migrate(pg, tier.CapacityTier)
+	m.AS.MigrateTx(pg, tier.CapacityTier)
 	for i := 0; i < 300_000 && m.AS.Lookup(r.BaseVPN).Tier != tier.FastTier; i++ {
 		m.Access(r.BaseVPN+uint64(i)%tier.SubPages, false)
 	}

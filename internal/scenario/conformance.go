@@ -19,7 +19,7 @@ const maxViolations = 32
 // bounded by the fault-aware policy.MaxSyncStallNS, BackgroundNS
 // monotonic, PlaceNew never targeting a tier that cannot hold the page
 // (unless the policy declares CapPinnedPlacement), reported hot sets
-// within RSS, and — via periodic sim.Machine.Audit — no page lost,
+// within RSS, and — via the memory's periodic vm.Memory.Audit — no page lost,
 // leaked or double-mapped across aborted migrations. Violations are
 // recorded, not panicked, and every message carries the scenario seed,
 // so a fuzz failure is reproducible from the test log alone.

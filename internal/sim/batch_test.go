@@ -99,7 +99,7 @@ func (p *snapshotPolicy) SampleGate() *pebs.Sampler { return nil }
 
 func (p *snapshotPolicy) Tick(now uint64) {
 	p.countingPolicy.Tick(now)
-	for i := 0; i < p.m.NumSpaces(); i++ {
+	for i := 0; i < len(p.m.Spaces()); i++ {
 		p.snaps = append(p.snaps, p.m.SpaceAccesses(i))
 	}
 	p.snaps = append(p.snaps, p.m.Accesses(), p.m.TotalAccesses())

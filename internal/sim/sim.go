@@ -130,9 +130,11 @@ type Config struct {
 	Mover tier.MoverConfig
 	// Admission, when non-nil, is the machine-wide admission-control
 	// policy scoring migration benefit against per-hop cost; policies
-	// consult it through their shared helpers. Nil keeps the historical
-	// default (async migration deferred during throttle windows) and
-	// registers no admission counters.
+	// consult it through their shared helpers. Nil registers no
+	// admission counters and leaves each policy its own default: the
+	// shared helpers (policy.Base) defer async migrations during
+	// throttle windows, while MEMTIS's kmigrated, when no mover is
+	// set, copies inline at the throttled cost.
 	Admission tier.Admission
 	THP       bool
 	TLB       tlb.Config
@@ -215,18 +217,16 @@ type Result struct {
 }
 
 // Machine is one simulated tiered host running a single workload under
-// a single policy. Fast and Cap alias the endpoints of the tier chain;
-// Tiers holds the full chain on N-tier machines.
+// a single policy. It embeds its one memory, so the tier chain (Fast,
+// Cap, Tier, Depth, LastTier), the fault plan (Faults), the tracer
+// (Trace), the VM counters, the space list and the audit are the
+// memory's, read through the machine.
 type Machine struct {
-	Cfg  Config
-	Fast *tier.Tier
-	Cap  *tier.Tier
-	// Tiers is the tier chain, fastest first (Tiers[0] == Fast,
-	// Tiers[len-1] == Cap; exactly those two on a default machine).
-	Tiers []*tier.Tier
-	// AS is the root address space. Its embedded vm.Memory is the
-	// machine's one memory: the tier chain, the hooks, the VM counters
-	// and the list of every space (AS.Spaces()).
+	// Memory is the root space's memory, shared by every space the
+	// machine hosts (AS.Memory).
+	*vm.Memory
+	Cfg Config
+	// AS is the root address space.
 	AS  *vm.AddressSpace
 	TLB *tlb.TLB
 	Pol Policy
@@ -242,9 +242,9 @@ type Machine struct {
 	// moverNS accumulates the mover's copy work for DaemonUtil.
 	moverNS uint64
 
-	// faults is the machine's fault plan (nil when cfg.Faults is the
-	// zero value, which keeps the hot path at one nil check).
-	faults          *tier.FaultPlan
+	// The fault plan's window counters; the plan is Faults, nil when
+	// cfg.Faults is the zero value, which keeps the hot path at one nil
+	// check.
 	ctrThrottleWins *uint64
 	ctrStallWins    *uint64
 	ctrStallNS      *uint64
@@ -330,22 +330,21 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 	if err != nil {
 		panic(err)
 	}
+	as := vm.NewAddressSpaceTiers(tiers, topo, cfg.THP)
 	m := &Machine{
-		Cfg:   cfg,
-		Fast:  tiers[0],
-		Cap:   tiers[len(tiers)-1],
-		Tiers: tiers,
-		AS:    vm.NewAddressSpaceTiers(tiers, cfg.Topology, cfg.THP),
-		TLB:   tlb.New(cfg.TLB),
-		Pol:   pol,
-		reg:   obs.NewRegistry(),
+		Memory: as.Memory,
+		Cfg:    cfg,
+		AS:     as,
+		TLB:    tlb.New(cfg.TLB),
+		Pol:    pol,
+		reg:    obs.NewRegistry(),
 	}
 	m.cur = m.AS
 	m.spaceAcc = []uint64{0}
 	m.spaceLabels = []string{""}
 	if cfg.Trace != nil {
 		cfg.Trace.BindClock(func() uint64 { return m.now })
-		m.AS.Trace = cfg.Trace
+		m.Trace = cfg.Trace
 		m.TLB.Trace = cfg.Trace
 	}
 	if cfg.Faults.Enabled() {
@@ -356,9 +355,8 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 			// independent yet fully determined by its cell seed.
 			fc.Seed = cfg.Seed ^ 0x66_61_75_6c_74 // "fault"
 		}
-		m.faults = tier.NewFaultPlan(fc)
-		m.AS.Faults = m.faults
-		m.AS.Clock = func() uint64 { return m.now }
+		m.Faults = tier.NewFaultPlan(fc)
+		m.Clock = func() uint64 { return m.now }
 		g := m.reg.Group("fault")
 		m.ctrThrottleWins = g.Counter("throttle_windows")
 		m.ctrStallWins = g.Counter("stall_windows")
@@ -370,7 +368,7 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 		g.Counter("abort_ns")
 	}
 	if cfg.Mover.Enabled() {
-		m.mover = vm.NewMover(cfg.Mover, m.AS.Memory, m.reg.Group("mover"))
+		m.mover = vm.NewMover(cfg.Mover, m.Memory, m.reg.Group("mover"))
 	}
 	for i, t := range tiers {
 		m.loadNS[i] = t.AccessNS(false)
@@ -383,7 +381,7 @@ func NewMachine(cfg Config, pol Policy) *Machine {
 	}
 	m.nextCount = math.MaxUint64
 	// A nil policy is a nil placer: the address space's default.
-	m.AS.SetPlacer(pol)
+	m.SetPlacer(pol)
 	if pol != nil {
 		pol.Attach(m)
 		m.gate = GateOf(pol)
@@ -420,28 +418,10 @@ func (m *Machine) Now() uint64 { return m.now }
 // namespaced cells once, at Attach time.
 func (m *Machine) Counters() *obs.Registry { return m.reg }
 
-// Tracer returns the machine's event tracer (nil when tracing is off);
-// emitting on the returned value is always safe.
-func (m *Machine) Tracer() *obs.Tracer { return m.Cfg.Trace }
-
-// Faults returns the machine's fault plan — nil when fault injection
-// is disabled, which every FaultPlan method treats as the no-fault
-// case, so callers consult it unguarded.
-func (m *Machine) Faults() *tier.FaultPlan { return m.faults }
-
 // Mover returns the machine's background mover — nil when disabled,
 // which every Mover method treats as the inline-migration case, so
 // the policy helpers consult it unguarded.
 func (m *Machine) Mover() *vm.Mover { return m.mover }
-
-// Depth returns the number of tiers in the machine's chain.
-func (m *Machine) Depth() int { return len(m.Tiers) }
-
-// Tier returns the tier object at chain position id.
-func (m *Machine) Tier(id tier.ID) *tier.Tier { return m.Tiers[id] }
-
-// LastTier returns the ID of the deepest tier of the chain.
-func (m *Machine) LastTier() tier.ID { return tier.ID(len(m.Tiers) - 1) }
 
 // PromoteTarget returns the tier one hop above id — the destination of
 // a single-hop promotion — clamped at the fast tier.
@@ -484,8 +464,10 @@ func (m *Machine) TotalAccesses() uint64 { return m.accesses }
 // memory, so it shares the tiers, fault plan, tracer, policy hooks and
 // VM counters of every other space, and returns its index. The root
 // space (index 0) is m.AS. Call before or between runs, not mid-access.
+// It shadows vm.Memory.AddSpace on purpose: the machine also keeps
+// each space's label and access count.
 func (m *Machine) AddSpace(label string) int {
-	as := m.AS.AddSpace()
+	as := m.Memory.AddSpace()
 	m.spaceAcc = append(m.spaceAcc, 0)
 	m.spaceLabels = append(m.spaceLabels, label)
 	return int(as.Tenant)
@@ -495,7 +477,7 @@ func (m *Machine) AddSpace(label string) int {
 // reservations and frees. The tenant scheduler calls it on every
 // context switch.
 func (m *Machine) UseSpace(id int) {
-	m.cur = m.AS.Spaces()[id]
+	m.cur = m.Spaces()[id]
 	m.curID = uint32(id)
 	m.curTag = uint64(id) << SpaceTagShift
 }
@@ -503,32 +485,17 @@ func (m *Machine) UseSpace(id int) {
 // SetSpaceLabel names a space for per-tenant result rows.
 func (m *Machine) SetSpaceLabel(id int, label string) { m.spaceLabels[id] = label }
 
-// NumSpaces returns the number of address spaces the machine hosts.
-func (m *Machine) NumSpaces() int { return len(m.AS.Spaces()) }
-
 // Space returns address space id (0 is m.AS).
-func (m *Machine) Space(id int) *vm.AddressSpace { return m.AS.Spaces()[id] }
-
-// SpaceOf returns the address space owning p. Policies must route
-// page-table operations (Split, Collapse, Lookup by VPN) through the
-// owner; migrations may go through any space handle.
-func (m *Machine) SpaceOf(p *vm.Page) *vm.AddressSpace { return m.AS.Spaces()[p.Owner] }
+func (m *Machine) Space(id int) *vm.AddressSpace { return m.Spaces()[id] }
 
 // SpaceAccesses returns the access count issued by space id.
 func (m *Machine) SpaceAccesses(id int) uint64 { return m.spaceAcc[id] }
-
-// RSSBytes returns the machine-wide resident set: the used frames of
-// the memory every space shares. Per-tenant residency is ResidentUnits
-// on the individual spaces.
-func (m *Machine) RSSBytes() uint64 {
-	return m.AS.RSSBytes()
-}
 
 // ForEachPage visits every live page of every space, each space in
 // ascending-VPN order, spaces in index order, under
 // vm.AddressSpace.ForEachPage's callback contract.
 func (m *Machine) ForEachPage(fn func(p *vm.Page)) {
-	for _, s := range m.AS.Spaces() {
+	for _, s := range m.Spaces() {
 		s.ForEachPage(fn)
 	}
 }
@@ -544,7 +511,7 @@ func (m *Machine) ForEachPage(fn func(p *vm.Page)) {
 // not yet stop after one round: a call that finishes the last space
 // may come back to its start space and walk it again from VPN 0.
 func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) uint64 {
-	spaces := m.AS.Spaces()
+	spaces := m.Spaces()
 	if len(spaces) == 1 {
 		return m.AS.ForEachPageFrom(cursor, max, fn)
 	}
@@ -576,10 +543,6 @@ func (m *Machine) ForEachPageFrom(cursor uint64, max int, fn func(p *vm.Page)) u
 	}
 	return uint64(sid)<<SpaceTagShift | vc
 }
-
-// Audit verifies the frame-accounting invariants across every address
-// space the machine hosts (vm.AuditSharedTiers).
-func (m *Machine) Audit() error { return vm.AuditSharedTiers(m.Tiers, m.AS.Spaces()) }
 
 // AdvanceBackground lets policies charge additional critical-path time
 // (used by trackers that stall the app outside OnAccess's return path).
@@ -667,22 +630,22 @@ func (m *Machine) Access(vpn uint64, write bool) {
 	if tr.Tier == tier.FastTier {
 		m.fastHits++
 	}
-	if m.faults != nil {
+	if m.Faults != nil {
 		// Stall bursts hit the access itself; window starts are polled
 		// here (the only place virtual time advances densely) so each
 		// injection window is reported exactly once.
-		if extra := m.faults.AccessStallNS(tr.Tier, m.now); extra > 0 {
+		if extra := m.Faults.AccessStallNS(tr.Tier, m.now); extra > 0 {
 			cost += extra
 			*m.ctrStallNS += extra
 		}
-		if thr, stl := m.faults.PollWindows(m.now); thr || stl {
+		if thr, stl := m.Faults.PollWindows(m.now); thr || stl {
 			if thr {
 				*m.ctrThrottleWins++
-				m.Cfg.Trace.Emit(obs.EvFaultWindow, 0, false, 0, tier.ThrottleWindow)
+				m.Trace.Emit(obs.EvFaultWindow, 0, false, 0, tier.ThrottleWindow)
 			}
 			if stl {
 				*m.ctrStallWins++
-				m.Cfg.Trace.Emit(obs.EvFaultWindow, 0, false, 0, tier.StallWindow)
+				m.Trace.Emit(obs.EvFaultWindow, 0, false, 0, tier.StallWindow)
 			}
 		}
 	}
@@ -762,7 +725,7 @@ func (m *Machine) AccessBatch(ops []Op) {
 // on only while m.now is short of the quiet span's end; an op that
 // starts at or past it goes through Access.
 func (m *Machine) fastStop() uint64 {
-	return min(m.nextTick, m.nextRecord, m.faults.QuietUntil(m.now))
+	return min(m.nextTick, m.nextRecord, m.Faults.QuietUntil(m.now))
 }
 
 // accessRun is AccessBatch over ops that bring the access count to the
@@ -880,8 +843,8 @@ func (m *Machine) Finish(workload string) Result {
 	// The mover's copy work is daemon CPU like any other background
 	// machinery (zero when the mover is disabled).
 	daemonNS += m.moverNS
-	vmStats := m.AS.Stats()
-	if m.faults != nil {
+	vmStats := m.Stats()
+	if m.Faults != nil {
 		// Fold the VM's transaction outcomes into the fault counter
 		// group (Finish runs once; counters stay monotonic).
 		g := m.reg.Group("fault")
@@ -925,7 +888,7 @@ func (m *Machine) Finish(workload string) Result {
 		Series:       m.series,
 		Counters:     m.reg.Snapshot(),
 	}
-	if spaces := m.AS.Spaces(); len(spaces) > 1 {
+	if spaces := m.Spaces(); len(spaces) > 1 {
 		res.Tenants = make([]TenantResult, len(spaces))
 		for i, s := range spaces {
 			res.Tenants[i] = TenantResult{

@@ -290,6 +290,88 @@ func TestTierDepthBound(t *testing.T) {
 	NewMachine(cfg, nil)
 }
 
+// TestChainArithmetic pins the chain arithmetic policies price moves
+// with, on a 2-deep and a 4-deep chain whose hops all cost differently:
+// PromoteTarget and DemoteTarget step one hop and clamp at the ends,
+// AccessGainNS is the load-latency difference (negative for a
+// demotion), HopCostNS sums every hop crossed in either direction, and
+// a space added after construction holds the machine's tier objects.
+func TestChainArithmetic(t *testing.T) {
+	gb := func(kind tier.Kind) tier.Config { return tier.Config{Kind: kind, Bytes: 2 * tier.HugePageSize} }
+	nvm := gb(tier.NVM)
+	nvm.LoadNS, nvm.StoreNS = 350, 450
+	for _, tc := range []struct {
+		name     string
+		topo     *tier.Topology
+		fullBase uint64 // HopCostNS from the fast tier to the last
+		fullHuge uint64
+	}{
+		{"2-deep", &tier.Topology{
+			Tiers: []tier.Config{gb(tier.DRAM), gb(tier.NVM)},
+			Hops:  []tier.HopConfig{{BaseCostNS: 1_100, HugeCostNS: 110_000}},
+		}, 1_100, 110_000},
+		{"4-deep", &tier.Topology{
+			Tiers: []tier.Config{gb(tier.DRAM), gb(tier.CXL), nvm, gb(tier.Far)},
+			Hops: []tier.HopConfig{
+				{BaseCostNS: 1_100, HugeCostNS: 110_000},
+				{BaseCostNS: 2_300, HugeCostNS: 230_000},
+				{BaseCostNS: 4_700, HugeCostNS: 470_000},
+			},
+		}, 8_100, 810_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.Topology = tc.topo
+			m := NewMachine(cfg, nil)
+			last := tier.ID(len(tc.topo.Tiers) - 1)
+			if m.Depth() != len(tc.topo.Tiers) || m.LastTier() != last ||
+				m.Fast != m.Tier(tier.FastTier) || m.Cap != m.Tier(last) {
+				t.Fatalf("chain: depth %d, last %v, Fast/Cap not its ends", m.Depth(), m.LastTier())
+			}
+			if got := m.HopCostNS(tier.FastTier, last, false); got != tc.fullBase {
+				t.Fatalf("base hop cost over the chain %d, want %d", got, tc.fullBase)
+			}
+			if got := m.HopCostNS(last, tier.FastTier, true); got != tc.fullHuge {
+				t.Fatalf("huge hop cost over the chain %d, want %d", got, tc.fullHuge)
+			}
+			for s := tier.FastTier; s <= last; s++ {
+				if got, want := m.PromoteTarget(s), max(s-1, tier.FastTier); got != want {
+					t.Errorf("PromoteTarget(%v) = %v, want %v", s, got, want)
+				}
+				if got, want := m.DemoteTarget(s), min(s+1, last); got != want {
+					t.Errorf("DemoteTarget(%v) = %v, want %v", s, got, want)
+				}
+				for d := tier.FastTier; d <= last; d++ {
+					gain := m.AccessGainNS(s, d)
+					if want := int64(m.Tier(s).LoadNS()) - int64(m.Tier(d).LoadNS()); gain != want {
+						t.Errorf("AccessGainNS(%v, %v) = %d, want %d", s, d, gain, want)
+					}
+					if d > s && gain >= 0 {
+						t.Errorf("demotion %v -> %v gains %d ns", s, d, gain)
+					}
+					var base, huge uint64
+					for h := min(s, d); h < max(s, d); h++ {
+						base += tc.topo.Hops[h].BaseCostNS
+						huge += tc.topo.Hops[h].HugeCostNS
+					}
+					if got := m.HopCostNS(s, d, false); got != base {
+						t.Errorf("HopCostNS(%v, %v, base) = %d, want %d", s, d, got, base)
+					}
+					if got := m.HopCostNS(s, d, true); got != huge {
+						t.Errorf("HopCostNS(%v, %v, huge) = %d, want %d", s, d, got, huge)
+					}
+				}
+			}
+			late := m.Space(m.AddSpace("late"))
+			for i := tier.FastTier; i <= last; i++ {
+				if late.Tier(i) != m.Tier(i) {
+					t.Errorf("a space added later sees another tier %v", i)
+				}
+			}
+		})
+	}
+}
+
 // tenantPage builds a machine with one added space and faults that
 // space's first base page into the fast tier.
 func tenantPage(t *testing.T) (*Machine, vm.Region, *vm.Page) {

@@ -392,7 +392,7 @@ func (st *run) spawn(t int) {
 	st.procs[t].live = true
 	st.pk.set(t, max(st.procs[t].spec.Weight, 1))
 	st.arb.addLive(t)
-	st.m.Tracer().Emit(obs.EvTenantSpawn, uint64(t), false, 0, 0)
+	st.m.Trace.Emit(obs.EvTenantSpawn, uint64(t), false, 0, 0)
 }
 
 // exit stops the tenant's stream and frees its entire address space.
@@ -408,7 +408,7 @@ func (st *run) exit(t int) {
 	released := as.ResidentUnits() * tier.BasePageSize
 	st.m.UseSpace(t)
 	st.m.FreeRegion(vm.Region{BaseVPN: 0, Pages: as.ReservedPages()})
-	st.m.Tracer().Emit(obs.EvTenantExit, uint64(t), false, released, 0)
+	st.m.Trace.Emit(obs.EvTenantExit, uint64(t), false, released, 0)
 }
 
 // grow reserves the tenant's churn region and write-touches it
@@ -459,7 +459,7 @@ func (st *run) schedule(t int) {
 		end = st.target
 	}
 	st.m.UseSpace(t)
-	st.m.Tracer().Emit(obs.EvTenantSwitch, uint64(t), false, 0, end-now)
+	st.m.Trace.Emit(obs.EvTenantSwitch, uint64(t), false, 0, end-now)
 	p := &st.procs[t]
 	if p.stream == nil {
 		p.stream = p.spec.Workload.Stream(st.m, st.target)

@@ -134,8 +134,8 @@ func TestSingleTenantStaysSingleSpace(t *testing.T) {
 	}
 	m := sim.NewMachine(configFor(11, workload.MustNew("silo").Spec().RSSBytes()), bench.NewPolicy("memtis"))
 	r.Run(m, 100_000)
-	if m.NumSpaces() != 1 {
-		t.Fatalf("one tenant added address spaces (%d spaces)", m.NumSpaces())
+	if len(m.Spaces()) != 1 {
+		t.Fatalf("one tenant added address spaces (%d spaces)", len(m.Spaces()))
 	}
 	res := m.Finish(r.Name())
 	if res.Accesses != 100_000 {

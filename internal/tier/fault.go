@@ -65,8 +65,12 @@ type FaultConfig struct {
 	// ThrottlePeriodNS/ThrottleDutyNS define bandwidth-throttling
 	// windows: for the first ThrottleDutyNS of every ThrottlePeriodNS
 	// of virtual time, migration copies cost ThrottleFactor times as
-	// much and the default admission control defers background
-	// migrations. ThrottlePeriodNS == 0 disables throttling.
+	// much. With no Admission configured, the shared policy helpers
+	// (policy.Base) defer async migrations inside a window, while
+	// MEMTIS's kmigrated, when no mover is set, copies inline at the
+	// throttled cost; the background mover always holds its queue
+	// until the window closes. ThrottlePeriodNS == 0 disables
+	// throttling.
 	ThrottlePeriodNS uint64
 	ThrottleDutyNS   uint64
 	// ThrottleFactor is the copy-cost multiplier inside a window

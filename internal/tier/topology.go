@@ -10,7 +10,7 @@ import (
 // hierarchy: an ordered chain of tiers (index 0 is the fastest, the
 // last is the deepest capacity tier) joined by hops that carry the
 // migration cost model between adjacent tiers. The topology only
-// *describes* — vm.AddressSpace charges per-hop migration costs from
+// *describes* — vm.Memory charges per-hop migration costs from
 // it, sim.Machine builds its tier set and latency tables from it, and
 // policies ask it which tier sits above or below a page — so the whole
 // hierarchy stays pure configuration: a fixed spec always builds the

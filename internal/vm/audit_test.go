@@ -39,7 +39,7 @@ func newAuditFixture(t *testing.T) auditFixture {
 	fx.b = as.Touch(rb.BaseVPN, true).Page
 	fx.c = as.Touch(rb.BaseVPN+1, true).Page
 	fx.d = as.Touch(rb.BaseVPN+2, false).Page
-	if _, ok := as.Migrate(fx.d, 2); !ok {
+	if _, st := as.MigrateTx(fx.d, 2); st != MigrateOK {
 		t.Fatal("fixture migration failed")
 	}
 	as.Touch(fx.h.VPN+3, false)
@@ -51,7 +51,7 @@ func newAuditFixture(t *testing.T) auditFixture {
 	if err := refAuditSpace(as); err != nil {
 		t.Fatalf("clean fixture failed the reference audit: %v", err)
 	}
-	if err := auditSpace(as); err != nil {
+	if err := as.Audit(); err != nil {
 		t.Fatalf("clean fixture failed the audit: %v", err)
 	}
 	return fx
@@ -133,17 +133,17 @@ func TestAuditMatchesReferenceOnCorruption(t *testing.T) {
 		{"resident counter off", func(fx auditFixture) { fx.as.residentUnits++ }, "resident units"},
 		{"fast counter off", func(fx auditFixture) { fx.as.fastUnits-- }, "fast units"},
 		{"leaked frame", func(fx auditFixture) {
-			if _, err := fx.as.TierAt(2).AllocBase(); err != nil {
+			if _, err := fx.as.Tier(2).AllocBase(); err != nil {
 				panic(err)
 			}
 		}, "tier2 tier has 2 frames allocated but 1 mapped across 1 spaces"},
-		{"lost frame", func(fx auditFixture) { fx.as.TierAt(2).FreeBase(fx.d.Frame) },
+		{"lost frame", func(fx auditFixture) { fx.as.Tier(2).FreeBase(fx.d.Frame) },
 			"tier2 tier has 0 frames allocated but 1 mapped across 1 spaces"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fx := newAuditFixture(t)
 			tc.corrupt(fx)
-			sameAuditError(t, auditSpace(fx.as), refAuditSpace(fx.as), tc.want)
+			sameAuditError(t, fx.as.Audit(), refAuditSpace(fx.as), tc.want)
 		})
 	}
 }
@@ -163,7 +163,7 @@ func sharedSpaces(t *testing.T) ([]*tier.Tier, []*AddressSpace, *Page, *Page) {
 	if err := refAuditSharedTiers(ts, spaces); err != nil {
 		t.Fatalf("clean spaces failed the reference audit: %v", err)
 	}
-	if err := AuditSharedTiers(ts, spaces); err != nil {
+	if err := a.Audit(); err != nil {
 		t.Fatalf("clean spaces failed the audit: %v", err)
 	}
 	return ts, spaces, pa, pb
@@ -182,7 +182,7 @@ func TestAuditSharedMatchesReference(t *testing.T) {
 		pb.Frame = pa.Frame
 		want := fmt.Sprintf("space 1: vm: frame %v double-mapped by pages %d and %d",
 			tier.PhysAddr{Tier: pa.Tier, Frame: pa.Frame}, pa.VPN, pb.VPN)
-		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces), want)
+		sameAuditError(t, spaces[0].Audit(), refAuditSharedTiers(ts, spaces), want)
 	})
 	t.Run("huge page over an earlier base page's frame", func(t *testing.T) {
 		ts, spaces, _, pb := sharedSpaces(t)
@@ -193,12 +193,12 @@ func TestAuditSharedMatchesReference(t *testing.T) {
 		pb.Frame = hb.Frame + 3
 		want := fmt.Sprintf("space 1: vm: frame %v double-mapped by pages %d and %d",
 			tier.PhysAddr{Tier: hb.Tier, Frame: hb.Frame + 3}, pb.VPN, hb.VPN)
-		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces), want)
+		sameAuditError(t, spaces[0].Audit(), refAuditSharedTiers(ts, spaces), want)
 	})
 	t.Run("owner mismatch in the second space", func(t *testing.T) {
 		ts, spaces, _, pb := sharedSpaces(t)
 		pb.Owner = 0
-		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces),
+		sameAuditError(t, spaces[0].Audit(), refAuditSharedTiers(ts, spaces),
 			"space 1: vm: page")
 	})
 	t.Run("leaked frame across spaces", func(t *testing.T) {
@@ -206,31 +206,23 @@ func TestAuditSharedMatchesReference(t *testing.T) {
 		if _, err := ts[1].AllocBase(); err != nil {
 			t.Fatal(err)
 		}
-		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces),
+		sameAuditError(t, spaces[0].Audit(), refAuditSharedTiers(ts, spaces),
 			"capacity tier has 1 frames allocated but 0 mapped across 2 spaces")
-	})
-	t.Run("chain depth mismatch", func(t *testing.T) {
-		ts, spaces, _, _ := sharedSpaces(t)
-		other := NewAddressSpaceTiers(auditTiers(1, 1), nil, true)
-		other.Tenant = 2
-		spaces = append(spaces, other)
-		sameAuditError(t, AuditSharedTiers(ts, spaces), refAuditSharedTiers(ts, spaces),
-			"space 2: 2 tiers in chain, audit expects 3")
 	})
 }
 
-// TestAuditSharedNoSpaces: with no spaces to walk, the audit still
+// TestAuditEmptyRootSpace: with no page mapped, the audit still
 // requires every tier of the chain to have no frame allocated.
-func TestAuditSharedNoSpaces(t *testing.T) {
-	ts := auditTiers(1, 1, 1)
-	if err := AuditSharedTiers(ts, nil); err != nil {
-		t.Fatalf("empty chain: %v", err)
+func TestAuditEmptyRootSpace(t *testing.T) {
+	as := NewAddressSpaceTiers(auditTiers(1, 1, 1), nil, true)
+	if err := as.Audit(); err != nil {
+		t.Fatalf("empty space: %v", err)
 	}
-	if _, err := ts[2].AllocHuge(); err != nil {
+	if _, err := as.Tier(2).AllocHuge(); err != nil {
 		t.Fatal(err)
 	}
-	sameAuditError(t, AuditSharedTiers(ts, nil), refAuditSharedTiers(ts, nil),
-		"tier2 tier has 512 frames allocated but 0 mapped across 0 spaces")
+	sameAuditError(t, as.Audit(), refAuditSpace(as),
+		"tier2 tier has 512 frames allocated but 0 mapped across 1 spaces")
 }
 
 // TestAuditRejectsFrameBeyondCapacity pins the one check the bitmap
@@ -244,7 +236,7 @@ func TestAuditRejectsFrameBeyondCapacity(t *testing.T) {
 		t.Fatalf("reference audit now rejects the state: %v", err)
 	}
 	want := fmt.Sprintf("space 0: vm: page %d maps frames %d..%d beyond the fast tier's %d", fx.h.VPN, capF-256, capF+255, capF)
-	if err := auditSpace(fx.as); err == nil || err.Error() != want {
+	if err := fx.as.Audit(); err == nil || err.Error() != want {
 		t.Fatalf("audit = %v, want %q", err, want)
 	}
 }
@@ -268,7 +260,7 @@ func TestAuditMatchesReferenceOnChurn(t *testing.T) {
 				if err := refAuditSharedTiers(ts, spaces); err != nil {
 					t.Fatalf("step %d: reference audit: %v", step, err)
 				}
-				if err := AuditSharedTiers(ts, spaces); err != nil {
+				if err := root.Audit(); err != nil {
 					t.Fatalf("step %d: audit: %v", step, err)
 				}
 			})
@@ -343,7 +335,7 @@ func TestAuditAllocsFlat(t *testing.T) {
 			as.Touch(vpn, true)
 		}
 		return testing.AllocsPerRun(5, func() {
-			if err := auditSpace(as); err != nil {
+			if err := as.Audit(); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -8,19 +8,16 @@ import (
 
 // This file keeps the map-based audit the package used before the
 // bitmap one, verbatim apart from the names, as the naive reference
-// the differential tests in audit_test.go hold AuditSharedTiers
-// against: a frame-owner map and a per-page slot map, rebuilt on every
-// call, and a slot-by-slot walk of every huge mapping.
+// the differential tests in audit_test.go hold Memory.Audit against:
+// a frame-owner map and a per-page slot map, rebuilt on every call,
+// and a slot-by-slot walk of every huge mapping.
 
-// auditSpace is AuditSharedTiers over as alone, and refAuditSpace its
-// reference.
-func auditSpace(as *AddressSpace) error { return AuditSharedTiers(as.tiers, []*AddressSpace{as}) }
+// refAuditSpace is the reference as.Audit(): every space of as's
+// memory over its chain.
+func refAuditSpace(as *AddressSpace) error { return refAuditSharedTiers(as.tiers, as.Spaces()) }
 
-func refAuditSpace(as *AddressSpace) error {
-	return refAuditSharedTiers(as.tiers, []*AddressSpace{as})
-}
-
-// refAuditSharedTiers is the reference AuditSharedTiers.
+// refAuditSharedTiers is the reference audit of the given spaces
+// sharing the given chain.
 func refAuditSharedTiers(tiers []*tier.Tier, spaces []*AddressSpace) error {
 	owner := make(map[tier.PhysAddr]uint64)
 	units := make([]uint64, len(tiers))

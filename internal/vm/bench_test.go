@@ -71,7 +71,7 @@ func BenchmarkAudit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := auditSpace(as); err != nil {
+				if err := as.Audit(); err != nil {
 					b.Fatal(err)
 				}
 			}

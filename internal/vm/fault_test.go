@@ -50,11 +50,7 @@ func TestMigrateTxAbortRollsBack(t *testing.T) {
 	if n := ring.CountByKind()[obs.EvMigrateAbort]; n != 1 {
 		t.Fatalf("migrate_abort events = %d, want 1", n)
 	}
-	// The legacy boolean entry reports the cost too.
-	if ns2, ok := as.Migrate(pg, tier.CapacityTier); ok || ns2 != MigrateHugeNS {
-		t.Fatalf("Migrate on abort = (%d, %v)", ns2, ok)
-	}
-	if err := auditSpace(as); err != nil {
+	if err := as.Audit(); err != nil {
 		t.Fatalf("audit after aborts: %v", err)
 	}
 }
@@ -69,7 +65,7 @@ func TestMigrateTxNoSpaceIsFree(t *testing.T) {
 	if pg.Tier == tier.CapacityTier {
 		other = tier.FastTier
 	}
-	if _, err := as.tierOf(other).AllocHuge(); err != nil {
+	if _, err := as.Tier(other).AllocHuge(); err != nil {
 		t.Fatal(err)
 	}
 	ns, st := as.MigrateTx(pg, other)
@@ -93,14 +89,14 @@ func TestMigrateTxThrottleChargesCopyFactor(t *testing.T) {
 	b := as.Touch(r.BaseVPN+tier.SubPages, true).Page
 
 	now = 100_000 // inside the window
-	if ns, ok := as.Migrate(a, tier.CapacityTier); !ok || ns != 4*MigrateHugeNS+ShootdownNS {
-		t.Fatalf("throttled migration = (%d, %v), want %d", ns, ok, uint64(4*MigrateHugeNS+ShootdownNS))
+	if ns, st := as.MigrateTx(a, tier.CapacityTier); st != MigrateOK || ns != 4*MigrateHugeNS+ShootdownNS {
+		t.Fatalf("throttled migration = (%d, %v), want %d", ns, st, uint64(4*MigrateHugeNS+ShootdownNS))
 	}
 	now = 700_000 // outside the window
-	if ns, ok := as.Migrate(b, tier.CapacityTier); !ok || ns != MigrateHugeNS+ShootdownNS {
-		t.Fatalf("unthrottled migration = (%d, %v)", ns, ok)
+	if ns, st := as.MigrateTx(b, tier.CapacityTier); st != MigrateOK || ns != MigrateHugeNS+ShootdownNS {
+		t.Fatalf("unthrottled migration = (%d, %v)", ns, st)
 	}
-	if err := auditSpace(as); err != nil {
+	if err := as.Audit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -138,7 +134,7 @@ func TestSplitChargesAbortedSubpageMoves(t *testing.T) {
 	if s := as.Stats(); s.MigrateAborts != uint64(moved) {
 		t.Fatalf("aborts = %d, want %d", s.MigrateAborts, moved)
 	}
-	if err := auditSpace(as); err != nil {
+	if err := as.Audit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -151,24 +147,24 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		r := as.Reserve(8 * tier.BasePageSize)
 		a := as.Touch(r.BaseVPN, true).Page
 		b := as.Touch(r.BaseVPN+1, true).Page
-		if err := auditSpace(as); err != nil {
+		if err := as.Audit(); err != nil {
 			t.Fatalf("clean space failed audit: %v", err)
 		}
 		return as, a, b
 	}
 	as, a, b := build()
 	b.Frame = a.Frame // double-map
-	if err := auditSpace(as); err == nil {
+	if err := as.Audit(); err == nil {
 		t.Error("audit missed a double-mapped frame")
 	}
 	as, a, _ = build()
 	a.dead = true // dead page reachable
-	if err := auditSpace(as); err == nil {
+	if err := as.Audit(); err == nil {
 		t.Error("audit missed a mapped dead page")
 	}
 	as, a, _ = build()
 	as.pt[a.VPN] = 0 // frame leak: allocated but unmapped
-	if err := auditSpace(as); err == nil {
+	if err := as.Audit(); err == nil {
 		t.Error("audit missed a leaked frame")
 	}
 }

@@ -83,7 +83,7 @@ func TestMoverMovesWithinBudget(t *testing.T) {
 			t.Fatalf("page %d still on tier %v", i, pg.Tier)
 		}
 	}
-	if err := auditSpace(r.as); err != nil {
+	if err := r.as.Audit(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,7 +26,7 @@ func fastServes(as *AddressSpace, vpn uint64) (read, write bool) {
 
 func mustAudit(t *testing.T, as *AddressSpace, step string) {
 	t.Helper()
-	if err := auditSpace(as); err != nil {
+	if err := as.Audit(); err != nil {
 		t.Fatalf("%s: %v", step, err)
 	}
 }
@@ -105,7 +105,7 @@ func TestSeenBitHugePage(t *testing.T) {
 	}
 	mustAudit(t, as, "watch")
 
-	if _, ok := as.Migrate(hp, tier.CapacityTier); !ok {
+	if _, st := as.MigrateTx(hp, tier.CapacityTier); st != MigrateOK {
 		t.Fatal("demotion failed")
 	}
 	if as.bt[b]&pteSeen != 0 || as.seenSlots(base, tier.SubPages) != 0 {
@@ -113,7 +113,7 @@ func TestSeenBitHugePage(t *testing.T) {
 	}
 	mustAudit(t, as, "migrate unseen")
 	as.Touch(base, false)
-	if _, ok := as.Migrate(hp, tier.FastTier); !ok {
+	if _, st := as.MigrateTx(hp, tier.FastTier); st != MigrateOK {
 		t.Fatal("promotion failed")
 	}
 	if as.bt[b]&pteSeen == 0 || as.seenSlots(base, tier.SubPages) != tier.SubPages {
@@ -126,7 +126,7 @@ func TestSeenBitHugePage(t *testing.T) {
 
 	// Audit rejects a slot that disagrees with its block entry.
 	as.pt[base+42] &^= pteSeen
-	if err := auditSpace(as); err == nil {
+	if err := as.Audit(); err == nil {
 		t.Fatal("audit missed a huge slot unseen under a seen block entry")
 	}
 }
@@ -184,7 +184,7 @@ func TestSeenBitSplitCollapse(t *testing.T) {
 func TestWatchReachesOwnerSpace(t *testing.T) {
 	fast := tier.MustNew(tier.Config{Name: "fast", Kind: tier.DRAM, Bytes: 8 * tier.HugePageSize})
 	capT := tier.MustNew(tier.Config{Name: "cap", Kind: tier.NVM, Bytes: 16 * tier.HugePageSize})
-	a := NewAddressSpace(fast, capT, false)
+	a := NewAddressSpaceTiers([]*tier.Tier{fast, capT}, nil, false)
 	b := a.AddSpace()
 	ra, rb := a.Reserve(tier.BasePageSize), b.Reserve(tier.BasePageSize)
 	pa := a.Touch(ra.BaseVPN, false).Page
@@ -199,7 +199,7 @@ func TestWatchReachesOwnerSpace(t *testing.T) {
 	if a.pt[ra.BaseVPN]&pteSeen == 0 {
 		t.Fatal("Watch cleared the handle space's own slot at the same vpn")
 	}
-	if err := AuditSharedTiers([]*tier.Tier{fast, capT}, a.Spaces()); err != nil {
+	if err := a.Audit(); err != nil {
 		t.Fatal(err)
 	}
 	b.Watch(pa)
@@ -221,7 +221,7 @@ func TestSeenBitDeepestTier(t *testing.T) {
 	hp := as.Touch(r.BaseVPN, true).Page
 	bp := as.Touch(r.BaseVPN+tier.SubPages, true).Page
 	for _, pg := range []*Page{hp, bp} {
-		if _, ok := as.Migrate(pg, last); !ok {
+		if _, st := as.MigrateTx(pg, last); st != MigrateOK {
 			t.Fatalf("migration of page %d to tier %v failed", pg.VPN, last)
 		}
 		as.Touch(pg.VPN, false)

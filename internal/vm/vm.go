@@ -11,7 +11,7 @@
 // copy at the fault plan's current bandwidth → commit or abort with
 // rollback; DESIGN.md §6), so a page is never lost or double-mapped
 // even when the machine's fault plan injects transient copy failures;
-// AuditSharedTiers verifies the frame-accounting invariants on demand.
+// Memory.Audit verifies the frame-accounting invariants on demand.
 package vm
 
 import (
@@ -266,7 +266,7 @@ type Stats struct {
 type Memory struct {
 	// Fast and Cap alias the first and last tier of the chain — the
 	// endpoints every two-tier policy knows by name. On deeper chains
-	// the full ordering lives in tiers; use TierAt/TierCount.
+	// the full ordering lives in tiers; use Tier/Depth.
 	Fast *tier.Tier
 	Cap  *tier.Tier
 
@@ -384,11 +384,6 @@ type AddressSpace struct {
 	fastFreed uint64
 }
 
-// NewAddressSpace creates an address space over the two tiers.
-func NewAddressSpace(fast, cap *tier.Tier, thp bool) *AddressSpace {
-	return NewAddressSpaceTiers([]*tier.Tier{fast, cap}, nil, thp)
-}
-
 // NewAddressSpaceTiers creates a memory over an N-deep tier chain
 // (fastest first; at least two tiers) and returns its root space;
 // AddSpace adds more. topo supplies the per-hop migration cost model;
@@ -428,11 +423,11 @@ func (mem *Memory) AddSpace() *AddressSpace {
 // space first.
 func (mem *Memory) Spaces() []*AddressSpace { return mem.spaces }
 
-// TierCount returns the depth of the tier chain.
-func (mem *Memory) TierCount() int { return len(mem.tiers) }
+// Depth returns the number of tiers in the chain.
+func (mem *Memory) Depth() int { return len(mem.tiers) }
 
-// TierAt returns the tier at chain position id (0 = fastest).
-func (mem *Memory) TierAt(id tier.ID) *tier.Tier { return mem.tiers[id] }
+// Tier returns the tier at chain position id (0 = fastest).
+func (mem *Memory) Tier(id tier.ID) *tier.Tier { return mem.tiers[id] }
 
 // LastTier returns the ID of the deepest tier of the chain.
 func (mem *Memory) LastTier() tier.ID { return tier.ID(len(mem.tiers) - 1) }
@@ -476,9 +471,11 @@ func (as *AddressSpace) FastFreedUnits() uint64 { return as.fastFreed }
 // the space (tenant exit frees exactly that region).
 func (as *AddressSpace) ReservedPages() uint64 { return as.nextVPN }
 
-// ownerOf resolves the space whose page table maps p and whose
-// resident/fast unit counters a mutation of p must adjust.
-func (mem *Memory) ownerOf(p *Page) *AddressSpace { return mem.spaces[p.Owner] }
+// SpaceOf returns the space whose page table maps p and whose
+// resident/fast unit counters a mutation of p adjusts. Page-table
+// operations (Split, Collapse, Lookup by VPN) go through it; a
+// migration may go through any space handle.
+func (mem *Memory) SpaceOf(p *Page) *AddressSpace { return mem.spaces[p.Owner] }
 
 // Region is a reserved virtual address range.
 type Region struct {
@@ -595,7 +592,7 @@ func (as *AddressSpace) setTierPTE(p *Page) {
 // Any space handle serves; a dead page is left alone.
 func (mem *Memory) Watch(p *Page) {
 	if !p.dead {
-		mem.ownerOf(p).setSeen(p, 0)
+		mem.SpaceOf(p).setSeen(p, 0)
 	}
 }
 
@@ -625,11 +622,6 @@ func (as *AddressSpace) Lookup(vpn uint64) *Page {
 		return nil
 	}
 	return as.pageAt(e)
-}
-
-// tierOf returns the tier object for id.
-func (mem *Memory) tierOf(id tier.ID) *tier.Tier {
-	return mem.tiers[id]
 }
 
 // TouchResult describes the outcome of one memory access.
@@ -774,7 +766,7 @@ func (as *AddressSpace) touchFault(vpn uint64) uint64 {
 func (as *AddressSpace) mapHuge(vpn uint64) *Page {
 	baseVPN := vpn - vpn%tier.SubPages
 	id := as.placeFor(true, baseVPN)
-	t := as.tierOf(id)
+	t := as.Tier(id)
 	f, err := t.AllocHuge()
 	if err != nil {
 		// Fall back to the other tiers in chain order, then to base pages.
@@ -802,7 +794,7 @@ func (as *AddressSpace) mapHuge(vpn uint64) *Page {
 
 func (as *AddressSpace) mapBase(vpn uint64) *Page {
 	id := as.placeFor(false, vpn)
-	t := as.tierOf(id)
+	t := as.Tier(id)
 	f, err := t.AllocBase()
 	if err != nil {
 		id, f, err = as.allocFallback(id, false)
@@ -849,7 +841,7 @@ func (mem *Memory) CanMigrate(p *Page, dst tier.ID) bool {
 	if p.Tier == dst || p.dead {
 		return false
 	}
-	t := mem.tierOf(dst)
+	t := mem.Tier(dst)
 	if p.IsHuge() {
 		return t.HasHugeFrame()
 	}
@@ -916,8 +908,8 @@ func (mem *Memory) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateStatus)
 		!mem.MigrateVeto(p, dst, p.Units()) {
 		return 0, MigrateDenied
 	}
-	src := mem.tierOf(p.Tier)
-	dt := mem.tierOf(dst)
+	src := mem.Tier(p.Tier)
+	dt := mem.Tier(dst)
 
 	// Reserve.
 	var nf tier.Frame
@@ -964,7 +956,7 @@ func (mem *Memory) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateStatus)
 	}
 	p.Frame = nf
 	ns = copyNS + ShootdownNS
-	ow := mem.ownerOf(p)
+	ow := mem.SpaceOf(p)
 	if dst < p.Tier {
 		mem.stats.Promotions += p.Units()
 		mem.Trace.Emit(obs.EvPromotion, p.VPN, p.IsHuge(), p.Bytes(), ns)
@@ -987,16 +979,6 @@ func (mem *Memory) MigrateTx(p *Page, dst tier.ID) (ns uint64, st MigrateStatus)
 	return ns, MigrateOK
 }
 
-// Migrate is the boolean entry point over MigrateTx. ok is false for
-// both no-space and aborted outcomes; note that an aborted transaction
-// still returns its wasted copy cost, so callers must charge ns even
-// when ok is false (with faults disabled, ns is 0 whenever ok is
-// false, matching the historical contract).
-func (mem *Memory) Migrate(p *Page, dst tier.ID) (ns uint64, ok bool) {
-	ns, st := mem.MigrateTx(p, dst)
-	return ns, st == MigrateOK
-}
-
 // SubDest selects the destination tier for subpage j of a huge page
 // being split. Returning NoTier keeps the subpage in the source tier.
 type SubDest func(j int) tier.ID
@@ -1012,7 +994,7 @@ func (as *AddressSpace) Split(p *Page, dest SubDest) (subs []*Page, ns uint64) {
 	if !p.IsHuge() || p.dead {
 		panic("vm: split of non-huge or dead page")
 	}
-	src := as.tierOf(p.Tier)
+	src := as.Tier(p.Tier)
 	src.BreakHuge(p.Frame)
 	as.bt[p.VPN/tier.SubPages] = 0
 	ns = SplitFixedNS + ShootdownNS
@@ -1050,7 +1032,7 @@ func (as *AddressSpace) Split(p *Page, dest SubDest) (subs []*Page, ns uint64) {
 		if d := dest(j); d != tier.NoTier && d != np.Tier {
 			// An aborted subpage move still charges its wasted copy;
 			// the subpage simply stays in the source tier.
-			mns, _ := as.Migrate(np, d)
+			mns, _ := as.MigrateTx(np, d)
 			ns += mns
 		}
 	}
@@ -1097,7 +1079,7 @@ func (as *AddressSpace) Collapse(baseVPN uint64, dst tier.ID) (hp *Page, ns uint
 			}
 		}
 	}
-	t := as.tierOf(dst)
+	t := as.Tier(dst)
 	nf, err := t.AllocHuge()
 	if err != nil {
 		return nil, 0, false
@@ -1111,7 +1093,7 @@ func (as *AddressSpace) Collapse(baseVPN uint64, dst tier.ID) (hp *Page, ns uint
 		hp.SubCount[j] = uint32(old.Count)
 		hp.Count += old.Count
 		hp.markTouched(j)
-		as.tierOf(old.Tier).FreeBase(old.Frame)
+		as.Tier(old.Tier).FreeBase(old.Frame)
 		old.dead = true
 		as.pt[baseVPN+uint64(j)] = he
 		as.nPages--
@@ -1151,7 +1133,7 @@ func (as *AddressSpace) Free(r Region) {
 		if as.OnUnmap != nil {
 			as.OnUnmap(pg)
 		}
-		t := as.tierOf(pg.Tier)
+		t := as.Tier(pg.Tier)
 		if pg.IsHuge() {
 			t.FreeHuge(pg.Frame)
 			for i := uint64(0); i < tier.SubPages; i++ {
@@ -1300,7 +1282,7 @@ func (p *Page) EnsureSubCount() {
 	}
 }
 
-// frameAudit is the scratch of one AuditSharedTiers call,
+// frameAudit is the scratch of one Audit call,
 // allocated per call so that AddressSpace carries no audit state. used
 // holds one bit per frame of each tier, set when a mapped page claims
 // the frame; slots counts the page-table slots mapping each record of
@@ -1313,14 +1295,14 @@ type frameAudit struct {
 	spaces []*AddressSpace // every space the call walks, in walk order
 }
 
-func newFrameAudit(tiers []*tier.Tier, spaces []*AddressSpace) frameAudit {
-	a := frameAudit{used: make([][]uint64, len(tiers)), spaces: spaces}
-	for i, t := range tiers {
+func newFrameAudit(mem *Memory) frameAudit {
+	a := frameAudit{used: make([][]uint64, len(mem.tiers)), spaces: mem.spaces}
+	for i, t := range mem.tiers {
 		a.used[i] = make([]uint64, t.CapacityFrames()/64) // whole 2MB blocks
 	}
 	var recs uint32
 	var blocks int
-	for _, as := range spaces {
+	for _, as := range mem.spaces {
 		recs = max(recs, as.nAlloc)
 		blocks = max(blocks, len(as.bt))
 	}
@@ -1542,9 +1524,9 @@ func dirtyTail[E pte | uint16](s []E) int {
 	return -1
 }
 
-// AuditSharedTiers verifies the frame-accounting invariants of the
-// address spaces sharing one N-deep tier chain — the properties a
-// migration abort, split or collapse must never break:
+// Audit verifies the frame-accounting invariants of the memory's
+// address spaces over its tier chain — the properties a migration
+// abort, split or collapse must never break:
 //
 //   - no dead page is reachable through a page table;
 //   - every live page maps exactly its own VPN range in its own space
@@ -1553,21 +1535,17 @@ func dirtyTail[E pte | uint16](s []E) int {
 //     double-mapping), and none lies beyond its tier's capacity;
 //   - every tier's allocated-frame count equals the sum of all spaces'
 //     live page sizes on it (no frame lost across any hop or by an
-//     aborted transaction, none leaked). With no spaces, every tier
-//     must have no frame allocated.
+//     aborted transaction, none leaked).
 //
 // It is O(address spaces + tier capacity) and makes the same few slice
 // allocations per call however many pages are mapped (one bit per tier
 // frame, one counter per page record): a test-time invariant checker
 // (the conformance probes run it every few thousand accesses), not a
 // production path.
-func AuditSharedTiers(tiers []*tier.Tier, spaces []*AddressSpace) error {
-	a := newFrameAudit(tiers, spaces)
-	units := make([]uint64, len(tiers))
-	for _, as := range spaces {
-		if len(as.tiers) != len(tiers) {
-			return fmt.Errorf("space %d: %d tiers in chain, audit expects %d", as.Tenant, len(as.tiers), len(tiers))
-		}
+func (mem *Memory) Audit() error {
+	a := newFrameAudit(mem)
+	units := make([]uint64, len(mem.tiers))
+	for _, as := range mem.spaces {
 		us, err := as.auditMapped(&a)
 		if err != nil {
 			return fmt.Errorf("space %d: %w", as.Tenant, err)
@@ -1576,10 +1554,10 @@ func AuditSharedTiers(tiers []*tier.Tier, spaces []*AddressSpace) error {
 			units[i] += u
 		}
 	}
-	for id, t := range tiers {
+	for id, t := range mem.tiers {
 		if got := t.UsedFrames(); got != units[id] {
 			return fmt.Errorf("vm: %s tier has %d frames allocated but %d mapped across %d spaces",
-				tier.ID(id), got, units[id], len(spaces))
+				tier.ID(id), got, units[id], len(mem.spaces))
 		}
 	}
 	return nil

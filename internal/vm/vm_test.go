@@ -14,7 +14,7 @@ func newAS(t *testing.T, fastBlocks, capBlocks int, thp bool) *AddressSpace {
 	}
 	fast := tier.MustNew(tier.Config{Name: "fast", Kind: tier.DRAM, Bytes: uint64(fastBlocks) * tier.HugePageSize})
 	capT := tier.MustNew(tier.Config{Name: "cap", Kind: tier.NVM, Bytes: uint64(capBlocks) * tier.HugePageSize})
-	return NewAddressSpace(fast, capT, thp)
+	return NewAddressSpaceTiers([]*tier.Tier{fast, capT}, nil, thp)
 }
 
 func TestReserveAligns(t *testing.T) {
@@ -123,9 +123,9 @@ func TestMigrate(t *testing.T) {
 	if !as.CanMigrate(pg, tier.CapacityTier) {
 		t.Fatal("CanMigrate false with free capacity")
 	}
-	ns, ok := as.Migrate(pg, tier.CapacityTier)
-	if !ok || ns != MigrateHugeNS+ShootdownNS {
-		t.Fatalf("migrate: ok=%v ns=%d", ok, ns)
+	ns, status := as.MigrateTx(pg, tier.CapacityTier)
+	if status != MigrateOK || ns != MigrateHugeNS+ShootdownNS {
+		t.Fatalf("migrate: %v ns=%d", status, ns)
 	}
 	if pg.Tier != tier.CapacityTier {
 		t.Fatal("tier not updated")
@@ -138,7 +138,7 @@ func TestMigrate(t *testing.T) {
 		t.Fatal("frames not moved")
 	}
 	// Migrating to the same tier is rejected.
-	if _, ok := as.Migrate(pg, tier.CapacityTier); ok {
+	if _, st := as.MigrateTx(pg, tier.CapacityTier); st == MigrateOK {
 		t.Fatal("same-tier migrate succeeded")
 	}
 }
@@ -151,7 +151,7 @@ func TestMigrateFailsWhenFull(t *testing.T) {
 	if pg1.Tier != tier.FastTier || pg2.Tier != tier.CapacityTier {
 		t.Fatalf("placement: %v %v", pg1.Tier, pg2.Tier)
 	}
-	if _, ok := as.Migrate(pg2, tier.FastTier); ok {
+	if _, st := as.MigrateTx(pg2, tier.FastTier); st == MigrateOK {
 		t.Fatal("migration into full tier succeeded")
 	}
 }
@@ -331,7 +331,7 @@ func TestQuickVMConsistency(t *testing.T) {
 					if pg.Tier == tier.FastTier {
 						dst = tier.CapacityTier
 					}
-					as.Migrate(pg, dst)
+					as.MigrateTx(pg, dst)
 				}
 			case 9:
 				var huges []*Page
@@ -406,7 +406,7 @@ func TestHugeFaultWithoutHugeFrameMapsTheFaultingVPN(t *testing.T) {
 		t.Fatalf("second touch: %+v", res2)
 	}
 	as.Cap.FreeBase(stray)
-	if err := auditSpace(as); err != nil {
+	if err := as.Audit(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -511,8 +511,8 @@ func TestTierDepthBound(t *testing.T) {
 		}
 		return ts
 	}
-	if as := NewAddressSpaceTiers(chain(tier.MaxTiers), nil, true); as.TierCount() != tier.MaxTiers {
-		t.Fatalf("depth %d chain has %d tiers", tier.MaxTiers, as.TierCount())
+	if as := NewAddressSpaceTiers(chain(tier.MaxTiers), nil, true); as.Depth() != tier.MaxTiers {
+		t.Fatalf("depth %d chain has %d tiers", tier.MaxTiers, as.Depth())
 	}
 	defer func() {
 		if recover() == nil {

@@ -178,7 +178,7 @@ func TestWalksMatchSlotBySlotReference(t *testing.T) {
 				gapFrees++ // the trim crossed empty blocks below reg
 			}
 		}
-		if err := auditSpace(as); err != nil {
+		if err := as.Audit(); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		checkWalks(step)
