@@ -150,7 +150,8 @@ repin:
 	if [ -s $$tmp/moved ]; then cat $$tmp/moved; cut -d' ' -f1,2 $$tmp/moved | uniq -c; else echo "nothing moved"; fi
 
 # Race smoke: the parallel-runner determinism regressions (matrix and
-# every figure that simulates), the per-machine shared-state audit,
+# every figure that simulates), a fan-out's capture cache (Fig 5 on four
+# workers draws each stream once), the per-machine shared-state audit,
 # steady-phase run-ahead (the Steady/Sweep differential and a silo
 # cell and a tenant mix drawn ahead and inline), the codec suites, the
 # shared Zipf tables (the differential sampler tests are
@@ -159,7 +160,7 @@ repin:
 # with no goroutine of its own, which -race checks), all with
 # CI-sized budgets.
 race:
-	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestFiguresParallelMatchSequential|TestSteadyRunAheadInvisible' ./internal/bench ./internal/sim
+	$(GO) test -race -run 'TestRunMatrixDeterminism|TestRunnerCancellation|TestRunnerProgress|TestEventTraceGolden|TestMachinesAreIndependent|TestDistinctPoliciesShareNothing|TestScenarioMatrixDeterminism|TestTenantTraceDeterminism|TestFiguresParallelMatchSequential|TestFig5CapturesEachStreamOnce|TestSteadyRunAheadInvisible' ./internal/bench ./internal/sim
 	$(GO) test -race -run 'TestSharedRunnerParallelDeterminism' ./internal/scenario
 	$(GO) test -race -run 'TestSteady' ./internal/workload
 	$(GO) test -race -run 'TestTables' ./internal/dist

@@ -79,6 +79,13 @@ type Config struct {
 	// Mover, when enabled, runs the rate-limited background mover on
 	// every machine the harness builds (tier.MoverConfig).
 	Mover tier.MoverConfig
+
+	// streamSeed, when non-zero, seeds the Table 2 models' streams in
+	// place of Seed (sim.Config.StreamSeed); CellConfig derives it.
+	streamSeed int64
+	// streams is the capture cache of the fan-out running the cell,
+	// nil outside one.
+	streams *streams
 }
 
 // DefaultConfig returns the harness defaults used by the bench targets.
@@ -163,18 +170,19 @@ func capTier(rss uint64) uint64 { return rss + rss/4 + 16*tier.HugePageSize }
 // and capacity tier sizes, THP on, and cfg's machine-wide settings.
 func machine(cfg Config, fast, capacity uint64) sim.Config {
 	return sim.Config{
-		FastBytes: fast,
-		CapBytes:  capacity,
-		CapKind:   cfg.CapKind,
-		THP:       true,
-		Threads:   cfg.Threads,
-		Seed:      cfg.Seed,
-		RecordNS:  cfg.RecordNS,
-		Trace:     cfg.Trace,
-		Faults:    cfg.Faults,
-		Topology:  cfg.Topology,
-		Admission: cfg.Admission,
-		Mover:     cfg.Mover,
+		FastBytes:  fast,
+		CapBytes:   capacity,
+		CapKind:    cfg.CapKind,
+		THP:        true,
+		Threads:    cfg.Threads,
+		Seed:       cfg.Seed,
+		StreamSeed: cfg.streamSeed,
+		RecordNS:   cfg.RecordNS,
+		Trace:      cfg.Trace,
+		Faults:     cfg.Faults,
+		Topology:   cfg.Topology,
+		Admission:  cfg.Admission,
+		Mover:      cfg.Mover,
 	}
 }
 
@@ -207,11 +215,13 @@ func MachineFor(spec workload.Spec, r Ratio, polName string, cfg Config) sim.Con
 	return machine(cfg, fast, capTier(rss))
 }
 
-// RunOne executes one (workload, policy, ratio) cell.
+// RunOne executes one (workload, policy, ratio) cell. Inside a
+// fan-out, it and every other run of a Table 2 model replay the
+// fan-out's capture of the model's stream.
 func RunOne(wname, polName string, r Ratio, cfg Config) sim.Result {
 	w := workload.MustNew(wname)
 	mc := MachineFor(w.Spec(), r, polName, cfg)
-	return sim.Run(mc, NewPolicy(polName), w, cfg.Accesses)
+	return sim.Run(mc, NewPolicy(polName), cfg.streams.load(w, mc, cfg.Accesses), cfg.Accesses)
 }
 
 // RunBaseline executes the all-capacity-tier (THP) run that every
@@ -219,7 +229,7 @@ func RunOne(wname, polName string, r Ratio, cfg Config) sim.Result {
 func RunBaseline(wname string, cfg Config) sim.Result {
 	w := workload.MustNew(wname)
 	mc := baselineMachine(cfg, w.Spec().RSSBytes())
-	return sim.Run(mc, NewPolicy("all-capacity"), w, cfg.Accesses)
+	return sim.Run(mc, NewPolicy("all-capacity"), cfg.streams.load(w, mc, cfg.Accesses), cfg.Accesses)
 }
 
 // RunAllFast executes the all-DRAM reference (fast tier holds the whole
@@ -229,7 +239,7 @@ func RunAllFast(wname string, thp bool, cfg Config) sim.Result {
 	cfg.RecordNS = 0 // a reference run records no series
 	mc := machine(cfg, capTier(w.Spec().RSSBytes()), minTier)
 	mc.THP = thp
-	return sim.Run(mc, NewPolicy("all-fast"), w, cfg.Accesses)
+	return sim.Run(mc, NewPolicy("all-fast"), cfg.streams.load(w, mc, cfg.Accesses), cfg.Accesses)
 }
 
 // Norm returns r's throughput normalised to the baseline run.

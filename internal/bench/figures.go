@@ -53,7 +53,8 @@ func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, 
 			return w
 		}
 		cells = append(cells, simCell{"graph500", label, "all-capacity", func(c Config) sim.Result {
-			return sim.Run(baselineMachine(c, rss), NewPolicy("all-capacity"), load(), acc)
+			mc := baselineMachine(c, rss)
+			return sim.Run(mc, NewPolicy("all-capacity"), c.streams.load(load(), mc, acc), acc)
 		}})
 		for _, p := range pols {
 			cells = append(cells, simCell{"graph500", label, p, func(c Config) sim.Result {
@@ -65,7 +66,8 @@ func (r *Runner) Fig6(ctx context.Context, cfg Config, pols []string) (*Matrix, 
 						fast -= over
 					}
 				}
-				return sim.Run(machine(c, fast, capTier(rss)), NewPolicy(p), w, acc)
+				mc := machine(c, fast, capTier(rss))
+				return sim.Run(mc, NewPolicy(p), c.streams.load(w, mc, acc), acc)
 			}})
 		}
 	}
@@ -402,7 +404,8 @@ func (r *Runner) Fig13(ctx context.Context, cfg Config) (*Matrix, Table, error) 
 			return func(c Config) sim.Result {
 				w := workload.MustNew(wname)
 				pol := memtis.New(memtis.Config{AdaptEvery: adapt, CoolEvery: cool})
-				return sim.Run(MachineFor(w.Spec(), Ratio2to1, "memtis", c), pol, w, c.Accesses)
+				mc := MachineFor(w.Spec(), Ratio2to1, "memtis", c)
+				return sim.Run(mc, pol, c.streams.load(w, mc, c.Accesses), c.Accesses)
 			}
 		}
 		cells = append(cells, simCell{wname, "2:1", "memtis", runWith(defAdapt, defCool)})

@@ -6,14 +6,20 @@
 //
 // Determinism across worker counts rests on two invariants:
 //
-//  1. Every cell's RNG seed is fixed by Config.Seed and its own
-//     coordinates: matrix cells derive it via CellSeed, and the
-//     figures whose loops predate the runner use Config.Seed itself.
-//     No cell's stream depends on how many cells ran before it, so
-//     scheduling cannot perturb results.
+//  1. Every cell's RNG seeds are fixed by Config.Seed and its own
+//     coordinates: matrix cells derive the cell seed via CellSeed and
+//     a Table 2 model's stream seed from the workload alone
+//     (CellConfig), and the figures whose loops predate the runner use
+//     Config.Seed itself for both. No cell's stream depends on how many
+//     cells ran before it, so scheduling cannot perturb results. A
+//     fan-out draws each stream once and its cells replay it: a capture
+//     is a pure function of its key (model, scale, stream seed,
+//     budget), whichever cell draws it.
 //  2. A cell runs on a private Machine, Policy and Workload instance;
 //     no package in the simulator holds mutable global state (see
-//     TestMachinesAreIndependent in internal/sim).
+//     TestMachinesAreIndependent in internal/sim). The only state a
+//     fan-out's cells share is its capture cache, read-only once each
+//     capture is drawn.
 //
 // The determinism regression tests in runner_test.go assert that
 // multi-worker runs are cell-for-cell identical to sequential ones.
@@ -31,25 +37,38 @@ import (
 	"memtis/internal/dist"
 	"memtis/internal/obs"
 	"memtis/internal/sim"
+	"memtis/internal/workload"
 )
 
 // CellSeed derives an independent per-cell RNG seed from the base seed
 // and the cell's matrix coordinates using FNV-1a hashes of the
 // coordinates pushed through a SplitMix64 finalizer. Cells of the same
-// matrix get statistically independent streams; the same coordinates
-// and base seed always yield the same stream.
+// matrix get statistically independent policy, sampler and fault
+// draws; the same coordinates and base seed always yield the same
+// seed. Its first step, over the workload alone, is the stream seed
+// all of a workload's cells share (CellConfig).
 func CellSeed(base int64, workload, ratio, policy string) int64 {
-	h := dist.SplitMix64(uint64(base) ^ dist.FNV1a(workload))
+	h := uint64(streamSeed(base, workload))
 	h = dist.SplitMix64(h ^ dist.FNV1a(ratio))
 	h = dist.SplitMix64(h ^ dist.FNV1a(policy))
 	return int64(h)
 }
 
-// CellConfig returns cfg with Seed replaced by the cell-derived seed.
-// Matrix runners use it for every cell; single-run entry points
-// (RunOne with a caller-chosen seed) are unaffected.
+// streamSeed is CellSeed's first step, from the base seed and the
+// workload alone: the seed of the workload's stream in every cell.
+func streamSeed(base int64, workload string) int64 {
+	return int64(dist.SplitMix64(uint64(base) ^ dist.FNV1a(workload)))
+}
+
+// CellConfig returns cfg with Seed replaced by the cell-derived seed,
+// which the policy, the sampler and the fault plan draw from, and the
+// stream seed (sim.Config.StreamSeed) derived from the workload alone,
+// so a Table 2 model's cells at every ratio and policy, its baseline
+// included, run one stream: common random numbers. Matrix runners use
+// it for every cell; single-run entry points (RunOne with a
+// caller-chosen seed) are unaffected.
 func CellConfig(cfg Config, workload, ratio, policy string) Config {
-	cfg.Seed = CellSeed(cfg.Seed, workload, ratio, policy)
+	cfg.Seed, cfg.streamSeed = CellSeed(cfg.Seed, workload, ratio, policy), streamSeed(cfg.Seed, workload)
 	return cfg
 }
 
@@ -92,6 +111,9 @@ type Runner struct {
 	// under the runner's lock: keep it fast and do not call back into
 	// the runner.
 	Progress func(Progress)
+	// captured, when set, observes every stream a fan-out captures, from
+	// the capturing worker.
+	captured func(workload.StreamKey)
 }
 
 // Sequential returns a single-worker runner — the determinism
@@ -219,6 +241,61 @@ type simCell struct {
 	run                     func(Config) sim.Result
 }
 
+// captureBytes bounds the ops the captures of one fan-out hold, at 4
+// bytes an access: Fig 5 at 4M accesses a cell captures 8 streams of
+// 16 MB. A cell past the bound generates its stream.
+const captureBytes = 256 << 20
+
+// streams is a fan-out's capture cache. The first cell that asks for a
+// Table 2 stream draws it once (workload.W.Capture) while any other
+// cell asking for it waits, and every cell on that key replays the
+// capture. A capture is a pure function of its key and read-only once
+// drawn, so sharing one moves no byte; the cache lives as long as its
+// fan-out.
+type streams struct {
+	mu       sync.Mutex
+	byKey    map[workload.StreamKey]*capture
+	reserved uint64                   // bytes of ops the keys may hold
+	captured func(workload.StreamKey) // Runner.captured
+}
+
+type capture struct {
+	once sync.Once
+	c    *workload.Capture
+}
+
+// load returns what a cell runs for model w on machine mc with the
+// given budget: the fan-out's capture of w's stream, or w itself
+// outside a fan-out, at a zero budget, past captureBytes, or when the
+// stream does not fit a capture.
+func (s *streams) load(w *workload.W, mc sim.Config, budget uint64) sim.Workload {
+	if s == nil || budget == 0 {
+		return w
+	}
+	key := w.Key(mc, budget)
+	s.mu.Lock()
+	e := s.byKey[key]
+	if e == nil && s.reserved+4*budget <= captureBytes {
+		s.reserved += 4 * budget
+		e = new(capture)
+		s.byKey[key] = e
+	}
+	s.mu.Unlock()
+	if e == nil {
+		return w
+	}
+	e.once.Do(func() {
+		e.c = w.Capture(mc, budget)
+		if s.captured != nil {
+			s.captured(key)
+		}
+	})
+	if e.c == nil {
+		return w
+	}
+	return e.c
+}
+
 // The seed choices of runSims.
 const (
 	cellSeeds = true  // each cell runs on CellConfig(cfg, its coordinates)
@@ -228,10 +305,12 @@ const (
 // runSims fans cells out on the pool and returns their results in cell
 // order. Each cell's seed follows derive (cellSeeds or baseSeed); it
 // gets its own JSONL trace under cfg.EventDir when that is set, and
-// never cfg.Trace. The first trace-I/O failure fails the whole
-// fan-out: a requested trace that could not be written invalidates the
-// results.
+// never cfg.Trace. The cells share one capture cache, so each Table 2
+// stream they run is drawn once. The first trace-I/O failure fails the
+// whole fan-out: a requested trace that could not be written
+// invalidates the results.
 func (r *Runner) runSims(ctx context.Context, cfg Config, derive bool, cells []simCell) ([]sim.Result, error) {
+	cfg.streams = &streams{byKey: map[workload.StreamKey]*capture{}, captured: r.captured}
 	if cfg.EventDir != "" {
 		if err := os.MkdirAll(cfg.EventDir, 0o755); err != nil {
 			return nil, err

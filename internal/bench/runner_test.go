@@ -129,18 +129,41 @@ func TestCellSeedProperties(t *testing.T) {
 	if CellSeed(42, "a", "b", "c") == CellSeed(42, "b", "a", "c") {
 		t.Fatal("coordinate aliasing")
 	}
+	// The stream seed is one per (base, workload): the same across the
+	// workload's ratios and policies, its baseline included, and
+	// distinct across workloads and base seeds.
+	streams := map[int64]string{}
+	for _, base := range []int64{42, 43, 7} {
+		for _, w := range []string{"graph500", "pagerank", "xsbench", "liblinear", "silo", "btree", "603.bwaves", "654.roms"} {
+			want := CellConfig(Config{Seed: base}, w, "baseline", "all-capacity").streamSeed
+			for _, r := range []string{"1:2", "1:8", "1:16", "2:1"} {
+				for _, p := range Policies {
+					if got := CellConfig(Config{Seed: base}, w, r, p).streamSeed; got != want {
+						t.Fatalf("base %d %s/%s/%s: stream seed %d, its baseline's %d", base, w, r, p, got, want)
+					}
+				}
+			}
+			key := fmt.Sprintf("%d/%s", base, w)
+			if prev, ok := streams[want]; ok {
+				t.Fatalf("stream seed collision: %s and %s -> %d", prev, key, want)
+			}
+			streams[want] = key
+		}
+	}
 }
 
+// TestCellConfigOnlyChangesSeed: CellConfig derives the seed and the
+// stream seed and leaves every other field as it was.
 func TestCellConfigOnlyChangesSeed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Accesses = 777
 	got := CellConfig(cfg, "silo", "1:8", "memtis")
-	if got.Seed == cfg.Seed {
-		t.Fatal("seed not derived")
+	if got.Seed == cfg.Seed || got.streamSeed == 0 || got.streamSeed == got.Seed {
+		t.Fatalf("seeds not derived: seed %d, stream seed %d", got.Seed, got.streamSeed)
 	}
-	got.Seed = cfg.Seed
+	got.Seed, got.streamSeed = cfg.Seed, 0
 	if got != cfg {
-		t.Fatalf("CellConfig altered more than the seed: %+v vs %+v", got, cfg)
+		t.Fatalf("CellConfig altered more than the seeds: %+v vs %+v", got, cfg)
 	}
 }
 

@@ -27,15 +27,17 @@ import (
 // so HeMem runs without MachineFor's fast-tier reduction.)
 func ScenarioMachine(sc *scenario.Runner, r Ratio, cfg Config) sim.Config {
 	rss := sc.RSSBytes()
-	return machine(scenarioFaults(sc, cfg), fastTier(rss, r), capTier(rss))
+	return machine(scenarioConfig(sc, cfg), fastTier(rss, r), capTier(rss))
 }
 
-// scenarioFaults applies a scenario's own fault plan, which overrides
-// the harness config's schedule.
-func scenarioFaults(sc *scenario.Runner, cfg Config) Config {
+// scenarioConfig is cfg for a scenario's machine: the scenario's own
+// fault plan overrides the harness config's schedule, and every phase,
+// a Table 2 model's among them, draws from the cell seed.
+func scenarioConfig(sc *scenario.Runner, cfg Config) Config {
 	if fc := sc.FaultConfig(); fc.Enabled() {
 		cfg.Faults = fc
 	}
+	cfg.streamSeed = 0
 	return cfg
 }
 
@@ -48,7 +50,7 @@ func RunScenario(sc *scenario.Runner, polName string, r Ratio, cfg Config) sim.R
 // RunScenarioBaseline executes the scenario's all-capacity-tier
 // normalisation run (the RunBaseline analogue).
 func RunScenarioBaseline(sc *scenario.Runner, cfg Config) sim.Result {
-	mc := baselineMachine(scenarioFaults(sc, cfg), sc.RSSBytes())
+	mc := baselineMachine(scenarioConfig(sc, cfg), sc.RSSBytes())
 	return sim.Run(mc, NewPolicy("all-capacity"), sc, cfg.Accesses)
 }
 

@@ -13,8 +13,8 @@ import (
 // and each method returns the value the same-named *rand.Rand method
 // would from the same state, consuming the same draws: swapping one for
 // the other moves no simulated byte. Rand implements rand.Source64, so
-// rand.New(r) serves the rest of *rand.Rand (Shuffle, say) from the
-// same state. A Rand is not safe for concurrent use.
+// rand.New(r) serves the rest of *rand.Rand from the same state. A Rand
+// is not safe for concurrent use.
 type Rand struct {
 	tap, feed int
 	vec       [rngLen]int64
@@ -149,6 +149,24 @@ func (r *Rand) Int31n(n int32) int32 {
 		if v := int32(r.Uint64() << 1 >> 33); v <= int32max-int32((1<<31)%uint32(n)) {
 			return v % n
 		}
+	}
+}
+
+// Shuffle permutes p as rand.New(r).Shuffle(len(p), swap) would with
+// a swap of p's elements, from the same draws: Fisher-Yates from the
+// top, each index drawn by Lemire's multiply-and-reject, as Shuffle's
+// int31n draws it. len(p) must be below 2^31.
+func (r *Rand) Shuffle(p []uint32) {
+	for i := len(p) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(r.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			for thresh := -n % n; low < thresh; low = uint32(prod) {
+				prod = uint64(r.Uint32()) * uint64(n)
+			}
+		}
+		j := prod >> 32
+		p[i], p[j] = p[j], p[i]
 	}
 }
 

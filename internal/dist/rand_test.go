@@ -90,6 +90,31 @@ func TestIntnMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestShuffleMatchesMathRand holds Shuffle to rand.New(r).Shuffle over
+// the same elements, up to Silo's heap of 113,000 pages: the same
+// permutation, and the generators in step after it.
+func TestShuffleMatchesMathRand(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		ref, got := rand.New(NewRand(seed)), NewRand(seed)
+		for _, n := range []int{0, 1, 2, 3, 17, 1000, 113_000} {
+			want, have := make([]uint32, n), make([]uint32, n)
+			for i := range want {
+				want[i], have[i] = uint32(i), uint32(i)
+			}
+			ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+			got.Shuffle(have)
+			for i := range want {
+				if want[i] != have[i] {
+					t.Fatalf("seed %d n %d: element %d is %d, math/rand %d", seed, n, i, have[i], want[i])
+				}
+			}
+			if ref.Int63() != got.Int63() {
+				t.Fatalf("seed %d n %d: generators out of step", seed, n)
+			}
+		}
+	}
+}
+
 // TestNewRandAllocates checks that seeding allocates only the generator.
 func TestNewRandAllocates(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { sinkRand = NewRand(42) }); n != 1 {

@@ -142,6 +142,11 @@ type Config struct {
 	TickNS    uint64
 	RecordNS  uint64 // series sampling period (0 disables)
 	Seed      int64
+	// StreamSeed seeds a Table 2 model's access stream (workload.W),
+	// while the policy, the sampler and the fault plan keep Seed. Zero
+	// uses Seed. The matrix runner derives it from the base seed and
+	// the workload alone, so a workload's cells share one stream.
+	StreamSeed int64
 	// Trace, when non-nil, receives the machine's event stream
 	// (promotions, faults, splits, ...; see package obs). The machine
 	// binds its virtual clock to the tracer, so a tracer serves exactly
@@ -239,8 +244,6 @@ type Machine struct {
 
 	// mover is the rate-limited background mover (nil when disabled).
 	mover *vm.Mover
-	// moverNS accumulates the mover's copy work for DaemonUtil.
-	moverNS uint64
 
 	// The fault plan's window counters; the plan is Faults, nil when
 	// cfg.Faults is the zero value, which keeps the hot path at one nil
@@ -300,6 +303,11 @@ type Machine struct {
 	onCount    func()
 	countEvery uint64
 	nextCount  uint64
+
+	// moverNS accumulates the mover's copy work for DaemonUtil. It sits
+	// last so that Cfg's StreamSeed leaves every field the access loops
+	// read (loadNS on) at the offset it had without it.
+	moverNS uint64
 }
 
 // SpaceTagShift positions an address-space index above the VPN bits of

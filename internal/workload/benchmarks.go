@@ -268,12 +268,12 @@ func buildBwaves(c *ctx) Stream {
 				break
 			}
 			if freePending {
-				c.m.FreeRegion(cur)
+				c.free(cur)
 				cur = vm.Region{}
 				freePending = false
 			}
 			if cur.Pages == 0 {
-				cur = c.m.Reserve(shortPages * tier.BasePageSize)
+				cur = c.reserveRegion(shortPages * tier.BasePageSize)
 				curIdx, phaseWrite = 0, true
 			}
 			dst[n] = sim.Op{VPN: cur.BaseVPN + curIdx, Write: phaseWrite}

@@ -34,7 +34,8 @@ type Streamer interface {
 	sim.Workload
 	// Stream starts a run of the workload on m with the given access
 	// budget (the same budget Run takes). The stream seeds its randomness
-	// from m.Cfg.Seed and reserves and frees through m.Reserve and
+	// from m.Cfg.Seed (a Table 2 model from m.Cfg.StreamSeed, Seed when
+	// that is zero) and reserves and frees through m.Reserve and
 	// m.FreeRegion, which act on whichever space is current when it
 	// pulls — the driver keeps that the stream's own. It may apply the
 	// run's first reservations before returning.
@@ -163,7 +164,8 @@ var (
 	cpuIdle = func() bool { return int(running.Load()) < runtime.GOMAXPROCS(0) }
 )
 
-// running counts the Drive loops and fills in progress, process-wide.
+// running counts the Drive loops and fills in progress, process-wide;
+// a capture's pull counts as a Drive loop.
 var running atomic.Int32
 
 // spare is the free list of chunks, bounded at four streams' worth. A

@@ -10,7 +10,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"memtis/internal/dist"
 	"memtis/internal/sim"
@@ -93,16 +92,31 @@ func (w *W) Run(m *sim.Machine, accesses uint64) { Run(m, w, accesses) }
 // the steady phase until the budget is exhausted. The reservations are
 // applied before Stream returns; an exhausted budget skips every
 // access but no reservation, so a zero budget leaves the model's
-// address space laid out and untouched.
-func (w *W) Stream(m *sim.Machine, budget uint64) Stream {
+// address space laid out and untouched. The stream draws from
+// m.Cfg.StreamSeed (Seed when zero).
+func (w *W) Stream(m *sim.Machine, budget uint64) Stream { return w.stream(m, budget, nil) }
+
+// stream builds the model's stream; a non-nil rec logs its
+// reservations and frees.
+func (w *W) stream(m *sim.Machine, budget uint64, rec *Capture) Stream {
 	c := &ctx{
 		m:      m,
-		rng:    dist.NewRand(m.Cfg.Seed ^ int64(len(w.spec.Name)<<8)),
+		rng:    dist.NewRand(streamSeed(m.Cfg) ^ int64(len(w.spec.Name)<<8)),
 		budget: budget,
 		spec:   w.spec,
+		rec:    rec,
 	}
 	steady := w.build(c)
 	return Seq(append(c.init, steady)...)
+}
+
+// streamSeed is the seed a model's stream draws from on a machine
+// built from cfg.
+func streamSeed(cfg sim.Config) int64 {
+	if cfg.StreamSeed != 0 {
+		return cfg.StreamSeed
+	}
+	return cfg.Seed
 }
 
 // New builds the named benchmark model.
@@ -166,13 +180,15 @@ func All() []*W {
 
 // ctx carries build state shared by the generators: the machine the
 // stream reserves and frees on, its budget, and the initialisation
-// phase queued so far.
+// phase queued so far. Every reservation and free of a model goes
+// through it, so a capture (rec) logs each at its stream position.
 type ctx struct {
 	m      *sim.Machine
 	rng    *dist.Rand
 	budget uint64
 	spec   Spec
 	init   []Stream
+	rec    *Capture
 }
 
 // region wraps a reservation with conveniences for page-granular access.
@@ -182,8 +198,19 @@ type region struct {
 }
 
 func (c *ctx) reserve(bytes uint64) region {
-	r := c.m.Reserve(bytes)
+	r := c.reserveRegion(bytes)
 	return region{r: r, pages: r.Pages}
+}
+
+func (c *ctx) reserveRegion(bytes uint64) vm.Region {
+	r := c.m.Reserve(bytes)
+	c.rec.log(event{bytes: bytes, r: r})
+	return r
+}
+
+func (c *ctx) free(r vm.Region) {
+	c.m.FreeRegion(r)
+	c.rec.log(event{free: true, r: r})
 }
 
 // reserveSmall reserves total bytes as many sub-2MB regions so they are
@@ -266,7 +293,7 @@ func newPerm(rng *dist.Rand, n uint64) perm {
 	for i := range p {
 		p[i] = uint32(i)
 	}
-	rand.New(rng).Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
+	rng.Shuffle(p)
 	return perm{p: p}
 }
 
